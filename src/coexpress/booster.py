@@ -105,16 +105,32 @@ def _best_split(
     lam: float,
     min_child_weight: float,
     sorted_cache: tuple[np.ndarray, np.ndarray] | None = None,
+    totals: tuple[float, float] | None = None,
 ) -> tuple[int, float, float] | None:
     """Exact greedy best split over all features and midpoints.
 
     Returns (local feature index, threshold, gain) or None. Works in the
     transposed features x samples layout so cumulative sums run along
-    contiguous memory; the flat argmax over that layout breaks ties to the
-    lowest feature index, then the lowest threshold. `sorted_cache` may carry
-    the precomputed (sorted values, argsort order), both (features, samples).
-    Gains at valid split positions depend only on the sample sets on each
-    side, so any sort order over equal values yields the same split.
+    contiguous memory. `sorted_cache` may carry the precomputed (sorted
+    values, argsort order), both (features, samples); `totals` may carry the
+    node's (G, H) as computed by the caller.
+
+    The result is a floating-point function of the exact summation order, so
+    that order is part of the contract (a different sort of equal values, or
+    a different summation, can flip a near-tie split):
+
+    - each feature row is ordered by `np.argsort` of the node's own subarray
+      with numpy's default kind;
+    - the prefix sums G_L, H_L are sequential `np.cumsum` along that order,
+      and G_R, H_R are the node totals minus them;
+    - the node totals G, H are numpy's pairwise `sum` of the node's g and h;
+    - a cut is a candidate when the values on both sides differ and
+      H_L >= min_child_weight and H_R >= min_child_weight; only candidates
+      are scored, and non-finite gains never win;
+    - ties go to the lowest feature index, then the lowest threshold.
+
+    No candidate can exist when H < 2 * min_child_weight * (1 - 2**-53), so
+    callers may skip the search below that bound.
     """
     n = Xn.shape[0]
     if n < 2:
@@ -122,53 +138,61 @@ def _best_split(
     if sorted_cache is None:
         xt = np.ascontiguousarray(Xn.T)
         order = np.argsort(xt, axis=1)
-        xs = np.take_along_axis(xt, order, axis=1)
+        xs = xt[np.arange(xt.shape[0])[:, None], order]
     else:
         xs, order = sorted_cache
-    gs = gn[order]
-    hs = hn[order]
-    Gl = np.cumsum(gs, axis=1)[:, :-1]
-    Hl = np.cumsum(hs, axis=1)[:, :-1]
-    Gt = float(gn.sum())
-    Ht = float(hn.sum())
-    Gr = Gt - Gl
+    Gt, Ht = totals if totals is not None else (float(gn.sum()), float(hn.sum()))
+    Hcum = np.cumsum(hn[order], axis=1)
+    Hl = Hcum[:, :-1]
     Hr = Ht - Hl
     valid = xs[:, 1:] > xs[:, :-1]
-    valid &= (Hl >= min_child_weight) & (Hr >= min_child_weight)
-    if not valid.any():
+    valid &= Hl >= min_child_weight
+    valid &= Hr >= min_child_weight
+    # candidates ascend by feature, then position: the argmax tie-break
+    cand = np.flatnonzero(valid)
+    if cand.size == 0:
         return None
+    at = cand + cand // (n - 1)  # the same cuts in the (features, n) cumsum layout
+    Gl = np.cumsum(gn[order], axis=1).take(at)
+    Hl = Hcum.take(at)
+    Hr = Hr.take(cand)
+    Gr = Gt - Gl
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = Gt * Gt / (Ht + lam) if Ht + lam > 0 else 0.0
         gains = 0.5 * (Gl * Gl / (Hl + lam) + Gr * Gr / (Hr + lam) - parent)
-    gains[~valid] = -np.inf
     gains[~np.isfinite(gains)] = -np.inf
-    flat = int(np.argmax(gains))
-    f, pos = divmod(flat, n - 1)
-    best = float(gains[f, pos])
+    k = int(np.argmax(gains))
+    best = float(gains[k])
     if not math.isfinite(best):
         return None
+    f, pos = divmod(int(cand[k]), n - 1)
     thr = 0.5 * (float(xs[f, pos]) + float(xs[f, pos + 1]))
     return f, thr, best
 
 
 def _grow_tree(
-    X: np.ndarray,
+    xt: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     cfg: BoosterConfig,
     feature_map: np.ndarray,
     root_cache: tuple[np.ndarray, np.ndarray] | None = None,
-) -> RegressionTree:
+) -> tuple[RegressionTree, list[tuple[np.ndarray, float]]]:
+    """Grow one tree on the C-contiguous features x samples matrix `xt`.
+
+    Also returns each leaf's (sample indices, weight).
+    """
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     weight: list[float] = []
     gain: list[float] = []
+    leaves: list[tuple[np.ndarray, float]] = []
+    # below this total Hessian no cut can give both children min_child_weight
+    split_floor = 2.0 * cfg.min_child_weight * (1.0 - 1e-9)
 
-    def add_leaf(idx: np.ndarray) -> int:
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
+    def add_leaf(idx: np.ndarray, G: float, H: float) -> int:
         denom = H + cfg.reg_lambda
         w = cfg.learning_rate * (-G / denom) if denom > 0 else 0.0
         node = len(feature)
@@ -178,20 +202,24 @@ def _grow_tree(
         right.append(-1)
         weight.append(w)
         gain.append(0.0)
+        leaves.append((idx, w))
         return node
 
     def build(idx: np.ndarray, depth: int) -> int:
-        if depth >= cfg.max_depth or idx.size < 2:
-            return add_leaf(idx)
-        cache = root_cache if depth == 0 and idx.size == X.shape[0] else None
+        gi, hi = g[idx], h[idx]
+        G, H = float(gi.sum()), float(hi.sum())
+        if depth >= cfg.max_depth or idx.size < 2 or H < split_floor:
+            return add_leaf(idx, G, H)
+        cache = root_cache if depth == 0 and idx.size == xt.shape[1] else None
+        # the transposed view of a contiguous gather reaches _best_split uncopied
         found = _best_split(
-            X[idx], g[idx], h[idx], cfg.reg_lambda, cfg.min_child_weight, cache
+            xt[:, idx].T, gi, hi, cfg.reg_lambda, cfg.min_child_weight, cache, (G, H)
         )
         if found is None:
-            return add_leaf(idx)
+            return add_leaf(idx, G, H)
         f_local, thr, gval = found
         if gval - cfg.gamma <= 0.0:
-            return add_leaf(idx)
+            return add_leaf(idx, G, H)
         node = len(feature)
         feature.append(int(feature_map[f_local]))
         threshold.append(thr)
@@ -199,17 +227,18 @@ def _grow_tree(
         right.append(-1)
         weight.append(0.0)
         gain.append(gval)
-        mask = X[idx, f_local] < thr
+        mask = xt[f_local, idx] < thr
         li = build(idx[mask], depth + 1)
         ri = build(idx[~mask], depth + 1)
         left[node] = li
         right[node] = ri
         return node
 
-    build(np.arange(X.shape[0], dtype=np.intp), 0)
-    return RegressionTree(
+    build(np.arange(xt.shape[1], dtype=np.intp), 0)
+    tree = RegressionTree(
         tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(weight), tuple(gain)
     )
+    return tree, leaves
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -218,8 +247,9 @@ def _softmax(margins: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _log_loss(margins: np.ndarray, yi: np.ndarray) -> float:
-    p = _softmax(margins)[np.arange(len(yi)), yi]
+def _log_loss(P: np.ndarray, yi: np.ndarray) -> float:
+    """Mean cross-entropy of the softmax probabilities P at the true classes yi."""
+    p = P[np.arange(len(yi)), yi]
     return float(-np.mean(np.log(np.maximum(p, 1e-300))))
 
 
@@ -271,21 +301,22 @@ def train(X: np.ndarray, y: Sequence[str], config: BoosterConfig | None = None) 
     margins = np.full((n, n_classes), _logit(config.base_score))
     rng = np.random.default_rng(config.seed)
     all_rounds: list[tuple[RegressionTree, ...]] = []
-    loss_curve = [_log_loss(margins, yi)]
+    P = _softmax(margins)
+    loss_curve = [_log_loss(P, yi)]
     all_cols = np.arange(n_feat, dtype=np.intp)
     all_rows = np.arange(n, dtype=np.intp)
     full_data = config.subsample >= 1.0 and config.colsample >= 1.0
+    XT = np.ascontiguousarray(X.T)
     # without subsampling every tree shares the same root, so its feature
     # ordering can be computed once for the whole run
     root_cache = None
     if full_data:
-        xt = np.ascontiguousarray(X.T)
-        root_order = np.argsort(xt, axis=1)
-        root_cache = (np.take_along_axis(xt, root_order, axis=1), root_order)
+        root_order = np.argsort(XT, axis=1)
+        root_cache = (np.take_along_axis(XT, root_order, axis=1), root_order)
 
     for _ in range(config.n_estimators):
-        P = _softmax(margins)
         round_trees: list[RegressionTree] = []
+        round_leaves: list[list[tuple[np.ndarray, float]]] = []
         for c in range(n_classes):
             gc = P[:, c] - Y[:, c]
             hc = P[:, c] * (1.0 - P[:, c])
@@ -300,16 +331,26 @@ def train(X: np.ndarray, y: Sequence[str], config: BoosterConfig | None = None) 
             else:
                 cols = all_cols
             if full_data:
-                tree = _grow_tree(X, gc, hc, config, cols, root_cache)
+                tree, leaves = _grow_tree(XT, gc, hc, config, cols, root_cache)
             else:
-                tree = _grow_tree(X[np.ix_(rows, cols)], gc[rows], hc[rows], config, cols)
+                tree, leaves = _grow_tree(XT[np.ix_(cols, rows)], gc[rows], hc[rows], config, cols)
             round_trees.append(tree)
+            round_leaves.append(leaves)
         # Margins move only after every class tree of the round is grown,
-        # so all trees of one round share the same probabilities.
+        # so all trees of one round share the same probabilities. A full-data
+        # tree's leaves partition the training rows exactly as tree_predict
+        # would route them; a subsampled tree saw only some rows.
         for c, tree in enumerate(round_trees):
-            margins[:, c] += tree_predict(tree, X)
+            if not full_data:
+                margins[:, c] += tree_predict(tree, X)
+            elif len(round_leaves[c]) == 1:
+                margins[:, c] += round_leaves[c][0][1]
+            else:
+                for idx, w in round_leaves[c]:
+                    margins[idx, c] += w
         all_rounds.append(tuple(round_trees))
-        loss_curve.append(_log_loss(margins, yi))
+        P = _softmax(margins)
+        loss_curve.append(_log_loss(P, yi))
 
     gain_acc = np.zeros(n_feat)
     count_acc = np.zeros(n_feat)

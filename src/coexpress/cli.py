@@ -54,12 +54,17 @@ def _triplet(text: str) -> tuple[float, float, float]:
 
 
 def _add_booster_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--n-estimators", type=int, default=100)
-    p.add_argument("--reg-lambda", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--min-child-weight", type=float, default=1.0)
+    d = BoosterConfig()
+    p.add_argument("--learning-rate", type=float, default=d.learning_rate)
+    p.add_argument("--max-depth", type=int, default=d.max_depth)
+    p.add_argument("--n-estimators", type=int, default=d.n_estimators)
+    p.add_argument("--reg-lambda", type=float, default=d.reg_lambda)
+    p.add_argument("--gamma", type=float, default=d.gamma)
+    p.add_argument("--min-child-weight", type=float, default=d.min_child_weight)
+    p.add_argument("--subsample", type=float, default=d.subsample, help="row fraction per tree")
+    p.add_argument("--colsample", type=float, default=d.colsample, help="feature fraction per tree")
+    p.add_argument("--base-score", type=float, default=d.base_score,
+                   help="initial class probability, in (0, 1)")
 
 
 def _booster_from_args(args: argparse.Namespace) -> BoosterConfig:
@@ -70,6 +75,9 @@ def _booster_from_args(args: argparse.Namespace) -> BoosterConfig:
         reg_lambda=args.reg_lambda,
         gamma=args.gamma,
         min_child_weight=args.min_child_weight,
+        subsample=args.subsample,
+        colsample=args.colsample,
+        base_score=args.base_score,
         seed=args.seed,
     )
 

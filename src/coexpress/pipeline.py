@@ -10,6 +10,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import __version__
 from .atlas import CANONICAL_TIER_LABELS, CommunityNetwork, build_atlas, export_atlas, tier_genes
 from .booster import BoosterConfig, ensemble_to_json, train
@@ -28,7 +30,7 @@ from .masks import (
 )
 from .matrix import cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
 from .normalize import NormalizationScheme, normalize_matrix
-from .rfe import _run_cv, export_trace, recursive_eliminate, report_to_dict
+from .rfe import cross_validate_step, export_trace, recursive_eliminate, report_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -279,17 +281,20 @@ def _booster_cfg(cfg: PipelineConfig) -> BoosterConfig:
     return replace(cfg.booster, seed=stage_seed(cfg.seed, "booster"))
 
 
-def _run_rfe(cfg: PipelineConfig, st: dict, out: Path, stage: str, plan: FoldPlan, start: GeneSet) -> GeneSet:
+def _run_rfe(
+    cfg: PipelineConfig, st: dict, out: Path, stage: str, plan: FoldPlan, start: GeneSet
+) -> tuple[GeneSet, np.ndarray]:
+    """The stage's kept gene set and its genes' mean CV importance, in set order."""
     d = out / stage
     d.mkdir(parents=True, exist_ok=True)
     bcfg = _booster_cfg(cfg)
     if len(start) <= MIN_RFE_GENES:
         logger.warning("%s: start set has %d genes; skipping elimination", stage, len(start))
-        report, _ = _run_cv(st["norm"], start, plan, bcfg, cfg.repeats)
-        (d / "cv_report.json").write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        step = cross_validate_step(st["norm"], start, plan, bcfg, cfg.repeats)
+        (d / "cv_report.json").write_text(json.dumps(report_to_dict(step.report), indent=2, sort_keys=True))
         best = GeneSet(f"set_{stage}", start.gene_ids, provenance=f"{stage}: start set kept unchanged")
         save_gene_set(best, d / "best.genes")
-        return best
+        return best, step.importance
     trace = recursive_eliminate(
         st["norm"], start, plan, bcfg, drop_per_step=cfg.drop_per_step, repeats=cfg.repeats
     )
@@ -304,19 +309,18 @@ def _run_rfe(cfg: PipelineConfig, st: dict, out: Path, stage: str, plan: FoldPla
         f"accuracy {trace.best.report.accuracy:.4f})",
     )
     save_gene_set(best, d / "best.genes")
-    return best
+    return best, trace.best.importance
 
 
 def _stage_rfe_raw(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["rfe_raw_best"] = _run_rfe(cfg, st, out, "rfe_raw", st["plan_raw"], st["refined"])
+    st["rfe_raw_best"], _ = _run_rfe(cfg, st, out, "rfe_raw", st["plan_raw"], st["refined"])
 
 
 def _stage_rfe_balanced(cfg: PipelineConfig, st: dict, out: Path) -> None:
     # Chain from the raw run's best set when it is large enough: the key set
     # is then nested inside it by construction, which the atlas tiers need.
     start = st["rfe_raw_best"] if len(st["rfe_raw_best"]) > MIN_RFE_GENES + 1 else st["refined"]
-    key = _run_rfe(cfg, st, out, "rfe_balanced", st["plan_balanced"], start)
-    _, imp = _run_cv(st["norm"], key, st["plan_balanced"], _booster_cfg(cfg), cfg.repeats)
+    key, imp = _run_rfe(cfg, st, out, "rfe_balanced", st["plan_balanced"], start)
     ranked = sorted(range(len(key)), key=lambda i: (-imp[i], key.gene_ids[i]))
     st["key_set"] = key
     st["key_index"] = {key.gene_ids[i]: rank for rank, i in enumerate(ranked)}

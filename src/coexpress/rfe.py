@@ -162,9 +162,18 @@ def majority_baseline(labels: Sequence[str]) -> float:
 
 @dataclass(frozen=True)
 class EliminationStep:
+    """One cross-validated gene set. `importance` is the mean normalized gain
+    over every model of the step's CV, aligned with `genes.gene_ids`."""
+
     dropped: int              # total genes dropped so far
     genes: GeneSet
     report: CvReport
+    importance: np.ndarray
+
+    def __post_init__(self):
+        imp = np.ascontiguousarray(self.importance, dtype=np.float64)
+        imp.flags.writeable = False
+        object.__setattr__(self, "importance", imp)
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,19 @@ class EliminationTrace:
     @property
     def best(self) -> EliminationStep:
         return self.steps[self.best_index]
+
+
+def cross_validate_step(
+    m: ExpressionMatrix,
+    genes: GeneSet,
+    plan: FoldPlan,
+    config: BoosterConfig | None = None,
+    repeats: int = 1,
+    dropped: int = 0,
+) -> EliminationStep:
+    """Cross-validate one gene set, keeping the report and the mean importance."""
+    report, imp = _run_cv(m, genes, plan, config or BoosterConfig(), repeats)
+    return EliminationStep(dropped, genes, report, imp)
 
 
 def recursive_eliminate(
@@ -206,10 +228,11 @@ def recursive_eliminate(
     current = start
     dropped_total = 0
     while True:
-        report, imp = _run_cv(m, current, plan, config, repeats)
-        steps.append(EliminationStep(dropped_total, current, report))
+        step = cross_validate_step(m, current, plan, config, repeats, dropped_total)
+        steps.append(step)
         if len(current) <= min_genes:
             break
+        imp = step.importance
         d = min(drop_per_step, len(current) - min_genes)
         ranked = sorted(range(len(current)), key=lambda i: (imp[i], current.gene_ids[i]))
         victims = {current.gene_ids[i] for i in ranked[:d]}

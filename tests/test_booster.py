@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ class TestWorkedExample:
         assert leaves_a == pytest.approx([-6 / 7, 6 / 7])
         leaves_b = sorted(w for f, w in zip(tree_b.feature, tree_b.weight) if f < 0)
         assert leaves_b == pytest.approx([-6 / 7, 6 / 7])
+
+    def test_split_at_exact_child_weight_bound(self):
+        # h = 0.25 per sample: the root holds H = 1.0 = 2 * min_child_weight,
+        # and the 1.5 cut gives each child exactly min_child_weight, so a
+        # node at the bound must still be searched
+        cfg = BoosterConfig(learning_rate=1.0, max_depth=1, n_estimators=1, min_child_weight=0.5)
+        ens = train(np.array([[0.0], [1.0], [2.0], [3.0]]), ["a", "a", "b", "b"], cfg)
+        tree_a = ens.trees[0][0]
+        assert (tree_a.feature[0], tree_a.threshold[0]) == (0, 1.5)
 
 
 class TestSplitSearch:
@@ -204,3 +215,47 @@ class TestPrediction:
         p2, pr2 = predict(back, Xt)
         assert list(p1) == list(p2)
         np.testing.assert_array_equal(pr1, pr2)
+
+
+def _golden_data():
+    """28 samples x 5 features over 3 classes, replicated per class like `oversample`.
+
+    Values are rounded to 3 decimals and the last feature has 4 levels, so
+    sorted columns hold ties; replicated rows make many nodes too light to
+    split under the default min_child_weight.
+    """
+    rng = np.random.default_rng(2024)
+    labels = ["A"] * 14 + ["B"] * 9 + ["C"] * 5
+    shift = {"A": 0.0, "B": 0.6, "C": -0.5}
+    base = np.array([[shift[lab]] for lab in labels])
+    X = np.round(np.column_stack([
+        rng.normal(size=(28, 4)) + base * np.array([1.0, 0.5, 0.0, -1.0]),
+        rng.integers(0, 4, size=(28, 1)) / 4.0,
+    ]), 3)
+    copies = np.array([{"A": 1, "B": 2, "C": 3}[lab] for lab in labels])
+    rows = np.repeat(np.arange(28), copies)
+    return X[rows], [labels[i] for i in rows]
+
+
+class TestGoldenModels:
+    """Byte-level pins: a speed-up of the split search or the round loop must
+    reproduce these models exactly, not just approximately."""
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (BoosterConfig(n_estimators=30),
+         "bc34c9e7512b940eb803555605504b5561fea4ecea442864568514ad288f84ab"),
+        (BoosterConfig(n_estimators=30, subsample=0.8, colsample=0.8),
+         "5e8da12ad03a80f6a2b562a1640649be926202c1d9924437be2043b6a2924184"),
+    ])
+    def test_model_json_digest(self, cfg, digest):
+        X, y = _golden_data()
+        text = ensemble_to_json(train(X, y, cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_predicted_margins_reproduce_training_loss(self):
+        X, y = _golden_data()
+        ens = train(X, y, BoosterConfig(n_estimators=30))
+        _, proba = predict(ens, X)
+        yi = np.array([ens.classes.index(lab) for lab in y])
+        p = proba[np.arange(len(y)), yi]
+        assert float(-np.mean(np.log(np.maximum(p, 1e-300)))) == ens.loss_curve[-1]

@@ -112,6 +112,18 @@ class TestSubcommands:
         assert (rfe_out / "trace.csv").exists()
         assert (rfe_out / "best.genes").exists()
 
+    def test_train_sampling_flags_reach_model_config(self, dataset, tmp_path):
+        genes_out = tmp_path / "sel.genes"
+        run("select", "--in", dataset, "--rule", "intersect", "--threshold", "0.2",
+            "--out", genes_out)
+        model = tmp_path / "model.json"
+        assert run(
+            "train", "--in", dataset, "--genes", genes_out, "--n-estimators", "4",
+            "--subsample", "0.5", "--colsample", "0.75", "--base-score", "0.25", "--out", model,
+        ) == 0
+        config = json.loads(model.read_text())["config"]
+        assert (config["subsample"], config["colsample"], config["base_score"]) == (0.5, 0.75, 0.25)
+
     def test_gcn_with_override(self, dataset, tmp_path):
         genes_out = tmp_path / "blocks.genes"
         blocks = json.loads((dataset / "blocks.json").read_text())

@@ -8,7 +8,9 @@ from coexpress.errors import ValidationError
 from coexpress.folds import stratified_folds
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
+from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _run_rfe
 from coexpress.rfe import (
+    _run_cv,
     cross_validate,
     export_trace,
     majority_baseline,
@@ -201,3 +203,26 @@ class TestRecursiveEliminate:
         rep = trace.best.report
         again = metrics(rep.confusion, rep.classes)
         assert again == rep.per_class
+
+    # Key genes are ranked from the importances stored with each step, so
+    # they must equal what a fresh CV pass on the same genes computes.
+    def test_best_step_importance_equals_fresh_cv(self):
+        m = self._planted(noise_genes=6)
+        plan = stratified_folds(m.labels, 5, seed=13)
+        trace = recursive_eliminate(m, GeneSet("s", m.gene_ids), plan, FAST, drop_per_step=2)
+        _, fresh = _run_cv(m, trace.best.genes, plan, FAST, 1)
+        assert np.array_equal(trace.best.importance, fresh)
+        assert not trace.best.importance.flags.writeable
+
+    @pytest.mark.parametrize("n_start", [MIN_RFE_GENES, 7])
+    def test_pipeline_rfe_importance_equals_fresh_cv(self, tmp_path, n_start):
+        m = self._planted(noise_genes=6)
+        plan = stratified_folds(m.labels, 5, seed=14)
+        cfg = PipelineConfig(matrix="m.tsv", labels="l.tsv", out=tmp_path, k=5,
+                             booster=FAST, drop_per_step=2)
+        start = GeneSet("s", m.gene_ids[-n_start:])
+        kept, imp = _run_rfe(cfg, {"norm": m}, tmp_path, "rfe_x", plan, start)
+        _, fresh = _run_cv(m, kept, plan, _booster_cfg(cfg), cfg.repeats)
+        assert np.array_equal(imp, fresh)
+        if n_start == MIN_RFE_GENES:
+            assert kept.gene_ids == start.gene_ids
