@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coexpress {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads where supported")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="recorded in the config echo; no stage currently runs in parallel",
+    )
     common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

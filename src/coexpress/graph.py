@@ -5,11 +5,9 @@ from __future__ import annotations
 import csv
 import heapq
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -45,28 +43,38 @@ class WeightedGeneGraph:
 
 @dataclass(frozen=True)
 class GeneGraph:
-    """Simple undirected graph over gene nodes; edges are index pairs (u < v)."""
+    """Simple undirected graph over gene nodes; edges are index pairs (u < v).
+
+    `edges` may be given as pairs or as an (E, 2) integer array, in any order
+    and orientation; it is stored as a sorted tuple of unique int pairs.
+    """
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     threshold: float | None = None
+    # the stored edges as a read-only (E, 2) int64 array, for vectorized counts
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        norm = []
-        seen = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValidationError("self-loops are not allowed")
-            if not (0 <= u < len(self.nodes) and 0 <= v < len(self.nodes)):
-                raise ValidationError("edge endpoint out of range")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                continue
-            seen.add(e)
-            norm.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        n = len(self.nodes)
+        pairs = np.asarray(self.edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError("edges must be index pairs")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        if np.any(lo == hi):
+            raise ValidationError("self-loops are not allowed")
+        if lo.size and (lo.min() < 0 or hi.max() >= n):
+            raise ValidationError("edge endpoint out of range")
+        key = lo * n + hi
+        if np.any(key[1:] <= key[:-1]):
+            key = np.unique(key)  # sorted, duplicates collapsed
+        pairs = np.column_stack(np.divmod(key, max(n, 1)))
+        pairs.flags.writeable = False
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "edges", tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())))
 
     @property
     def n_nodes(self) -> int:
@@ -84,11 +92,7 @@ class GeneGraph:
         return adj
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self._pairs.ravel(), minlength=self.n_nodes)
 
     def isolated_nodes(self) -> tuple[str, ...]:
         deg = self.degrees()
@@ -150,13 +154,13 @@ def build_weighted(
 
 def threshold_graph(wg: WeightedGeneGraph, t: float) -> GeneGraph:
     """Unweighted graph keeping edges with weight >= t; isolated nodes retained."""
-    iu = np.triu_indices(len(wg.genes), k=1)
-    keep = wg.weights[iu] >= t
-    edges = tuple((int(u), int(v)) for u, v, k in zip(iu[0], iu[1], keep) if k)
-    g = GeneGraph(wg.genes, edges, threshold=float(t))
-    iso = g.isolated_nodes()
-    if iso:
-        logger.debug("threshold %.3g leaves %d isolated node(s)", t, len(iso))
+    # row-major nonzero of the strict upper triangle lists (u, v) in sorted order
+    pairs = np.argwhere(np.triu(wg.weights >= t, k=1))
+    g = GeneGraph(wg.genes, pairs, threshold=float(t))
+    if logger.isEnabledFor(logging.DEBUG):
+        iso = g.isolated_nodes()
+        if iso:
+            logger.debug("threshold %.3g leaves %d isolated node(s)", t, len(iso))
     return g
 
 
@@ -208,21 +212,18 @@ def modularity(g: GeneGraph, p: Partition | Sequence[int]) -> float:
     L_c counts intra-community edges, d_c the total degree of community c,
     m the edge count. Undefined (raises) for zero-edge graphs.
     """
-    membership = list(p.membership) if isinstance(p, Partition) else [int(c) for c in p]
-    if len(membership) != g.n_nodes:
+    membership = np.asarray(p.membership if isinstance(p, Partition) else p, dtype=np.int64)
+    if membership.shape != (g.n_nodes,):
         raise ValidationError("partition must cover every node")
     m = g.n_edges
     if m == 0:
         raise GraphError("modularity undefined for a zero-edge graph")
-    n_comm = max(membership) + 1
-    intra = np.zeros(n_comm)
-    degree = np.zeros(n_comm)
-    for u, v in g.edges:
-        cu, cv = membership[u], membership[v]
-        degree[cu] += 1
-        degree[cv] += 1
-        if cu == cv:
-            intra[cu] += 1
+    if membership.min() < 0:
+        raise ValidationError("community labels must be >= 0")
+    n_comm = int(membership.max()) + 1
+    ends = membership[g._pairs]
+    intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=n_comm).astype(np.float64)
+    degree = np.bincount(ends.ravel(), minlength=n_comm).astype(np.float64)
     return float(np.sum(intra / m - (degree / (2.0 * m)) ** 2))
 
 
@@ -381,12 +382,11 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
         raise GraphError("community detection undefined for a zero-edge graph")
     n = g.n_nodes
     canon = sorted(range(n), key=lambda i: (g.nodes[i], i))
-    rank = {orig: r for r, orig in enumerate(canon)}
+    rank = np.empty(n, dtype=np.int64)
+    rank[canon] = np.arange(n)
 
-    has_edge = [False] * n
-    for u, v in g.edges:
-        has_edge[u] = has_edge[v] = True
-    core = [v for v in canon if has_edge[v]]
+    deg = g.degrees()
+    core = [v for v in canon if deg[v]]
     if len(core) <= EXACT_NODE_LIMIT:
         per_node = _exact_partition(g, core)
         relabel: dict[int, int] = {}
@@ -395,11 +395,15 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
                 relabel[c] = len(relabel)
         final = [relabel[c] for c in per_node]
         return Partition(tuple(final), len(relabel), modularity(g, final))
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    for u, v in g.edges:
-        cu, cv = rank[u], rank[v]
-        adj[cu][cv] = adj[cu].get(cv, 0.0) + 1.0
-        adj[cv][cu] = adj[cv].get(cu, 0.0) + 1.0
+    # canonical adjacency; each node lists its neighbors in edge order
+    ends = rank[g._pairs]
+    src, dst = ends.ravel(), ends[:, ::-1].ravel()
+    by_src = np.argsort(src, kind="stable")
+    nbrs = dst[by_src].tolist()
+    bounds = np.concatenate(([0], np.cumsum(deg[canon]))).tolist()
+    adj: list[dict[int, float]] = [
+        dict.fromkeys(nbrs[bounds[i]:bounds[i + 1]], 1.0) for i in range(n)
+    ]
     loops = [0.0] * n
     m = float(g.n_edges)
     rng = np.random.default_rng(seed)
@@ -418,7 +422,7 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
             break
 
     # contiguous labels in order of first appearance over the original node order
-    per_node = [membership[rank[i]] for i in range(n)]
+    per_node = [membership[r] for r in rank.tolist()]
     relabel2: dict[int, int] = {}
     for c in per_node:
         if c not in relabel2:
@@ -469,7 +473,10 @@ def select_threshold(
 
     Candidates whose graph has no edges are recorded with modularity None and
     skipped by the argmax. With `override` set, the sweep is bypassed and the
-    returned table holds the single override row.
+    returned table holds the single override row. The sweep runs serially and
+    keeps only the best graph so far; `threads` is accepted for configuration
+    compatibility and has no effect (community detection is pure Python under
+    the GIL, where a thread pool measured slower than one thread).
     """
     if override is not None:
         g = threshold_graph(wg, override)
@@ -477,33 +484,21 @@ def select_threshold(
         row = SweepRow(float(override), p.q, g.n_edges, p.n_communities)
         return g, p, [row]
 
-    candidates = sweep_thresholds(t_min, t_max, step)
-
-    def evaluate(t: float) -> tuple[GeneGraph, Partition | None]:
+    table: list[SweepRow] = []
+    best: tuple[GeneGraph, Partition] | None = None
+    for t in sweep_thresholds(t_min, t_max, step):
         g = threshold_graph(wg, t)
         if g.n_edges == 0:
-            return g, None
-        return g, detect_communities(g, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(t) for t in candidates]
-
-    table: list[SweepRow] = []
-    best_i = -1
-    for i, (t, (g, p)) in enumerate(zip(candidates, results)):
-        if p is None:
-            table.append(SweepRow(t, None, g.n_edges, 0))
-            continue
-        table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
-        if best_i < 0 or p.q > results[best_i][1].q:
-            best_i = i
-    if best_i < 0:
+            table.append(SweepRow(t, None, 0, 0))
+        else:
+            p = detect_communities(g, seed)
+            table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
+            if best is None or p.q > best[1].q:
+                best = (g, p)
+        del g  # hold at most the best graph and the one being built
+    if best is None:
         raise GraphError("every candidate threshold produced a zero-edge graph")
-    g, p = results[best_i]
-    return g, p, table
+    return best[0], best[1], table
 
 
 def write_sweep(table: Sequence[SweepRow], path: str | Path) -> None:
@@ -556,30 +551,54 @@ def _graphml_type(values: list) -> str:
     return "string"
 
 
+def _xml_attr(text: str) -> str:
+    """Escape an XML attribute value the way ElementTree writes it."""
+    for raw, ref in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+                     ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")):
+        text = text.replace(raw, ref)
+    return text
+
+
+def _xml_text(text: str) -> str:
+    """Escape XML character data the way ElementTree writes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_graphml(
     g: GeneGraph, path: str | Path, node_attrs: Mapping[str, Mapping[str, object]] | None = None
 ) -> None:
-    """GraphML export with optional per-node attributes keyed by gene ID."""
+    """GraphML export with optional per-node attributes keyed by gene ID.
+
+    The bytes are those of ElementTree's `indent` plus `write(encoding="utf-8",
+    xml_declaration=True)`: single-quoted declaration, 2-space indent,
+    `" />"` for empty elements and no newline after the root's end tag.
+    """
     node_attrs = node_attrs or {}
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    keys: dict[str, str] = {}
+    keys = {name: f"d{i}" for i, name in enumerate(node_attrs)}
+    ids = [_xml_attr(gene) for gene in g.nodes]
+    out = ["<?xml version='1.0' encoding='utf-8'?>\n",
+           '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n']
     for name, mapping in node_attrs.items():
-        kid = f"d{len(keys)}"
-        keys[name] = kid
-        ET.SubElement(
-            root, "key", id=kid, **{"for": "node", "attr.name": name,
-                                    "attr.type": _graphml_type(list(mapping.values()))},
-        )
-    graph = ET.SubElement(root, "graph", edgedefault="undirected")
-    for gene in g.nodes:
-        node = ET.SubElement(graph, "node", id=gene)
-        for name, mapping in node_attrs.items():
-            if gene in mapping:
-                data = ET.SubElement(node, "data", key=keys[name])
-                value = mapping[gene]
-                data.text = str(value).lower() if isinstance(value, bool) else str(value)
-    for u, v in g.edges:
-        ET.SubElement(graph, "edge", source=g.nodes[u], target=g.nodes[v])
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+        out.append(f'  <key id="{keys[name]}" for="node" attr.name="{_xml_attr(name)}" '
+                   f'attr.type="{_graphml_type(list(mapping.values()))}" />\n')
+    if not g.nodes:
+        out.append('  <graph edgedefault="undirected" />\n')
+    else:
+        out.append('  <graph edgedefault="undirected">\n')
+        for gene, gid in zip(g.nodes, ids):
+            data = []
+            for name, mapping in node_attrs.items():
+                if gene in mapping:
+                    value = mapping[gene]
+                    text = str(value).lower() if isinstance(value, bool) else str(value)
+                    data.append(f'      <data key="{keys[name]}">{_xml_text(text)}</data>\n' if text
+                                else f'      <data key="{keys[name]}" />\n')
+            if data:
+                out.append(f'    <node id="{gid}">\n{"".join(data)}    </node>\n')
+            else:
+                out.append(f'    <node id="{gid}" />\n')
+        out.extend(f'    <edge source="{ids[u]}" target="{ids[v]}" />\n' for u, v in g.edges)
+        out.append("  </graph>\n")
+    out.append("</graphml>")
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("".join(out))

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,9 +18,17 @@ from coexpress.atlas import (
     tier_genes,
 )
 from coexpress.errors import ValidationError
-from coexpress.graph import GeneGraph, Partition, build_weighted, detect_communities, threshold_graph
+from coexpress.graph import (
+    GeneGraph,
+    Partition,
+    build_weighted,
+    detect_communities,
+    select_threshold,
+    threshold_graph,
+)
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
+from coexpress.synthetic import BlockSpec, SynthSpec, generate
 
 
 def gs(name, *genes):
@@ -230,3 +240,49 @@ class TestExportAtlas:
         with open(tmp_path / "x_communities.csv") as fh:
             header = next(csv.reader(fh))
         assert tuple(header[2:6]) == CANONICAL_TIER_LABELS
+
+
+# sha256 of the sweep tables, partitions and atlas files below, pinned on the
+# commit before the graph layer was vectorized. Any change to a threshold,
+# edge, community, Q or exported byte fails this test.
+GOLDEN_ATLAS_DIGEST = "0602c04b7812418e78aec490521b1ae7b71ba053ee1a83414bc52b37864b66f7"
+
+
+class TestGoldenAtlas:
+    def test_atlas_bytes_unchanged(self, tmp_path):
+        spec = SynthSpec(
+            samples_per_class={"LN": 30, "Bone": 20, "Liver": 12},
+            background_genes=36,
+            planted_per_class=0,
+            blocks=(BlockSpec(12, 0.95), BlockSpec(10, 0.85), BlockSpec(8, 0.75),
+                    BlockSpec(6, 0.7)),
+            seed=7,
+        )
+        m, _, _ = generate(spec)
+        order = np.random.default_rng(7).permutation(m.n_genes)
+        ids = [m.gene_ids[i] for i in order]
+        nested = [GeneSet(f"tier{n}", tuple(ids[:n])) for n in (5, 13, 34, m.n_genes)]
+        tiers = tier_genes(nested)
+        key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
+        networks, payload = {}, {}
+        for cohort in ("all", "LN", "Bone", "Liver"):
+            wg = build_weighted(m, nested[-1], None if cohort == "all" else cohort)
+            g, p, table = select_threshold(wg, 0.4, 0.9, 0.02, seed=3)
+            networks[cohort] = CommunityNetwork(g, p)
+            payload[cohort] = {
+                "threshold": repr(g.threshold),
+                "edges": [list(e) for e in g.edges],
+                "q": repr(p.q),
+                "membership": list(p.membership),
+                "sweep": [[repr(r.threshold), repr(r.modularity), r.n_edges, r.n_communities]
+                          for r in table],
+            }
+        entries = build_atlas(networks, tiers, key_index, n_tiers=len(nested))
+        export_atlas(entries, networks, tiers, key_index, tmp_path / "atlas")
+        payload["files"] = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted((tmp_path / "atlas").iterdir())
+        }
+        assert len(payload["files"]) == 4 + 1 + 16
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_ATLAS_DIGEST

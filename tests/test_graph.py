@@ -1,3 +1,5 @@
+import hashlib
+import logging
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -27,6 +29,10 @@ from coexpress.matrix import ExpressionMatrix
 TRIANGLES = GeneGraph(tuple("abcdef"), ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
 BARBELL = GeneGraph(tuple("abcdef"), ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)))
 K5 = GeneGraph(tuple("abcde"), tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
+# sha256 of write_graphml output, pinned on the ElementTree writer it replaced
+GOLDEN_GRAPHML = "ef2e57f5bda5d00f67bc29be18e1b3b78c08a7dcc72c9b72951800b3f0b57fb0"
+GOLDEN_GRAPHML_NO_EDGES = "a34dc4869473d75fa2633732da014301c65d2e5f7b98dca303809d1f206c23ea"
+GOLDEN_GRAPHML_EMPTY = "1e209496366c0e4a76e0b679bc4f02ecdacd99244a3f53c4a52a921b95b1ca48"
 
 
 def modularity_double_sum(g: GeneGraph, membership) -> float:
@@ -71,6 +77,40 @@ def random_graph(rng, n, p):
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     )
     return GeneGraph(tuple(f"n{i}" for i in range(n)), edges)
+
+
+def graphml_via_elementtree(g: GeneGraph, path, node_attrs=None) -> None:
+    """Independent oracle: the GraphML document built and written by ElementTree."""
+    node_attrs = node_attrs or {}
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    keys = {}
+    for name, mapping in node_attrs.items():
+        keys[name] = f"d{len(keys)}"
+        values = list(mapping.values())
+        if all(isinstance(v, bool) for v in values):
+            kind = "boolean"
+        elif all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+            kind = "int"
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            kind = "double"
+        else:
+            kind = "string"
+        ET.SubElement(root, "key", id=keys[name],
+                      **{"for": "node", "attr.name": name, "attr.type": kind})
+    graph = ET.SubElement(root, "graph", edgedefault="undirected")
+    for gene in g.nodes:
+        node = ET.SubElement(graph, "node", id=gene)
+        for name, mapping in node_attrs.items():
+            if gene in mapping:
+                value = mapping[gene]
+                ET.SubElement(node, "data", key=keys[name]).text = (
+                    str(value).lower() if isinstance(value, bool) else str(value)
+                )
+    for u, v in g.edges:
+        ET.SubElement(graph, "edge", source=g.nodes[u], target=g.nodes[v])
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
 class TestBuildWeighted:
@@ -173,6 +213,14 @@ class TestThresholdGraph:
         g = threshold_graph(self._wg(), 0.5)
         assert (0, 1) in g.edges  # weight exactly at the threshold stays
 
+    def test_isolated_nodes_logged_only_at_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="coexpress.graph"):
+            threshold_graph(self._wg(), 0.6)
+        assert "isolated" not in caplog.text
+        with caplog.at_level(logging.DEBUG, logger="coexpress.graph"):
+            threshold_graph(self._wg(), 0.6)
+        assert "threshold 0.6 leaves 1 isolated node(s)" in caplog.text
+
     def test_monotone_edge_sets(self):
         rng = np.random.default_rng(1)
         n = 12
@@ -186,6 +234,67 @@ class TestThresholdGraph:
             if prev is not None:
                 assert edges <= prev
             prev = edges
+
+
+class TestThresholdOracle:
+    """threshold_graph against a brute-force double loop over gene pairs."""
+
+    @staticmethod
+    def brute_force(w, t):
+        n = w.shape[0]
+        return tuple((i, j) for i in range(n) for j in range(i + 1, n) if w[i, j] >= t)
+
+    def test_matches_double_loop_on_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            n = int(rng.integers(2, 25))
+            if trial % 2:
+                # a coarse grid, so many weights equal a threshold exactly
+                w = rng.integers(0, 5, size=(n, n)) / 4.0
+                thresholds = (0.0, 0.25, 0.5, 0.75, 1.0)
+            else:
+                w = rng.uniform(size=(n, n))
+                thresholds = (0.0, float(w[0, 1]), 0.5, float(w.max()), 1.01)
+            w = np.triu(w, 1)
+            w = w + w.T
+            wg = WeightedGeneGraph(tuple(f"g{i}" for i in range(n)), w)
+            for t in thresholds:
+                g = threshold_graph(wg, t)
+                assert g.edges == self.brute_force(w, t)
+                assert g.threshold == t
+                assert all(type(x) is int for e in g.edges for x in e)
+
+
+class TestGeneGraphNormalisation:
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_reversed_duplicates_collapse_and_sort(self, as_array):
+        edges = ((2, 0), (0, 2), (1, 3), (3, 1), (0, 1))
+        g = GeneGraph(tuple("abcd"), np.array(edges) if as_array else edges)
+        assert g.edges == ((0, 1), (0, 2), (1, 3))
+        assert isinstance(g.edges, tuple) and all(isinstance(e, tuple) for e in g.edges)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("edges", [((1, 1),), ((0, 3),), ((-1, 0),), ((0, 1), (2, 2))])
+    def test_self_loops_and_out_of_range_rejected(self, edges, as_array):
+        with pytest.raises(ValidationError):
+            GeneGraph(("a", "b", "c"), np.array(edges) if as_array else edges)
+
+    def test_numpy_int_endpoints_become_python_int(self):
+        for edges in (((np.int32(1), np.int64(0)),), np.array([[1, 0]], dtype=np.uint16)):
+            g = GeneGraph(("a", "b"), edges)
+            assert g.edges == ((0, 1),)
+            assert all(type(x) is int for x in g.edges[0])
+
+    @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2), dtype=np.int64)])
+    def test_empty_edges(self, edges):
+        g = GeneGraph(("a", "b"), edges)
+        assert g.edges == () and g.n_edges == 0
+        assert g.degrees().tolist() == [0, 0]
+        assert g.isolated_nodes() == ("a", "b")
+
+    def test_degrees_count_each_endpoint(self):
+        assert BARBELL.degrees().tolist() == [2, 2, 3, 3, 2, 2]
+        assert BARBELL.degrees().dtype == np.int64
 
 
 class TestComponents:
@@ -224,6 +333,10 @@ class TestModularity:
         q = modularity(BARBELL, [0, 0, 0, 1, 1, 1])
         assert q == pytest.approx(5 / 14, abs=1e-12)
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValidationError):
+            modularity(TRIANGLES, [0, 0, 0, -1, -1, -1])
+
     def test_zero_edge_graph_undefined(self):
         with pytest.raises(GraphError):
             modularity(GeneGraph(("a", "b"), ()), [0, 1])
@@ -242,6 +355,29 @@ class TestModularity:
             got = modularity(g, membership)
             want = modularity_double_sum(g, membership)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+    def test_matches_networkx_on_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(12)
+        checked = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 40))
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
+            if g.n_edges == 0:
+                continue
+            k = int(rng.integers(1, n + 1))
+            seen = {}
+            membership = [seen.setdefault(int(rng.integers(0, k)), len(seen)) for _ in range(n)]
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(g.edges)
+            comms = [{i for i in range(n) if membership[i] == c} for c in range(len(seen))]
+            assert modularity(g, membership) == pytest.approx(
+                nx.community.modularity(G, comms), abs=1e-12
+            )
+            checked += 1
+        assert checked >= 30
 
 
 class TestDetectCommunities:
@@ -348,13 +484,12 @@ class TestSelectThreshold:
         g, p, table = select_threshold(wg, 0.4, 0.9, 0.02, seed=0)
         # defined-modularity rows only; best Q is the clean two-clique split
         best = max(r.modularity for r in table if r.modularity is not None)
-        assert p.q == pytest.approx(best)
+        assert p.q == best
         assert p.q == pytest.approx(0.5, abs=1e-12)
-        first_argmax = min(
-            r.threshold for r in table
-            if r.modularity is not None and r.modularity == pytest.approx(best)
-        )
-        assert g.threshold == pytest.approx(first_argmax)
+        # ties go to the smallest threshold whose Q equals the maximum exactly
+        first_argmax = next(r.threshold for r in table if r.modularity == best)
+        assert g.threshold == first_argmax
+        assert g.edges == threshold_graph(wg, first_argmax).edges
         assert g.threshold == pytest.approx(0.44)
         assert p.n_communities == 2
 
@@ -422,6 +557,56 @@ class TestSummaryAndExports:
         assert len(nodes) == 6 and len(edges) == 6
         keys = {k.get("attr.name"): k.get("attr.type") for k in tree.findall(".//g:key", ns)}
         assert keys["community"] == "int" and keys["color"] == "string"
+
+    def test_graphml_golden_bytes(self, tmp_path):
+        # sha256 of the output pinned on the ElementTree writer (ET.indent +
+        # ET.write, Python 3.11): single-quoted declaration, 2-space indent,
+        # " />" self-closing tags, attribute and text escaping.
+        nodes = ("a&b", "<gene>", 'q"t', "tab\there", "lonely", "plain")
+        g = GeneGraph(nodes, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 5)))
+        attrs = {
+            "flag": {"a&b": True, "<gene>": False, 'q"t': True, "tab\there": False,
+                     "lonely": True, "plain": False},
+            "count": {"a&b": 3, "<gene>": -1, 'q"t': 0, "tab\there": 7, "plain": 12},
+            "score": {n: v for n, v in zip(nodes, (0.5, 1, -2.25, 1e-17, 3.0, 2))},
+            "label&<name>": {"a&b": "x<y>&z", "<gene>": "", 'q"t': 'say "hi"',
+                             "tab\there": "a\tb\nc", "lonely": " ", "plain": "#FF0000"},
+        }
+        path = tmp_path / "g.graphml"
+        write_graphml(g, path, attrs)
+        assert "lonely" not in attrs["count"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GRAPHML
+        write_graphml(GeneGraph(("z", "y"), ()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GRAPHML_NO_EDGES
+        write_graphml(GeneGraph((), ()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_GRAPHML_EMPTY
+
+    def test_graphml_matches_elementtree_on_random_ids(self, tmp_path):
+        rng = np.random.default_rng(13)
+        alphabet = list("ab &<>\"'\t\n\r;#=/") + ["\u00e9", "\u2028", "\U0001f600"]
+        for trial in range(15):
+            n = int(rng.integers(0, 9))
+            nodes = tuple(
+                f"{i}" + "".join(rng.choice(alphabet, size=int(rng.integers(0, 5))))
+                for i in range(n)
+            )
+            g = random_graph(rng, n, 0.4)
+            g = GeneGraph(nodes, g.edges)
+            pools = (
+                [True, False], [0, -3, 17], [0.5, 2, -1e-3],
+                ["", " ", "x&y", "<a\tb>", "\"q\"\r\n"],
+            )
+            attrs = {}
+            for a in range(int(rng.integers(0, 4))):
+                pool = pools[int(rng.integers(0, len(pools)))]
+                attrs[f"attr{a}" + "".join(rng.choice(alphabet, size=2))] = {
+                    gene: pool[int(rng.integers(0, len(pool)))]
+                    for gene in nodes if rng.random() < 0.7
+                }
+            write_graphml(g, tmp_path / "got.graphml", attrs)
+            graphml_via_elementtree(g, tmp_path / "want.graphml", attrs)
+            got = (tmp_path / "got.graphml").read_bytes()
+            assert got == (tmp_path / "want.graphml").read_bytes()
 
     def test_write_sweep(self, tmp_path):
         wg = two_clique_weighted()
