@@ -37,8 +37,9 @@ class WeightedGeneGraph:
         n = len(self.genes)
         if w.shape != (n, n):
             raise ValidationError("weight matrix must be square over genes")
-        if n and (w.min() < -1e-12 or w.max() > 1.0 + 1e-12):
-            raise ValidationError("weights must lie in [0, 1]")
+        # min and max propagate NaN, and every comparison with NaN is false
+        if n and not (w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12):
+            raise ValidationError("weights must be finite and lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -228,79 +229,130 @@ def modularity(g: GeneGraph, p: Partition | Sequence[int]) -> float:
 
 
 def _one_level(
-    adj: list[dict[int, float]], k: list[float], m: float, order: np.ndarray
-) -> tuple[list[int], bool]:
+    nbrs: list[list[int]], wts: list[list[int]], k: list[int], m: float, order: list[int]
+) -> tuple[list[int], list[dict[int, int] | None], bool]:
     """Local-move phase: greedily reassign nodes while any move raises Q.
 
     Candidates for each node are its neighbor communities plus a fresh
     singleton community (gain 0 relative to the removed state); without the
     fresh option a badly attached node could be forced back at negative gain.
+    Returns the community labels, each node's final community-weight map
+    (None for a node without neighbors) and whether any node moved. The
+    visit, scan, reuse and skip rules are those of `detect_communities`.
     """
-    n = len(adj)
+    n = len(nbrs)
     comm = list(range(n))
     tot = k.copy()
     size = [1] * n
     free: list[int] = []
-    moved_any = False
+    # community -> weight of the node's edges into it; built at the node's
+    # first visit, then updated by every move of a neighbor
+    neigh_w: list[dict[int, int] | None] = [None] * n
+    # move counts: when tot[c] last changed, and at each node's last visit
+    # that left it in place
+    moves = 0
+    tot_moved = [0] * n
+    stayed_at = [0] * n
+    twice_m = 2.0 * m
+    order = [v for v in order if nbrs[v]]  # a node without neighbors never moves
     improved = True
     while improved:
         improved = False
         for v in order:
-            v = int(v)
             cv = comm[v]
-            neigh_w: dict[int, float] = {}
-            for u, w in adj[v].items():
-                cu = comm[u]
-                neigh_w[cu] = neigh_w.get(cu, 0.0) + w
-            tot[cv] -= k[v]
-            size[cv] -= 1
-            # gain (scaled by m) of joining community c after removal from cv
+            nw = neigh_w[v]
+            if nw is None:
+                nw = neigh_w[v] = {}
+                for u, w in zip(nbrs[v], wts[v]):
+                    cu = comm[u]
+                    nw[cu] = nw.get(cu, 0) + w
+            elif (stayed_at[v] >= tot_moved[cv]
+                    and stayed_at[v] >= max(map(tot_moved.__getitem__, nw))):
+                continue
+            kv = k[v]
+            tot_cv = tot[cv] - kv
+            # gain (scaled by m) of joining community c after removal from cv;
+            # a candidate must beat the best gain so far by more than GAIN_TOL
             best_c = cv
-            best_gain = neigh_w.get(cv, 0.0) - k[v] * tot[cv] / (2.0 * m)
-            if 0.0 > best_gain + GAIN_TOL:
-                best_c = -1  # fresh singleton community
-                best_gain = 0.0
-            for c in sorted(neigh_w):
+            bar = nw.get(cv, 0) - kv * tot_cv / twice_m + GAIN_TOL
+            if 0.0 > bar:
+                best_c = -1  # fresh singleton community, gain 0
+                bar = GAIN_TOL
+            for c in sorted(nw):
                 if c == cv:
                     continue
-                gain = neigh_w[c] - k[v] * tot[c] / (2.0 * m)
-                if gain > best_gain + GAIN_TOL:
-                    best_gain = gain
+                gain = nw[c] - kv * tot[c] / twice_m
+                if gain > bar:
                     best_c = c
-            if size[cv] == 0 and best_c != cv:
+                    bar = gain + GAIN_TOL
+            if best_c == cv:
+                stayed_at[v] = moves
+                continue
+            size[cv] -= 1
+            if size[cv] == 0:
                 heapq.heappush(free, cv)
             if best_c == -1:
                 best_c = heapq.heappop(free)  # a label is always free here
             comm[v] = best_c
-            tot[best_c] += k[v]
+            tot[cv] = tot_cv
+            tot[best_c] += kv
             size[best_c] += 1
-            if best_c != cv:
-                improved = True
-                moved_any = True
-    return comm, moved_any
+            moves += 1
+            tot_moved[cv] = tot_moved[best_c] = moves
+            for u, w in zip(nbrs[v], wts[v]):
+                nu = neigh_w[u]
+                if nu is None:
+                    continue  # built from comm at u's first visit
+                rest = nu[cv] - w
+                if rest:
+                    nu[cv] = rest
+                else:
+                    del nu[cv]
+                nu[best_c] = nu.get(best_c, 0) + w
+            improved = True
+    return comm, neigh_w, moves > 0
 
 
-def _aggregate(
-    adj: list[dict[int, float]], loops: list[float], comm: list[int]
-) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
-    labels = sorted(set(comm))
-    relabel = {c: i for i, c in enumerate(labels)}
-    nn = len(labels)
-    new_adj: list[dict[int, float]] = [dict() for _ in range(nn)]
-    new_loops = [0.0] * nn
-    for v in range(len(adj)):
-        cv = relabel[comm[v]]
-        new_loops[cv] += loops[v]
-        for u, w in adj[v].items():
-            if u <= v:
-                continue
-            cu = relabel[comm[u]]
-            if cu == cv:
-                new_loops[cv] += w
-            else:
-                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-                new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-    return new_adj, new_loops, relabel
+def _neighbor_lists(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-node neighbor and weight lists of directed edges sorted by src."""
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
+    nb, ws = dst.tolist(), w.tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    return [nb[a:b] for a, b in spans], [ws[a:b] for a, b in spans]
+
+
+def _community_lists(
+    comm: list[int], neigh_w: list[dict[int, int] | None], label_to_next: np.ndarray, n: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The next level's neighbor and weight lists, its nodes being the communities.
+
+    Each node's final map holds the weight of its edges into each community,
+    so the maps list every edge between communities once from each side.
+    Parallel edges are summed (exactly: the weights are integers) and edges
+    inside a community dropped, since those only count in k.
+    """
+    src: list[int] = []
+    dst: list[int] = []
+    w: list[int] = []
+    for cv, nw in zip(comm, neigh_w):
+        if nw:
+            src += [cv] * len(nw)
+            dst += nw
+            w += nw.values()
+    src_n, dst_n = label_to_next[src], label_to_next[dst]
+    between = src_n != dst_n
+    key = src_n[between] * n + dst_n[between]
+    # a stable argsort, not np.unique: the graph layer already runs it, and
+    # np.unique would page in about 0.7 MiB more of numpy's code per process
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    summed = np.bincount(np.cumsum(first) - 1, weights=np.array(w)[between][by_key])
+    key = key[first]
+    return _neighbor_lists(*np.divmod(key, n), summed.astype(np.int64), n)
 
 
 # Graphs whose non-isolated core is at most this large are solved by exact
@@ -368,20 +420,51 @@ def _exact_partition(g: GeneGraph, core: list[int]) -> list[int]:
 def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
     """Modularity-maximizing community detection.
 
-    Multi-level greedy optimization (local moves, then aggregation, repeated
-    until no gain), with the node visit order shuffled once per aggregation
-    level from the seeded generator. Tiny graphs (non-isolated core of at
-    most EXACT_NODE_LIMIT nodes) are instead solved exactly by partition
-    enumeration, where greedy moves can provably stall below the optimum.
-    The algorithm runs in a canonical node space ordered by gene ID, so the
-    result depends only on the graph's structure and the seed, not on the
-    input node ordering. Isolated nodes remain singleton communities
-    (contributing 0 to Q). Raises for zero-edge graphs.
+    Multi-level greedy optimization (Louvain: local moves, then aggregation
+    of communities into nodes, repeated until no node moves). Tiny graphs
+    (non-isolated core of at most EXACT_NODE_LIMIT nodes) are instead solved
+    exactly by partition enumeration, where greedy moves can provably stall
+    below the optimum. The algorithm runs in a canonical node space ordered
+    by gene ID, so the result depends only on the graph's structure and the
+    seed, not on the input node ordering. Isolated nodes remain singleton
+    communities (contributing 0 to Q). Raises for zero-edge graphs.
+
+    Determinism contract: the partition and its Q are fixed by the graph and
+    the seed, bit for bit. Three orders reach the output:
+
+    - Visit order: at each level, one `shuffle` of `np.arange(n_level)` by
+      `np.random.default_rng(seed)`; every pass of the level visits the
+      nodes in that order. A node without neighbors is not visited, since
+      it can never move.
+    - Candidate scan: the node's own community first, scored after the node
+      is removed from it, or a fresh singleton (gain 0) if that score is
+      below -GAIN_TOL; then the neighboring communities in ascending label
+      order. A candidate wins only by more than GAIN_TOL over the best so
+      far, so a near-tie goes to the community scored first.
+    - Label reuse: a fresh singleton takes the smallest freed label (a
+      heap). The next level numbers the communities in ascending label order.
+
+    Summation order does not matter: every edge weighs 1 at level 0, so the
+    edge weights, degrees k and community totals tot at every level are sums
+    of integers, held exactly as Python ints, and adjacency order is free.
+    The one rounded expression is the gain `w_c - k_v * tot_c / (2m)`, always
+    evaluated in that order from those integers.
+
+    Each node keeps a map from neighboring community to the weight of its
+    edges into it, built at its first visit of the level and updated by
+    each later move of a neighbor. A visit is skipped when the node stayed
+    put at its last visit and no move since has changed tot of its own
+    community or of any community now in its map. That covers every move
+    of a neighbor too, since tot changes for the community the neighbor
+    joins, which is then in the map. The node's gains are then the same
+    numbers as at its last visit, so it would stay again, and a stay changes
+    no state (`tot` is integer). Each move stamps the two communities whose
+    tot it changes with the running move count.
     """
     if g.n_edges == 0:
         raise GraphError("community detection undefined for a zero-edge graph")
     n = g.n_nodes
-    canon = sorted(range(n), key=lambda i: (g.nodes[i], i))
+    canon = sorted(range(n), key=g.nodes.__getitem__)  # stable: equal IDs keep index order
     rank = np.empty(n, dtype=np.int64)
     rank[canon] = np.arange(n)
 
@@ -395,34 +478,39 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
                 relabel[c] = len(relabel)
         final = [relabel[c] for c in per_node]
         return Partition(tuple(final), len(relabel), modularity(g, final))
-    # canonical adjacency; each node lists its neighbors in edge order
+    # level 0 in canonical space: both directions of every edge, sorted by source
     ends = rank[g._pairs]
-    src, dst = ends.ravel(), ends[:, ::-1].ravel()
+    src, dst = np.concatenate((ends, ends[:, ::-1])).T
     by_src = np.argsort(src, kind="stable")
-    nbrs = dst[by_src].tolist()
-    bounds = np.concatenate(([0], np.cumsum(deg[canon]))).tolist()
-    adj: list[dict[int, float]] = [
-        dict.fromkeys(nbrs[bounds[i]:bounds[i + 1]], 1.0) for i in range(n)
-    ]
-    loops = [0.0] * n
+    nbrs, wts = _neighbor_lists(src[by_src], dst[by_src], np.ones(src.size, dtype=np.int64), n)
+    k = np.bincount(src, minlength=n)
+    del ends, src, dst, by_src
     m = float(g.n_edges)
     rng = np.random.default_rng(seed)
-    membership = list(range(n))  # in canonical space
-
+    membership = np.arange(n)  # canonical node -> node of the current level
+    n_level = n
     while True:
-        k = [sum(adj[i].values()) + 2.0 * loops[i] for i in range(len(adj))]
-        order = np.arange(len(adj))
+        order = np.arange(n_level)
         rng.shuffle(order)
-        comm, moved = _one_level(adj, k, m, order)
+        comm, neigh_w, moved = _one_level(nbrs, wts, k.tolist(), m, order.tolist())
+        del nbrs, wts  # free this level before building the next
         if not moved:
             break
-        adj, loops, relabel = _aggregate(adj, loops, comm)
-        membership = [relabel[comm[c]] for c in membership]
-        if len(adj) <= 1:
+        # communities become the next level's nodes, numbered in ascending label order
+        used = np.zeros(n_level, dtype=bool)
+        used[comm] = True
+        label_to_next = np.cumsum(used) - 1
+        to_next = label_to_next[comm]
+        membership = to_next[membership]
+        k = np.bincount(to_next, weights=k).astype(np.int64)
+        n_level = int(used.sum())
+        if n_level <= 1:
             break
+        nbrs, wts = _community_lists(comm, neigh_w, label_to_next, n_level)
+        del neigh_w
 
     # contiguous labels in order of first appearance over the original node order
-    per_node = [membership[r] for r in rank.tolist()]
+    per_node = membership[rank].tolist()
     relabel2: dict[int, int] = {}
     for c in per_node:
         if c not in relabel2:

@@ -221,8 +221,9 @@ def write_matrix(m: ExpressionMatrix, matrix_path: str | Path, labels_path: str 
     with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter="\t", lineterminator="\n")
         w.writerow(["gene_id", *m.sample_ids])
-        for i, gid in enumerate(m.gene_ids):
-            w.writerow([gid, *(repr(float(v)) for v in m.values[i])])
+        # one row at a time: a whole-matrix tolist() would hold every cell as a Python float
+        for gid, row in zip(m.gene_ids, m.values):
+            w.writerow([gid, *map(repr, row.tolist())])
     with open(labels_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter="\t", lineterminator="\n")
         w.writerow(["sample_id", "site"])

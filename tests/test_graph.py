@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import logging
 from xml.etree import ElementTree as ET
 
@@ -7,6 +8,8 @@ import pytest
 
 from coexpress.errors import GraphError, ValidationError
 from coexpress.graph import (
+    EXACT_NODE_LIMIT,
+    GAIN_TOL,
     GeneGraph,
     WeightedGeneGraph,
     build_weighted,
@@ -33,6 +36,8 @@ K5 = GeneGraph(tuple("abcde"), tuple((i, j) for i in range(5) for j in range(i +
 GOLDEN_GRAPHML = "ef2e57f5bda5d00f67bc29be18e1b3b78c08a7dcc72c9b72951800b3f0b57fb0"
 GOLDEN_GRAPHML_NO_EDGES = "a34dc4869473d75fa2633732da014301c65d2e5f7b98dca303809d1f206c23ea"
 GOLDEN_GRAPHML_EMPTY = "1e209496366c0e4a76e0b679bc4f02ecdacd99244a3f53c4a52a921b95b1ca48"
+# sha256 over (membership, q, n_communities) of detect_communities on golden_community_graphs
+GOLDEN_COMMUNITIES = "4c4eb401157aaa562bcec441de6842fd5f4c5ff2a0b4de2c0bbcf7c91b8e2575"
 
 
 def modularity_double_sum(g: GeneGraph, membership) -> float:
@@ -129,6 +134,13 @@ class TestBuildWeighted:
             ("X",) * 4 + ("Y",) * 4,
             values,
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.array([[0.0, 0.5, 0.7], [0.5, 0.0, 0.9], [0.7, 0.9, 0.0]])
+        w[0, 2] = w[2, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            WeightedGeneGraph(("a", "b", "c"), w)
 
     def test_identical_and_negated_genes_weight_one(self):
         wg = build_weighted(self._matrix(), ["g1", "g2", "g3", "g4"])
@@ -458,6 +470,150 @@ class TestDetectCommunities:
     def test_zero_edge_rejected(self):
         with pytest.raises(GraphError):
             detect_communities(GeneGraph(("a", "b"), ()), seed=0)
+
+
+def shuffled_names(rng, n):
+    """Gene IDs whose sorted order is a random permutation of the index order."""
+    return tuple(f"g{i:03d}" for i in rng.permutation(n))
+
+
+def golden_community_graphs():
+    """The pinned detection family: (name, graph) pairs, every graph built from a fixed seed."""
+    rng = np.random.default_rng(2024)
+    for p in (0.05, 0.15, 0.4):
+        for rep in range(4):
+            n = int(rng.integers(30, 121))
+            upper = np.triu(rng.random((n, n)) < p, k=1)
+            yield f"gnp-{p}-{rep}", GeneGraph(shuffled_names(rng, n), np.argwhere(upper))
+    for n_cliques, size in ((6, 4), (10, 5), (5, 12)):
+        n = n_cliques * size
+        edges = [(c * size + i, c * size + j) for c in range(n_cliques)
+                 for i in range(size) for j in range(i + 1, size)]
+        edges += [(c * size, ((c + 1) % n_cliques) * size + 1) for c in range(n_cliques)]
+        yield f"ring-{n_cliques}x{size}", GeneGraph(shuffled_names(rng, n), edges)
+    for leaves in (12, 60):
+        yield f"star-{leaves}", GeneGraph(shuffled_names(rng, leaves + 1),
+                                          [(0, i) for i in range(1, leaves + 1)])
+    # every node has the same degree, so many candidate gains tie exactly
+    for n, offsets in ((24, (1,)), (40, (1, 2)), (60, (1, 3, 7)), (36, (1, 2, 3, 4))):
+        edges = [(i, (i + o) % n) for i in range(n) for o in offsets]
+        yield f"circulant-{n}-{offsets}", GeneGraph(shuffled_names(rng, n), edges)
+    for n, n_isolated in ((40, 10), (90, 30)):
+        upper = np.triu(rng.random((n, n)) < 0.1, k=1)
+        upper[:, :n_isolated] = upper[:n_isolated, :] = False
+        yield f"isolated-{n}-{n_isolated}", GeneGraph(shuffled_names(rng, n), np.argwhere(upper))
+    # heavy-tailed degrees (Chung-Lu); seeds picked from a search because
+    # they reach the fresh-singleton move and break near-ties within GAIN_TOL
+    for seed in (29, 218, 1472):
+        hub = np.random.default_rng(seed)
+        n = int(hub.integers(30, 121))
+        weight = hub.pareto(1.5, n) + 1
+        prob = np.minimum(1, np.outer(weight, weight) / weight.sum() * 2)
+        upper = np.triu(hub.random((n, n)) < prob, k=1)
+        yield f"chung-lu-{seed}", GeneGraph(shuffled_names(hub, n), np.argwhere(upper))
+
+
+def community_digest(graphs, seeds=(0, 1, 7)) -> str:
+    h = hashlib.sha256()
+    for name, g in graphs:
+        for seed in seeds:
+            p = detect_communities(g, seed=seed)
+            h.update(repr((name, seed, p.membership, p.q.hex(), p.n_communities)).encode())
+    return h.hexdigest()
+
+
+def louvain_reference(g: GeneGraph, seed: int) -> tuple[int, ...]:
+    """Independent oracle for the greedy path: dict-of-dicts Louvain levels
+    that rebuild a visited node's community weights from all its neighbors
+    and never skip a visit."""
+    n = g.n_nodes
+    canon = sorted(range(n), key=lambda i: (g.nodes[i], i))
+    rank = {v: i for i, v in enumerate(canon)}
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for u, v in g.edges:
+        adj[rank[u]][rank[v]] = adj[rank[v]][rank[u]] = 1.0
+    loops = [0.0] * n
+    m = float(g.n_edges)
+    rng = np.random.default_rng(seed)
+    membership = list(range(n))
+    while True:
+        k = [sum(a.values()) + 2.0 * loop for a, loop in zip(adj, loops)]
+        order = np.arange(len(adj))
+        rng.shuffle(order)
+        comm, tot, size, free = list(range(len(adj))), k.copy(), [1] * len(adj), []
+        improved, moved_any = True, False
+        while improved:
+            improved = False
+            for v in order.tolist():
+                cv = comm[v]
+                neigh_w: dict[int, float] = {}
+                for u, w in adj[v].items():
+                    neigh_w[comm[u]] = neigh_w.get(comm[u], 0.0) + w
+                tot[cv] -= k[v]
+                size[cv] -= 1
+                best_c, best_gain = cv, neigh_w.get(cv, 0.0) - k[v] * tot[cv] / (2.0 * m)
+                if 0.0 > best_gain + GAIN_TOL:
+                    best_c, best_gain = -1, 0.0
+                for c in sorted(neigh_w):
+                    gain = neigh_w[c] - k[v] * tot[c] / (2.0 * m)
+                    if c != cv and gain > best_gain + GAIN_TOL:
+                        best_c, best_gain = c, gain
+                if size[cv] == 0 and best_c != cv:
+                    heapq.heappush(free, cv)
+                if best_c == -1:
+                    best_c = heapq.heappop(free)
+                comm[v] = best_c
+                tot[best_c] += k[v]
+                size[best_c] += 1
+                if best_c != cv:
+                    improved = moved_any = True
+        if not moved_any:
+            break
+        relabel = {c: i for i, c in enumerate(sorted(set(comm)))}
+        new_adj: list[dict[int, float]] = [{} for _ in relabel]
+        new_loops = [0.0] * len(relabel)
+        for v in range(len(adj)):
+            cv = relabel[comm[v]]
+            new_loops[cv] += loops[v]
+            for u, w in adj[v].items():
+                cu = relabel[comm[u]]
+                if u < v:
+                    continue
+                if cu == cv:
+                    new_loops[cv] += w
+                else:
+                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+                    new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+        adj, loops = new_adj, new_loops
+        membership = [relabel[comm[c]] for c in membership]
+        if len(adj) <= 1:
+            break
+    per_node = [membership[rank[i]] for i in range(n)]
+    first: dict[int, int] = {}
+    for c in per_node:
+        first.setdefault(c, len(first))
+    return tuple(first[c] for c in per_node)
+
+
+class TestGoldenCommunities:
+    def test_partitions_and_q_unchanged(self):
+        # pinned on the dict-of-dicts Louvain levels the incremental ones replaced
+        assert community_digest(golden_community_graphs()) == GOLDEN_COMMUNITIES
+
+    def test_matches_rebuilding_reference(self):
+        rng = np.random.default_rng(11)
+        graphs = [g for _, g in golden_community_graphs()]
+        for _ in range(30):
+            n = int(rng.integers(10, 90))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.5), k=1)
+            graphs.append(GeneGraph(shuffled_names(rng, n), np.argwhere(upper)))
+        checked = 0
+        for i, g in enumerate(graphs):
+            if g.n_edges == 0 or np.count_nonzero(g.degrees()) <= EXACT_NODE_LIMIT:
+                continue
+            checked += 1
+            assert detect_communities(g, seed=i).membership == louvain_reference(g, i)
+        assert checked >= 40
 
 
 def two_clique_weighted(n_per=5, intra1=0.75, intra2=0.65, inter=0.42):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ def _write(tmp_path, matrix_text, labels_text, name="m.tsv"):
 
 
 LABELS_2 = "s1\tLN\ns2\tBone\n"
+# sha256 of the matrix then labels bytes written by TestWriteMatrixBytes
+GOLDEN_WRITE_MATRIX = "89c0ddb760b18c224cb79fef41f5d3d00d4abe41acd864a6a92a48f4b5b4b7d2"
 
 
 class TestLoadMatrix:
@@ -77,6 +81,29 @@ class TestLoadMatrix:
         assert back.gene_ids == tiny_matrix.gene_ids
         assert back.labels == tiny_matrix.labels
         np.testing.assert_array_equal(back.values, tiny_matrix.values)
+
+
+class TestWriteMatrixBytes:
+    def test_golden_bytes(self, tmp_path):
+        m = ExpressionMatrix(
+            gene_ids=("g1", 'odd\tid "q"', "g3"),
+            sample_ids=("s1", "s2", "s3", "s4"),
+            labels=("LN", "LN", "Bone", "Liver"),
+            values=np.array([
+                [0.1 + 0.2, -0.0, 1e-05, 1.7976931348623157e308],
+                [5e-324, 1e22, 123456789.123, -2.5e-17],
+                [1.0 / 3.0, 0.0, -1e16, 2.0 ** 60],
+            ]),
+        )
+        write_matrix(m, tmp_path / "m.tsv", tmp_path / "l.tsv")
+        digest = hashlib.sha256((tmp_path / "m.tsv").read_bytes()
+                                + (tmp_path / "l.tsv").read_bytes()).hexdigest()
+        # pinned on the per-cell repr(float(v)) writer
+        assert digest == GOLDEN_WRITE_MATRIX
+        back = load_matrix(tmp_path / "m.tsv", tmp_path / "l.tsv")
+        assert back.gene_ids == m.gene_ids
+        np.testing.assert_array_equal(back.values, m.values)
+        assert np.signbit(back.values[0, 1])
 
 
 class TestCleanse:
