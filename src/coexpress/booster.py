@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,13 @@ class BoosterConfig:
             raise ValidationError("subsample/colsample must lie in (0, 1]")
         if not 0 < self.base_score < 1:
             raise ValidationError("base_score must lie in (0, 1)")
+
+
+def hyperparameters(config: BoosterConfig) -> dict:
+    """Every field of `config` but `seed`, which callers derive from their own seed."""
+    params = asdict(config)
+    del params["seed"]
+    return params
 
 
 @dataclass(frozen=True)
@@ -410,18 +417,7 @@ def ensemble_to_json(e: BoostedEnsemble) -> str:
         "schema_version": SCHEMA_VERSION,
         "classes": list(e.classes),
         "n_features": e.n_features,
-        "config": {
-            "learning_rate": e.config.learning_rate,
-            "max_depth": e.config.max_depth,
-            "n_estimators": e.config.n_estimators,
-            "reg_lambda": e.config.reg_lambda,
-            "gamma": e.config.gamma,
-            "min_child_weight": e.config.min_child_weight,
-            "subsample": e.config.subsample,
-            "colsample": e.config.colsample,
-            "base_score": e.config.base_score,
-            "seed": e.config.seed,
-        },
+        "config": asdict(e.config),
         "importance": list(map(float, e.importance)),
         "importance_weight": list(map(float, e.importance_weight)),
         "loss_curve": list(e.loss_curve),

@@ -2,19 +2,18 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import __version__
-from .booster import BoosterConfig, ensemble_to_json, train as train_booster
+from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train as train_booster
 from .correlation import export_heatmap, group_mean, pairwise
-from .errors import CoexpressError
+from .errors import CoexpressError, ValidationError
 from .folds import oversample, save_plan, stratified_folds
-from .graph import build_weighted, select_threshold, write_edge_list, write_graphml, write_sweep
 from .masks import (
     build_masks,
+    default_pair,
     load_gene_set,
     mask_correlations,
     save_gene_set,
@@ -23,14 +22,32 @@ from .masks import (
     select_pair_opposite,
     select_three_mask_intersect,
 )
-from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
-from .normalize import VARIANTS, NormalizationScheme, normalize_matrix
-from .pipeline import load_config, run_pipeline
-from .rfe import export_trace, recursive_eliminate, report_to_dict
+from .matrix import ExpressionMatrix, load_matrix
+from .normalize import VARIANTS, NormalizationScheme
+from .pipeline import (
+    PipelineConfig,
+    _cohort_network,
+    _csv_list,
+    _export_network,
+    _ingest,
+    _normalize,
+    _parse_factors,
+    _parse_triplet,
+    _write_rfe,
+    load_config,
+    run_pipeline,
+)
+from .rfe import recursive_eliminate
 from .synthetic import generate, spec_from_json, write_dataset
 from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
 
 logger = logging.getLogger("coexpress")
+
+_BOOSTER_HELP = {
+    "subsample": "row fraction per tree",
+    "colsample": "feature fraction per tree",
+    "base_score": "initial class probability, in (0, 1)",
+}
 
 
 def _load_bundle(path: str | Path) -> ExpressionMatrix:
@@ -38,48 +55,23 @@ def _load_bundle(path: str | Path) -> ExpressionMatrix:
     return load_matrix(d / "matrix.tsv", d / "labels.tsv")
 
 
-def _write_bundle(m: ExpressionMatrix, path: str | Path) -> None:
-    d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
-    write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
-
-
-def _csv_list(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
-
-
-def _triplet(text: str) -> tuple[float, float, float]:
-    lo, hi, step = (float(x) for x in text.split(":"))
-    return lo, hi, step
+def _sweep_arg(text: str) -> tuple[float, float, float]:
+    # argparse reports ArgumentTypeError as a usage error (exit 2)
+    try:
+        return _parse_triplet(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_booster_flags(p: argparse.ArgumentParser) -> None:
-    d = BoosterConfig()
-    p.add_argument("--learning-rate", type=float, default=d.learning_rate)
-    p.add_argument("--max-depth", type=int, default=d.max_depth)
-    p.add_argument("--n-estimators", type=int, default=d.n_estimators)
-    p.add_argument("--reg-lambda", type=float, default=d.reg_lambda)
-    p.add_argument("--gamma", type=float, default=d.gamma)
-    p.add_argument("--min-child-weight", type=float, default=d.min_child_weight)
-    p.add_argument("--subsample", type=float, default=d.subsample, help="row fraction per tree")
-    p.add_argument("--colsample", type=float, default=d.colsample, help="feature fraction per tree")
-    p.add_argument("--base-score", type=float, default=d.base_score,
-                   help="initial class probability, in (0, 1)")
+    for name, default in hyperparameters(BoosterConfig()).items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                       help=_BOOSTER_HELP.get(name))
 
 
 def _booster_from_args(args: argparse.Namespace) -> BoosterConfig:
-    return BoosterConfig(
-        learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
-        n_estimators=args.n_estimators,
-        reg_lambda=args.reg_lambda,
-        gamma=args.gamma,
-        min_child_weight=args.min_child_weight,
-        subsample=args.subsample,
-        colsample=args.colsample,
-        base_score=args.base_score,
-        seed=args.seed,
-    )
+    params = {name: getattr(args, name) for name in hyperparameters(BoosterConfig())}
+    return BoosterConfig(seed=args.seed, **params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", parents=[common], help="apply a normalization scheme")
     p.add_argument("--scheme", choices=VARIANTS, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=NormalizationScheme.epsilon)
     p.add_argument("--in", dest="indir", required=True, help="ingest output directory")
     p.add_argument("--out", required=True)
 
@@ -119,16 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=("any", "intersect", "combined", "pair", "two-stage"),
                    default="combined")
     p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--t-intersect", type=float, default=0.15, help="two-stage intersect threshold")
+    p.add_argument("--t-intersect", type=float, default=PipelineConfig.t_intersect,
+                   help="two-stage intersect threshold")
     p.add_argument("--t-pair", type=float, default=0.2, help="two-stage pair threshold")
-    p.add_argument("--pair", type=_csv_list, default=None, help="discriminand pair, e.g. LN,Bone")
+    p.add_argument("--pair", type=_csv_list, default=None,
+                   help="discriminand pair, e.g. LN,Bone; default LN,Bone, else the two largest classes")
     p.add_argument("--out", required=True, help="gene-set output file")
 
     p = sub.add_parser("folds", parents=[common], help="build a stratified fold plan")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=PipelineConfig.k)
     p.add_argument("--factors", default=None,
-                   help="extra copies per site, e.g. LN:1,Bone:2,Liver:5")
+                   help="extra copies per site, SITE:N,..., e.g. LN:1,Bone:2,Liver:5")
     p.add_argument("--out", required=True, help="plan JSON path")
 
     p = sub.add_parser("train", parents=[common], help="train the boosted model on a gene set")
@@ -140,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rfe", parents=[common], help="recursive feature elimination")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--drop", type=int, default=1)
+    p.add_argument("--k", type=int, default=PipelineConfig.k)
+    p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
+    p.add_argument("--drop", type=int, default=PipelineConfig.drop_per_step)
     p.add_argument("--factors", default=None)
     _add_booster_flags(p)
     p.add_argument("--out", required=True, help="output directory")
@@ -151,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     p.add_argument("--cohort", default=None, help="site class; omit for all samples")
-    p.add_argument("--sweep", type=_triplet, default=(0.4, 0.9, 0.02), help="t_min:t_max:step")
+    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep, help="t_min:t_max:step")
     p.add_argument("--override", type=float, default=None, help="fixed threshold, bypass sweep")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated nested gene-set files, smallest first")
     p.add_argument("--cohorts", type=_csv_list, default=None,
                    help="site classes; 'all' adds the all-sample network")
-    p.add_argument("--sweep", type=_triplet, default=(0.4, 0.9, 0.02))
+    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep, help="t_min:t_max:step")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a planted synthetic dataset")
@@ -176,27 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    m = load_matrix(args.matrix, args.labels)
-    if args.keep_sites:
-        m = filter_sites(m, args.keep_sites)
-    site_order = args.keep_sites or list(dict.fromkeys(m.labels))
-    m, report = cleanse(m, site_order)
-    _write_bundle(m, args.out)
-    out = Path(args.out)
-    (out / "cleansing.json").write_text(json.dumps({
-        "removed_all_zero": report.removed_all_zero,
-        "removed_duplicates": report.removed_duplicates,
-        "truncation_applied": report.truncation_applied,
-    }, indent=2, sort_keys=True), encoding="utf-8")
-    export_stats(gene_stats(m), "mean", out / "gene_stats.csv")
+    m = _ingest(args.matrix, args.labels, args.keep_sites, Path(args.out))
     logger.info("ingested %d genes x %d samples", m.n_genes, m.n_samples)
     return 0
 
 
 def _cmd_normalize(args) -> int:
     m = _load_bundle(args.indir)
-    out = normalize_matrix(m, NormalizationScheme(args.scheme, args.epsilon))
-    _write_bundle(out, args.out)
+    out = _normalize(m, NormalizationScheme(args.scheme, args.epsilon), Path(args.out))
     logger.info("normalized %d genes (%d dropped)", out.n_genes, m.n_genes - out.n_genes)
     return 0
 
@@ -220,7 +201,7 @@ def _cmd_corr(args) -> int:
 def _cmd_select(args) -> int:
     m = _load_bundle(args.indir)
     mc = mask_correlations(m, build_masks(m.labels))
-    pair = tuple(args.pair) if args.pair else None
+    pair = args.pair or default_pair(m.labels)
     name = Path(args.out).stem
     if args.rule == "any":
         gs = select_by_any_mask(mc, args.threshold, name=name)
@@ -244,16 +225,13 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _cmd_folds(args) -> int:
-    m = _load_bundle(args.indir)
+def _fold_plan(args, m: ExpressionMatrix):
     plan = stratified_folds(m.labels, args.k, args.seed)
-    if args.factors:
-        factors = {}
-        for item in _csv_list(args.factors):
-            site, _, n = item.partition(":")
-            factors[site] = int(n)
-        plan = oversample(plan, factors)
-    save_plan(plan, args.out)
+    return oversample(plan, _parse_factors(args.factors)) if args.factors else plan
+
+
+def _cmd_folds(args) -> int:
+    save_plan(_fold_plan(args, _load_bundle(args.indir)), args.out)
     return 0
 
 
@@ -269,23 +247,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_rfe(args) -> int:
     m = _load_bundle(args.indir)
-    genes = load_gene_set(args.genes)
-    plan = stratified_folds(m.labels, args.k, args.seed)
-    if args.factors:
-        factors = {}
-        for item in _csv_list(args.factors):
-            site, _, n = item.partition(":")
-            factors[site] = int(n)
-        plan = oversample(plan, factors)
     trace = recursive_eliminate(
-        m, genes, plan, _booster_from_args(args), drop_per_step=args.drop, repeats=args.repeats
+        m, load_gene_set(args.genes), _fold_plan(args, m), _booster_from_args(args),
+        drop_per_step=args.drop, repeats=args.repeats,
     )
-    out = Path(args.out)
-    export_trace(trace, out)
-    (out / "cv_report.json").write_text(
-        json.dumps(report_to_dict(trace.best.report), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    save_gene_set(trace.best.genes, out / "best.genes")
+    _write_rfe(Path(args.out), trace.best.report, trace.best.genes, trace)
     logger.info("best step keeps %d genes at accuracy %.4f",
                 len(trace.best.genes), trace.best.report.accuracy)
     return 0
@@ -293,18 +259,10 @@ def _cmd_rfe(args) -> int:
 
 def _cmd_gcn(args) -> int:
     m = _load_bundle(args.indir)
-    genes = load_gene_set(args.genes)
-    wg = build_weighted(m, genes, args.cohort)
-    g, p, table = select_threshold(
-        wg, *args.sweep, override=args.override, seed=args.seed, threads=args.threads
+    g, p, table = _cohort_network(
+        m, load_gene_set(args.genes), args.cohort, args.sweep, args.seed, args.threads, args.override
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep(table, out / "sweep.csv")
-    write_edge_list(g, out / "edges.tsv")
-    write_graphml(g, out / "graph.graphml", {
-        "community": {gene: int(p.membership[i]) for i, gene in enumerate(g.nodes)}
-    })
+    _export_network(Path(args.out), g, p, table)
     logger.info("threshold %.3g: %d edges, %d communities, Q=%.4f",
                 g.threshold, g.n_edges, p.n_communities, p.q)
     return 0
@@ -320,8 +278,7 @@ def _cmd_atlas(args) -> int:
     networks = {}
     for cohort in cohorts:
         site = None if cohort == "all" else cohort
-        wg = build_weighted(m, nested[-1], site)
-        g, p, _ = select_threshold(wg, *args.sweep, seed=args.seed, threads=args.threads)
+        g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed, args.threads)
         networks[cohort] = CommunityNetwork(g, p)
     entries = build_atlas(networks, tiers, key_index, n_tiers=len(nested))
     export_atlas(entries, networks, tiers, key_index, args.out)

@@ -84,7 +84,8 @@ def correlation_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     unit, ok = _standardize_rows(block)
     kept = unit[ok]
-    corr = np.clip(kept @ kept.T, -1.0, 1.0)
+    corr = kept @ kept.T
+    np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return corr, ok
 

@@ -148,9 +148,9 @@ def build_weighted(
     kept = [gene_ids[i] for i in np.flatnonzero(ok)]
     if len(kept) < 2:
         raise ValidationError("fewer than 2 usable genes for the weighted graph")
-    w = np.abs(corr)
+    w = np.abs(corr, out=corr)  # |r| of r clipped to [-1, 1] already lies in [0, 1]
     np.fill_diagonal(w, 0.0)
-    return WeightedGeneGraph(tuple(kept), np.clip(w, 0.0, 1.0), cohort)
+    return WeightedGeneGraph(tuple(kept), w, cohort)
 
 
 def threshold_graph(wg: WeightedGeneGraph, t: float) -> GeneGraph:
@@ -375,6 +375,7 @@ def _exact_partition(g: GeneGraph, core: list[int]) -> list[int]:
         deg[u] += 1
         deg[v] += 1
 
+    # Plain-Python Q: `modularity` costs one numpy call per enumerated partition.
     def q_of(mem: tuple[int, ...]) -> float:
         n_comm = max(mem) + 1
         intra = [0.0] * n_comm

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -14,6 +15,8 @@ from .errors import ValidationError
 from .matrix import ExpressionMatrix
 
 logger = logging.getLogger(__name__)
+
+DEFAULT_PAIR = ("LN", "Bone")  # the paper's discriminand sites
 
 
 @dataclass(frozen=True)
@@ -166,13 +169,17 @@ def select_three_mask_intersect(mc: MaskCorrelations, t: float, name: str = "mas
     )
 
 
-def _resolve_pair(mc: MaskCorrelations, pair: tuple[str, str] | None) -> tuple[str, str]:
-    if pair is None:
-        if "LN" in mc.sites and "Bone" in mc.sites:
-            return ("LN", "Bone")
-        raise ValidationError(
-            "no LN/Bone masks present; pass an explicit discriminand pair"
-        )
+def default_pair(labels: Sequence[str]) -> tuple[str, str]:
+    """The discriminand pair when none is given: LN/Bone when both sites are
+    present, else the two largest classes (equal counts order by name)."""
+    counts = Counter(labels)
+    if all(s in counts for s in DEFAULT_PAIR):
+        return DEFAULT_PAIR
+    a, b = sorted(counts, key=lambda s: (-counts[s], s))[:2]
+    return (a, b)
+
+
+def _resolve_pair(mc: MaskCorrelations, pair: tuple[str, str]) -> tuple[str, str]:
     a, b = pair
     for s in (a, b):
         if s not in mc.sites:
@@ -183,7 +190,7 @@ def _resolve_pair(mc: MaskCorrelations, pair: tuple[str, str] | None) -> tuple[s
 
 
 def select_pair_opposite(
-    mc: MaskCorrelations, t: float, pair: tuple[str, str] | None = None,
+    mc: MaskCorrelations, t: float, pair: tuple[str, str] = DEFAULT_PAIR,
     name: str = "pair_opposite",
 ) -> GeneSet:
     """Keep genes strongly and oppositely correlated with the two pair masks."""
@@ -199,7 +206,7 @@ def select_pair_opposite(
 
 
 def select_combined(
-    mc: MaskCorrelations, t: float = 0.2, pair: tuple[str, str] | None = None,
+    mc: MaskCorrelations, t: float = 0.2, pair: tuple[str, str] = DEFAULT_PAIR,
     name: str = "combined",
 ) -> GeneSet:
     """Combined rule: every |C_site| >= t AND the pair correlations have opposite signs.
@@ -229,7 +236,7 @@ class SweepCount:
 def sweep_report(
     mc: MaskCorrelations,
     thresholds: Sequence[float],
-    pair: tuple[str, str] | None = None,
+    pair: tuple[str, str] = DEFAULT_PAIR,
 ) -> list[SweepCount]:
     """Kept-gene counts per rule per threshold (any / intersect / combined)."""
     rows: list[SweepCount] = []

@@ -8,19 +8,28 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .atlas import CANONICAL_TIER_LABELS, CommunityNetwork, build_atlas, export_atlas, tier_genes
-from .booster import BoosterConfig, ensemble_to_json, train
+from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train
 from .errors import GraphError, StageError, ValidationError
 from .folds import FoldPlan, oversample, save_plan, stratified_folds
-from .graph import build_weighted, giant_component, select_threshold, write_edge_list, write_graphml, write_sweep
+from .graph import (
+    build_weighted,
+    giant_component,
+    select_threshold,
+    sweep_thresholds,
+    write_edge_list,
+    write_graphml,
+    write_sweep,
+)
 from .masks import (
     GeneSet,
     build_masks,
+    default_pair,
     mask_correlations,
     save_gene_set,
     select_combined,
@@ -28,13 +37,19 @@ from .masks import (
     sweep_report,
     write_sweep_report,
 )
-from .matrix import cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
+from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
 from .normalize import NormalizationScheme, normalize_matrix
-from .rfe import cross_validate_step, export_trace, recursive_eliminate, report_to_dict
+from .rfe import (
+    MIN_RFE_GENES,
+    CvReport,
+    EliminationTrace,
+    cross_validate_step,
+    export_trace,
+    recursive_eliminate,
+    report_to_dict,
+)
 
 logger = logging.getLogger(__name__)
-
-MIN_RFE_GENES = 3
 
 
 @dataclass
@@ -44,11 +59,11 @@ class PipelineConfig:
     out: Path
     keep_sites: tuple[str, ...] | None = None
     scheme: str = "rank"
-    epsilon: float = 1e-6
+    epsilon: float = NormalizationScheme.epsilon
     select_sweep: tuple[float, float, float] = (0.05, 0.6, 0.05)
     t_intersect: float = 0.15
     t_combined: float = 0.2
-    pair: tuple[str, str] | None = None
+    pair: tuple[str, str] | None = None     # None = masks.default_pair of the labels
     k: int = 10
     factors: dict[str, int] | None = None   # None derives near-balancing extra copies
     booster: BoosterConfig = field(default_factory=BoosterConfig)
@@ -69,80 +84,81 @@ class PipelineConfig:
             )
 
 
+def _csv_list(text: str) -> tuple[str, ...]:
+    """Comma-separated items, stripped, empty items dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def _parse_triplet(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(":")]
-    if len(parts) != 3:
-        raise ValidationError(f"expected lo:hi:step, got {text!r}")
-    return (parts[0], parts[1], parts[2])
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValidationError(f"expected lo:hi:step, got {text!r}") from None
+    return (lo, hi, step)
 
 
 def _parse_factors(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _csv_list(text):
         site, _, count = item.partition(":")
+        if not site.strip() or not count.strip().isdecimal():
+            raise ValidationError(f"expected SITE:N,..., got {text!r}")
         out[site.strip()] = int(count)
     return out
 
 
+# (section, key) -> (PipelineConfig field, parser); [booster] keys are the BoosterConfig fields
+_CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
+    ("input", "matrix"): ("matrix", Path),
+    ("input", "labels"): ("labels", Path),
+    ("input", "keep_sites"): ("keep_sites", _csv_list),
+    ("normalize", "scheme"): ("scheme", str),
+    ("normalize", "epsilon"): ("epsilon", float),
+    ("select", "sweep"): ("select_sweep", _parse_triplet),
+    ("select", "t_intersect"): ("t_intersect", float),
+    ("select", "t_combined"): ("t_combined", float),
+    ("select", "pair"): ("pair", _csv_list),
+    ("folds", "k"): ("k", int),
+    ("folds", "factors"): ("factors", _parse_factors),
+    ("rfe", "drop_per_step"): ("drop_per_step", int),
+    ("rfe", "repeats"): ("repeats", int),
+    ("gcn", "sweep"): ("gcn_sweep", _parse_triplet),
+    ("gcn", "cohorts"): ("cohorts", _csv_list),
+    ("run", "out"): ("out", Path),
+    ("run", "seed"): ("seed", int),
+    ("run", "threads"): ("threads", int),
+}
+
+
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> PipelineConfig:
-    """Read the INI-style config; `overrides` (flag values) win over file keys."""
+    """Read the INI-style config; `overrides` (flag values) win over file keys.
+
+    Keys left unset (or empty) take their PipelineConfig / BoosterConfig defaults.
+    """
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise ValidationError(f"config file not found: {path}")
     overrides = dict(overrides or {})
 
-    def get(section: str, key: str, default: str | None = None) -> str | None:
-        if key in overrides and overrides[key] is not None:
+    def get(section: str, key: str) -> str | None:
+        if overrides.get(key) is not None:
             return overrides[key]
-        return cp.get(section, key, fallback=default)
+        return cp.get(section, key, fallback=None)
 
-    matrix = get("input", "matrix")
-    labels = get("input", "labels")
-    out = get("run", "out")
-    if not matrix or not labels or not out:
+    kwargs = {}
+    for (section, key), (name, parse) in _CONFIG_KEYS.items():
+        text = get(section, key)
+        if text:
+            kwargs[name] = parse(text)
+    if not {"matrix", "labels", "out"} <= kwargs.keys():
         raise ValidationError("config must provide input.matrix, input.labels, run.out")
-
-    keep = get("input", "keep_sites")
-    pair = get("select", "pair")
-    factors = get("folds", "factors")
-    cohorts = get("gcn", "cohorts")
-
-    booster = BoosterConfig(
-        learning_rate=float(get("booster", "learning_rate", "0.1")),
-        max_depth=int(get("booster", "max_depth", "3")),
-        n_estimators=int(get("booster", "n_estimators", "100")),
-        reg_lambda=float(get("booster", "reg_lambda", "1")),
-        gamma=float(get("booster", "gamma", "0")),
-        min_child_weight=float(get("booster", "min_child_weight", "1")),
-        subsample=float(get("booster", "subsample", "1")),
-        colsample=float(get("booster", "colsample", "1")),
-        base_score=float(get("booster", "base_score", "0.5")),
-    )
-    return PipelineConfig(
-        matrix=Path(matrix),
-        labels=Path(labels),
-        out=Path(out),
-        keep_sites=tuple(s.strip() for s in keep.split(",")) if keep else None,
-        scheme=get("normalize", "scheme", "rank"),
-        epsilon=float(get("normalize", "epsilon", "1e-6")),
-        select_sweep=_parse_triplet(get("select", "sweep", "0.05:0.6:0.05")),
-        t_intersect=float(get("select", "t_intersect", "0.15")),
-        t_combined=float(get("select", "t_combined", "0.2")),
-        pair=tuple(s.strip() for s in pair.split(",")) if pair else None,  # type: ignore[arg-type]
-        k=int(get("folds", "k", "10")),
-        factors=_parse_factors(factors) if factors else None,
-        booster=booster,
-        drop_per_step=int(get("rfe", "drop_per_step", "1")),
-        repeats=int(get("rfe", "repeats", "1")),
-        gcn_sweep=_parse_triplet(get("gcn", "sweep", "0.4:0.9:0.02")),
-        cohorts=tuple(s.strip() for s in cohorts.split(",")) if cohorts else None,
-        seed=int(get("run", "seed", "0")),
-        threads=int(get("run", "threads", "1")),
-    )
+    booster = {}
+    for name, default in hyperparameters(BoosterConfig()).items():
+        text = get("booster", name)
+        if text:
+            booster[name] = type(default)(text)
+    return PipelineConfig(booster=BoosterConfig(**booster), **kwargs)
 
 
 def stage_seed(root_seed: int, stage: str) -> int:
@@ -160,34 +176,12 @@ def derive_factors(labels: tuple[str, ...]) -> dict[str, int]:
     return {site: max(0, round(target / n) - 1) for site, n in counts.items()}
 
 
-def _default_pair(labels: tuple[str, ...]) -> tuple[str, str]:
-    if "LN" in labels and "Bone" in labels:
-        return ("LN", "Bone")
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    ordered = sorted(counts, key=lambda s: (-counts[s], s))
-    return (ordered[0], ordered[1])
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _sweep_values(lo: float, hi: float, step: float) -> list[float]:
-    out = []
-    i = 0
-    while True:
-        t = round(lo + i * step, 10)
-        if t > hi + 1e-9:
-            break
-        out.append(t)
-        i += 1
-    return out
 
 
 def _nested_sets(candidates: list[GeneSet]) -> list[GeneSet]:
@@ -209,18 +203,25 @@ def _nested_sets(candidates: list[GeneSet]) -> list[GeneSet]:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# steps shared by the stages and the CLI subcommands
 
 
-def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    m = load_matrix(cfg.matrix, cfg.labels)
-    if cfg.keep_sites:
-        m = filter_sites(m, cfg.keep_sites)
-    site_order = list(cfg.keep_sites) if cfg.keep_sites else list(dict.fromkeys(m.labels))
-    m, report = cleanse(m, site_order)
-    d = out / "ingest"
+def _write_bundle(m: ExpressionMatrix, d: Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
+
+
+def _ingest(
+    matrix: str | Path, labels: str | Path, keep_sites: Sequence[str] | None, d: Path
+) -> ExpressionMatrix:
+    """Load, keep `keep_sites` (all when empty), cleanse; write the bundle,
+    cleansing.json and gene_stats.csv into `d`."""
+    m = load_matrix(matrix, labels)
+    if keep_sites:
+        m = filter_sites(m, keep_sites)
+    site_order = list(keep_sites) if keep_sites else list(dict.fromkeys(m.labels))
+    m, report = cleanse(m, site_order)
+    _write_bundle(m, d)
     (d / "cleansing.json").write_text(
         json.dumps(
             {
@@ -236,25 +237,77 @@ def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
         encoding="utf-8",
     )
     export_stats(gene_stats(m), "mean", d / "gene_stats.csv")
-    st["clean"] = m
+    return m
+
+
+def _normalize(m: ExpressionMatrix, scheme: NormalizationScheme, d: Path) -> ExpressionMatrix:
+    out = normalize_matrix(m, scheme)
+    _write_bundle(out, d)
+    return out
+
+
+def _write_rfe(d: Path, report: CvReport, best: GeneSet, trace: EliminationTrace | None = None) -> None:
+    """cv_report.json and best.genes, plus trace.csv and gene_sets.json when elimination ran."""
+    d.mkdir(parents=True, exist_ok=True)
+    if trace is not None:
+        export_trace(trace, d)
+    (d / "cv_report.json").write_text(
+        json.dumps(report_to_dict(report), indent=2, sort_keys=True), encoding="utf-8"
+    )
+    save_gene_set(best, d / "best.genes")
+
+
+def _cohort_network(
+    m: ExpressionMatrix,
+    genes: GeneSet | Sequence[str],
+    cohort: str | None,
+    sweep: tuple[float, float, float],
+    seed: int,
+    threads: int,
+    override: float | None = None,
+):
+    """The |Pearson| network of `genes` over `cohort`'s samples (None = all) at
+    the modularity-best threshold of `sweep`: (graph, partition, sweep table)."""
+    wg = build_weighted(m, genes, cohort)
+    return select_threshold(wg, *sweep, override=override, seed=seed, threads=threads)
+
+
+def _export_network(d: Path, g, p, table) -> None:
+    d.mkdir(parents=True, exist_ok=True)
+    membership = {gene: int(p.membership[i]) for i, gene in enumerate(g.nodes)}
+    write_sweep(table, d / "sweep.csv")
+    write_edge_list(g, d / "edges.tsv")
+    write_graphml(g, d / "graph.graphml", {"community": membership})
+    (d / "partition.json").write_text(
+        json.dumps(
+            {"threshold": g.threshold, "modularity": p.q, "communities": p.n_communities,
+             "membership": membership},
+            indent=2, sort_keys=True,
+        ),
+        encoding="utf-8",
+    )
+
+
+# ---------------------------------------------------------------------------
+# stages
+
+
+def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
+    st["clean"] = _ingest(cfg.matrix, cfg.labels, cfg.keep_sites, out / "ingest")
 
 
 def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
     scheme = NormalizationScheme(cfg.scheme, cfg.epsilon)
-    m = normalize_matrix(st["clean"], scheme)
-    d = out / "normalize"
-    d.mkdir(parents=True, exist_ok=True)
-    write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
-    st["norm"] = m
+    st["norm"] = _normalize(st["clean"], scheme, out / "normalize")
 
 
 def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
     m = st["norm"]
     mc = mask_correlations(m, build_masks(m.labels))
-    pair = cfg.pair or _default_pair(m.labels)
+    pair = cfg.pair or default_pair(m.labels)
     d = out / "select"
     d.mkdir(parents=True, exist_ok=True)
-    write_sweep_report(sweep_report(mc, _sweep_values(*cfg.select_sweep), pair), d / "sweep.csv")
+    write_sweep_report(sweep_report(mc, sweep_thresholds(*cfg.select_sweep), pair), d / "sweep.csv")
     primary = select_three_mask_intersect(mc, cfg.t_intersect, name="set_primary")
     refined = select_combined(mc, cfg.t_combined, pair, name="set_refined")
     if len(refined) == 0:
@@ -286,21 +339,15 @@ def _run_rfe(
 ) -> tuple[GeneSet, np.ndarray]:
     """The stage's kept gene set and its genes' mean CV importance, in set order."""
     d = out / stage
-    d.mkdir(parents=True, exist_ok=True)
     bcfg = _booster_cfg(cfg)
     if len(start) <= MIN_RFE_GENES:
         logger.warning("%s: start set has %d genes; skipping elimination", stage, len(start))
         step = cross_validate_step(st["norm"], start, plan, bcfg, cfg.repeats)
-        (d / "cv_report.json").write_text(json.dumps(report_to_dict(step.report), indent=2, sort_keys=True))
         best = GeneSet(f"set_{stage}", start.gene_ids, provenance=f"{stage}: start set kept unchanged")
-        save_gene_set(best, d / "best.genes")
+        _write_rfe(d, step.report, best)
         return best, step.importance
     trace = recursive_eliminate(
         st["norm"], start, plan, bcfg, drop_per_step=cfg.drop_per_step, repeats=cfg.repeats
-    )
-    export_trace(trace, d)
-    (d / "cv_report.json").write_text(
-        json.dumps(report_to_dict(trace.best.report), indent=2, sort_keys=True), encoding="utf-8"
     )
     best = GeneSet(
         f"set_{stage}",
@@ -308,7 +355,7 @@ def _run_rfe(
         provenance=f"{stage} best step ({len(trace.best.genes)} genes, "
         f"accuracy {trace.best.report.accuracy:.4f})",
     )
-    save_gene_set(best, d / "best.genes")
+    _write_rfe(d, trace.best.report, best, trace)
     return best, trace.best.importance
 
 
@@ -340,35 +387,13 @@ def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
     (d / "features.json").write_text(json.dumps(list(key.gene_ids), indent=2), encoding="utf-8")
 
 
-def _export_network(d: Path, name: str, g, p, table) -> None:
-    cd = d / name
-    cd.mkdir(parents=True, exist_ok=True)
-    write_sweep(table, cd / "sweep.csv")
-    write_edge_list(g, cd / "edges.tsv")
-    write_graphml(g, cd / "graph.graphml", {"community": {
-        gene: int(p.membership[i]) for i, gene in enumerate(g.nodes)
-    }})
-    (cd / "partition.json").write_text(
-        json.dumps(
-            {"threshold": g.threshold, "modularity": p.q, "communities": p.n_communities,
-             "membership": {gene: int(p.membership[i]) for i, gene in enumerate(g.nodes)}},
-            indent=2, sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-
-
 def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
     m = st["norm"]
     seed = stage_seed(cfg.seed, "gcn")
     d = out / "gcn"
-    d.mkdir(parents=True, exist_ok=True)
 
-    wg_all = build_weighted(m, st["primary"], None)
-    g_all, p_all, table_all = select_threshold(
-        wg_all, *cfg.gcn_sweep, seed=seed, threads=cfg.threads
-    )
-    _export_network(d, "all", g_all, p_all, table_all)
+    g_all, p_all, table_all = _cohort_network(m, st["primary"], None, cfg.gcn_sweep, seed, cfg.threads)
+    _export_network(d / "all", g_all, p_all, table_all)
     networks: dict[str, CommunityNetwork] = {"all": CommunityNetwork(g_all, p_all)}
 
     # Downstream cohorts study only the all-cohort giant component's genes.
@@ -376,12 +401,11 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
     cohorts = cfg.cohorts if cfg.cohorts is not None else tuple(dict.fromkeys(m.labels))
     for site in cohorts:
         try:
-            wg = build_weighted(m, giant_genes, site)
-            g, p, table = select_threshold(wg, *cfg.gcn_sweep, seed=seed, threads=cfg.threads)
+            g, p, table = _cohort_network(m, giant_genes, site, cfg.gcn_sweep, seed, cfg.threads)
         except (GraphError, ValidationError) as exc:
             logger.warning("cohort %r network skipped: %s", site, exc)
             continue
-        _export_network(d, site, g, p, table)
+        _export_network(d / site, g, p, table)
         networks[site] = CommunityNetwork(g, p)
     st["networks"] = networks
 
@@ -420,17 +444,7 @@ def _config_echo(cfg: PipelineConfig) -> dict:
         "pair": list(cfg.pair) if cfg.pair else None,
         "k": cfg.k,
         "factors": dict(sorted(cfg.factors.items())) if cfg.factors else None,
-        "booster": {
-            "learning_rate": cfg.booster.learning_rate,
-            "max_depth": cfg.booster.max_depth,
-            "n_estimators": cfg.booster.n_estimators,
-            "reg_lambda": cfg.booster.reg_lambda,
-            "gamma": cfg.booster.gamma,
-            "min_child_weight": cfg.booster.min_child_weight,
-            "subsample": cfg.booster.subsample,
-            "colsample": cfg.booster.colsample,
-            "base_score": cfg.booster.base_score,
-        },
+        "booster": hyperparameters(cfg.booster),
         "drop_per_step": cfg.drop_per_step,
         "repeats": cfg.repeats,
         "gcn_sweep": list(cfg.gcn_sweep),

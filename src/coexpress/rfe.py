@@ -18,6 +18,7 @@ from .matrix import ExpressionMatrix
 
 logger = logging.getLogger(__name__)
 
+MIN_RFE_GENES = 3
 ACCURACY_TIE_TOL = 1e-9
 
 
@@ -207,7 +208,7 @@ def recursive_eliminate(
     config: BoosterConfig | None = None,
     drop_per_step: int = 1,
     repeats: int = 1,
-    min_genes: int = 3,
+    min_genes: int = MIN_RFE_GENES,
 ) -> EliminationTrace:
     """Repeatedly cross-validate, then drop the lowest-importance genes.
 

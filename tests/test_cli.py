@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from coexpress.booster import BoosterConfig
 from coexpress.cli import main
-from coexpress.masks import load_gene_set
+from coexpress.masks import default_pair, load_gene_set
 from coexpress.matrix import load_matrix
+from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, spec_to_json, write_dataset
 
 SMALL_SPEC = SynthSpec(
@@ -251,3 +253,103 @@ class TestPipeline:
         marker = tmp_path / "outx" / ".partial"
         assert marker.exists()
         assert "ingest" in marker.read_text()
+
+
+UNEQUAL_SPEC = SynthSpec(
+    samples_per_class={"A": 12, "B": 8, "C": 10},
+    background_genes=20,
+    planted_per_class=6,
+    effect_size=4.0,
+    blocks=(BlockSpec(6, 0.9),),
+    seed=3,
+)
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """A pipeline run with no configured pair on A/B/C labels of unequal sizes."""
+    tmp = tmp_path_factory.mktemp("agree")
+    m, planted, blocks = generate(UNEQUAL_SPEC)
+    write_dataset(m, planted, blocks, tmp / "data")
+    cfg = PipelineConfig(
+        matrix=tmp / "data" / "matrix.tsv", labels=tmp / "data" / "labels.tsv", out=tmp / "run",
+        keep_sites=("C", "A", "B"), k=3, booster=BoosterConfig(n_estimators=4),
+        drop_per_step=3, seed=11,
+    )
+    run_pipeline(cfg)
+    return cfg
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestCliMatchesPipeline:
+    def test_ingest_and_normalize(self, pipeline_run, tmp_path):
+        cfg = pipeline_run
+        assert run("ingest", "--matrix", cfg.matrix, "--labels", cfg.labels,
+                   "--keep-sites", "C,A,B", "--out", tmp_path / "ingest") == 0
+        assert_same_files(tmp_path / "ingest", cfg.out / "ingest")
+        assert set(json.loads((tmp_path / "ingest" / "cleansing.json").read_text())) >= {
+            "n_genes", "n_samples"}
+        assert run("normalize", "--scheme", cfg.scheme, "--in", tmp_path / "ingest",
+                   "--out", tmp_path / "normalize") == 0
+        assert_same_files(tmp_path / "normalize", cfg.out / "normalize")
+
+    def test_gcn(self, pipeline_run, tmp_path):
+        cfg = pipeline_run
+        assert run("gcn", "--in", cfg.out / "normalize",
+                   "--genes", cfg.out / "select" / "set_primary.genes",
+                   "--seed", stage_seed(cfg.seed, "gcn"), "--out", tmp_path / "all") == 0
+        assert (tmp_path / "all" / "partition.json").exists()
+        assert_same_files(tmp_path / "all", cfg.out / "gcn" / "all")
+
+    def test_select_default_pair(self, pipeline_run, tmp_path):
+        cfg = pipeline_run
+        out = tmp_path / "set_refined.genes"
+        assert run("select", "--in", cfg.out / "normalize", "--rule", "combined",
+                   "--threshold", cfg.t_combined, "--out", out) == 0
+        assert out.read_bytes() == (cfg.out / "select" / "set_refined.genes").read_bytes()
+        assert "C_A*C_C" in load_gene_set(out).provenance
+
+    def test_config_with_only_required_keys_takes_dataclass_defaults(self, tmp_path):
+        ini = tmp_path / "min.ini"
+        ini.write_text("[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[run]\nout = o\n")
+        assert load_config(ini) == PipelineConfig("m.tsv", "l.tsv", "o")
+
+
+class TestDefaultPair:
+    def test_ln_bone_first(self):
+        assert default_pair(["Liver"] * 5 + ["Bone", "LN"]) == ("LN", "Bone")
+
+    def test_two_largest_classes_then_name(self):
+        assert default_pair(["A"] * 2 + ["B"] * 3 + ["C"] * 3) == ("B", "C")
+
+
+class TestMalformedText:
+    @pytest.mark.parametrize("factors", ["A", "A:x", "A:1,:2"])
+    def test_bad_factors_exit_1(self, dataset, tmp_path, caplog, factors):
+        assert run("folds", "--in", dataset, "--factors", factors,
+                   "--out", tmp_path / "plan.json") == 1
+        assert any(repr(factors) in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("sweep", ["0.4:0.9", "a:b:c", "0.4:0.9:0.1:0.2"])
+    def test_bad_sweep_flag_is_usage_error(self, dataset, tmp_path, sweep):
+        with pytest.raises(SystemExit) as exc:
+            run("gcn", "--in", dataset, "--genes", tmp_path / "g.genes", "--sweep", sweep,
+                "--out", tmp_path / "gcn")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("section,line", [
+        ("folds", "factors = LN"), ("select", "sweep = a:b:c"), ("gcn", "sweep = 0.4:0.9"),
+    ])
+    def test_bad_config_text_exits_1(self, tmp_path, caplog, section, line):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[run]\nout = o\n\n"
+                       f"[{section}]\n{line}\n")
+        assert run("pipeline", "--config", ini) == 1
+        bad = line.split(" = ")[1]
+        assert any(repr(bad) in r.message for r in caplog.records)

@@ -6,12 +6,16 @@ the all-cohort network, two cohort networks and one skipped cohort, in about a s
 import hashlib
 import json
 
+import pytest
+
 from coexpress.booster import BoosterConfig
 from coexpress.pipeline import PipelineConfig, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
 # sha256 of the MANIFEST `outputs` map (path -> sha256) of the golden run
 GOLDEN_OUTPUTS = "14a5861bc6b4a58002387e7e103d134306ccfcb1b3c66514f17872b5fea39dd9"
+# sha256 of the whole MANIFEST.json (config echo, seeds, threads, inputs, outputs; no paths)
+GOLDEN_MANIFEST = "6a41ac92e67b5d3fe00b5fb2ebcafcf8f95eb58ba97ac5ad813b42e7b9bd89cf"
 
 GOLDEN_SPEC = SynthSpec(
     samples_per_class={"LN": 18, "Bone": 14, "Liver": 10},
@@ -35,11 +39,19 @@ def run_golden(tmp_path):
         drop_per_step=2,
         seed=13,
     )
-    return json.loads(run_pipeline(cfg).read_text())["outputs"]
+    return run_pipeline(cfg)
+
+
+@pytest.fixture(scope="module")
+def golden_manifest(tmp_path_factory):
+    return run_golden(tmp_path_factory.mktemp("golden"))
 
 
 class TestGoldenPipeline:
-    def test_manifest_outputs_unchanged(self, tmp_path):
-        outputs = run_golden(tmp_path)
+    def test_manifest_outputs_unchanged(self, golden_manifest):
+        outputs = json.loads(golden_manifest.read_text())["outputs"]
         digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
         assert digest == GOLDEN_OUTPUTS
+
+    def test_manifest_bytes_unchanged(self, golden_manifest):
+        assert hashlib.sha256(golden_manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST
