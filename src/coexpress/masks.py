@@ -180,6 +180,10 @@ def default_pair(labels: Sequence[str]) -> tuple[str, str]:
 
 
 def _resolve_pair(mc: MaskCorrelations, pair: tuple[str, str]) -> tuple[str, str]:
+    if len(pair) != 2:
+        raise ValidationError(
+            f"discriminand pair must name exactly two sites, got {len(pair)}: {','.join(pair)!r}"
+        )
     a, b = pair
     for s in (a, b):
         if s not in mc.sites:

@@ -221,9 +221,14 @@ def write_matrix(m: ExpressionMatrix, matrix_path: str | Path, labels_path: str 
     with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter="\t", lineterminator="\n")
         w.writerow(["gene_id", *m.sample_ids])
+        # Only the gene ID goes through csv quoting: a float's repr never needs it.
+        # Written as a row of (ID, "") it comes out quoted as in the full row, plus a tab.
+        id_cell = csv.writer(fh, delimiter="\t", lineterminator="")
+        id_row = ("",) if m.n_samples else ()
         # one row at a time: a whole-matrix tolist() would hold every cell as a Python float
         for gid, row in zip(m.gene_ids, m.values):
-            w.writerow([gid, *map(repr, row.tolist())])
+            id_cell.writerow((gid, *id_row))
+            fh.write("\t".join(map(repr, row.tolist())) + "\n")
     with open(labels_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter="\t", lineterminator="\n")
         w.writerow(["sample_id", "site"])

@@ -130,6 +130,14 @@ _CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
 }
 
 
+def _read_key(section: str, key: str, parse: Callable[[str], object], text: str) -> object:
+    try:
+        return parse(text)
+    except ValueError:
+        kind = {int: "a whole number", float: "a number"}.get(parse, parse.__name__)
+        raise ValidationError(f"config [{section}] {key} = {text!r} is not {kind}") from None
+
+
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> PipelineConfig:
     """Read the INI-style config; `overrides` (flag values) win over file keys.
 
@@ -150,14 +158,14 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     for (section, key), (name, parse) in _CONFIG_KEYS.items():
         text = get(section, key)
         if text:
-            kwargs[name] = parse(text)
+            kwargs[name] = _read_key(section, key, parse, text)
     if not {"matrix", "labels", "out"} <= kwargs.keys():
         raise ValidationError("config must provide input.matrix, input.labels, run.out")
     booster = {}
     for name, default in hyperparameters(BoosterConfig()).items():
         text = get("booster", name)
         if text:
-            booster[name] = type(default)(text)
+            booster[name] = _read_key("booster", name, type(default), text)
     return PipelineConfig(booster=BoosterConfig(**booster), **kwargs)
 
 

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.cli import main
+from coexpress.errors import ValidationError
 from coexpress.masks import default_pair, load_gene_set
 from coexpress.matrix import load_matrix
 from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
@@ -353,3 +355,30 @@ class TestMalformedText:
         assert run("pipeline", "--config", ini) == 1
         bad = line.split(" = ")[1]
         assert any(repr(bad) in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("section,key,text", [("folds", "k", "ten"), ("booster", "max_depth", "3.0")])
+    def test_bad_config_scalar_names_section_and_key(self, tmp_path, caplog, section, key, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[run]\nout = o\n\n"
+                       f"[{section}]\n{key} = {text}\n")
+        named = f"[{section}] {key} = {text!r}"
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            load_config(ini)
+        assert run("pipeline", "--config", ini) == 1
+        assert any(named in r.message for r in caplog.records)
+
+
+class TestOneSitePair:
+    def test_select_flag_exits_1(self, dataset, tmp_path, caplog):
+        assert run("select", "--in", dataset, "--rule", "combined", "--pair", "A",
+                   "--out", tmp_path / "x.genes") == 1
+        assert any("exactly two sites" in r.message for r in caplog.records)
+
+    def test_config_pair_fails_select_stage(self, pipeline_config, caplog):
+        tmp_path, write_cfg = pipeline_config
+        cfg = write_cfg("onesite")
+        cfg.write_text(cfg.read_text().replace("pair = A,B", "pair = LN"))
+        assert run("pipeline", "--config", cfg) == 1
+        assert "select" in (tmp_path / "onesite" / ".partial").read_text()
+        assert any("stage 'select' failed" in r.message and "exactly two sites" in r.message
+                   for r in caplog.records)
