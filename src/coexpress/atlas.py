@@ -31,11 +31,11 @@ def tier_genes(sets: Sequence[GeneSet]) -> dict[str, int]:
     """Disjoint tier per gene from strictly nested sets (smallest first).
 
     tier(g) is the index of the smallest set containing g; genes only in the
-    largest set get the outermost tier. Raises unless each set is a strict
-    subset of the next.
+    largest set get the outermost tier, and a single set is one tier. Raises
+    unless each set is a strict subset of the next.
     """
-    if len(sets) < 2:
-        raise ValidationError("need at least 2 nested sets")
+    if not sets:
+        raise ValidationError("need at least 1 gene set")
     as_sets = [set(s.gene_ids) for s in sets]
     for a, b in zip(as_sets, as_sets[1:]):
         if not a < b:
@@ -156,22 +156,20 @@ def export_atlas(
     tiers: Mapping[str, int],
     key_index: Mapping[str, int],
     out_dir: str | Path,
-    tier_labels: Sequence[str] | None = None,
 ) -> None:
     """Write per-cohort community CSVs, a summary CSV, and colored GraphML
     files for every (target, reference) cohort pair.
 
-    Node size tiers in the GraphML run largest for tier 0 (most important).
+    The tier columns are named by CANONICAL_TIER_LABELS for four tiers, else
+    tier0, tier1, ...; node size tiers in the GraphML run largest for tier 0
+    (most important).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_tiers = max(tiers.values()) + 1 if tiers else 0
-    if tier_labels is None:
-        tier_labels = (
-            CANONICAL_TIER_LABELS if n_tiers == 4 else tuple(f"tier{k}" for k in range(n_tiers))
-        )
-    if len(tier_labels) != n_tiers:
-        raise ValidationError("one label per tier required")
+    tier_labels = (
+        CANONICAL_TIER_LABELS if n_tiers == 4 else tuple(f"tier{k}" for k in range(n_tiers))
+    )
 
     for entry in entries:
         with open(out / f"{entry.cohort}_communities.csv", "w", newline="", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ from . import __version__
 from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train as train_booster
 from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, ValidationError
-from .folds import oversample, save_plan, stratified_folds
+from .folds import save_plan
 from .masks import (
     build_masks,
     default_pair,
@@ -26,9 +26,11 @@ from .matrix import ExpressionMatrix, load_matrix
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
     PipelineConfig,
+    _atlas,
     _cohort_network,
     _csv_list,
     _export_network,
+    _fold_plan,
     _ingest,
     _normalize,
     _parse_factors,
@@ -39,7 +41,7 @@ from .pipeline import (
 )
 from .rfe import recursive_eliminate
 from .synthetic import generate, spec_from_json, write_dataset
-from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
+from .atlas import CommunityNetwork, tier_genes
 
 logger = logging.getLogger("coexpress")
 
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("folds", parents=[common], help="build a stratified fold plan")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--k", type=int, default=PipelineConfig.k)
-    p.add_argument("--factors", default=None,
+    p.add_argument("--factors", default="",
                    help="extra copies per site, SITE:N,..., e.g. LN:1,Bone:2,Liver:5")
     p.add_argument("--out", required=True, help="plan JSON path")
 
@@ -137,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=PipelineConfig.k)
     p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
     p.add_argument("--drop", type=int, default=PipelineConfig.drop_per_step)
-    p.add_argument("--factors", default=None)
+    p.add_argument("--factors", default="")
     _add_booster_flags(p)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -225,13 +227,9 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _fold_plan(args, m: ExpressionMatrix):
-    plan = stratified_folds(m.labels, args.k, args.seed)
-    return oversample(plan, _parse_factors(args.factors)) if args.factors else plan
-
-
 def _cmd_folds(args) -> int:
-    save_plan(_fold_plan(args, _load_bundle(args.indir)), args.out)
+    m = _load_bundle(args.indir)
+    save_plan(_fold_plan(m.labels, args.k, args.seed, _parse_factors(args.factors)), args.out)
     return 0
 
 
@@ -247,8 +245,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_rfe(args) -> int:
     m = _load_bundle(args.indir)
+    plan = _fold_plan(m.labels, args.k, args.seed, _parse_factors(args.factors))
     trace = recursive_eliminate(
-        m, load_gene_set(args.genes), _fold_plan(args, m), _booster_from_args(args),
+        m, load_gene_set(args.genes), plan, _booster_from_args(args),
         drop_per_step=args.drop, repeats=args.repeats,
     )
     _write_rfe(Path(args.out), trace.best.report, trace.best.genes, trace)
@@ -260,7 +259,7 @@ def _cmd_rfe(args) -> int:
 def _cmd_gcn(args) -> int:
     m = _load_bundle(args.indir)
     g, p, table = _cohort_network(
-        m, load_gene_set(args.genes), args.cohort, args.sweep, args.seed, args.threads, args.override
+        m, load_gene_set(args.genes), args.cohort, args.sweep, args.seed, args.override
     )
     _export_network(Path(args.out), g, p, table)
     logger.info("threshold %.3g: %d edges, %d communities, Q=%.4f",
@@ -278,10 +277,9 @@ def _cmd_atlas(args) -> int:
     networks = {}
     for cohort in cohorts:
         site = None if cohort == "all" else cohort
-        g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed, args.threads)
+        g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed)
         networks[cohort] = CommunityNetwork(g, p)
-    entries = build_atlas(networks, tiers, key_index, n_tiers=len(nested))
-    export_atlas(entries, networks, tiers, key_index, args.out)
+    _atlas(tiers, networks, key_index, Path(args.out))
     return 0
 
 

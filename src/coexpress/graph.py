@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,19 +42,18 @@ class WeightedGeneGraph:
             raise ValidationError("weights must be finite and lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneGraph:
     """Simple undirected graph over gene nodes; edges are index pairs (u < v).
 
     `edges` may be given as pairs or as an (E, 2) integer array, in any order
-    and orientation; it is stored as a sorted tuple of unique int pairs.
+    and orientation; it is stored as a read-only (E, 2) int64 array of unique
+    pairs, each with u < v, sorted by (u, v). Graphs compare by identity.
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     threshold: float | None = None
-    # the stored edges as a read-only (E, 2) int64 array, for vectorized counts
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -74,8 +73,7 @@ class GeneGraph:
             key = np.unique(key)  # sorted, duplicates collapsed
         pairs = np.column_stack(np.divmod(key, max(n, 1)))
         pairs.flags.writeable = False
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "edges", tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())))
+        object.__setattr__(self, "edges", pairs)
 
     @property
     def n_nodes(self) -> int:
@@ -87,13 +85,13 @@ class GeneGraph:
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.nodes]
-        for u, v in self.edges:
+        for u, v in self.edges.tolist():
             adj[u].add(v)
             adj[v].add(u)
         return adj
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self._pairs.ravel(), minlength=self.n_nodes)
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
     def isolated_nodes(self) -> tuple[str, ...]:
         deg = self.degrees()
@@ -189,10 +187,11 @@ def connected_components(g: GeneGraph) -> list[list[int]]:
 
 def subgraph(g: GeneGraph, node_indices: Sequence[int]) -> GeneGraph:
     idx = sorted(set(int(i) for i in node_indices))
-    pos = {old: new for new, old in enumerate(idx)}
-    edges = tuple(
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
-    )
+    pos = np.full(g.n_nodes, -1, dtype=np.int64)
+    pos[idx] = np.arange(len(idx))
+    ends = pos[g.edges]
+    # pos is increasing over the kept nodes, so the kept rows stay sorted
+    edges = ends[(ends >= 0).all(axis=1)]
     return GeneGraph(tuple(g.nodes[i] for i in idx), edges, threshold=g.threshold)
 
 
@@ -222,7 +221,7 @@ def modularity(g: GeneGraph, p: Partition | Sequence[int]) -> float:
     if membership.min() < 0:
         raise ValidationError("community labels must be >= 0")
     n_comm = int(membership.max()) + 1
-    ends = membership[g._pairs]
+    ends = membership[g.edges]
     intra = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=n_comm).astype(np.float64)
     degree = np.bincount(ends.ravel(), minlength=n_comm).astype(np.float64)
     return float(np.sum(intra / m - (degree / (2.0 * m)) ** 2))
@@ -369,7 +368,7 @@ def _exact_partition(g: GeneGraph, core: list[int]) -> list[int]:
     """
     m = float(g.n_edges)
     core_pos = {v: i for i, v in enumerate(core)}
-    edges = [(core_pos[u], core_pos[v]) for u, v in g.edges]
+    edges = [(core_pos[u], core_pos[v]) for u, v in g.edges.tolist()]
     deg = [0] * len(core)
     for u, v in edges:
         deg[u] += 1
@@ -480,7 +479,7 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
         final = [relabel[c] for c in per_node]
         return Partition(tuple(final), len(relabel), modularity(g, final))
     # level 0 in canonical space: both directions of every edge, sorted by source
-    ends = rank[g._pairs]
+    ends = rank[g.edges]
     src, dst = np.concatenate((ends, ends[:, ::-1])).T
     by_src = np.argsort(src, kind="stable")
     nbrs, wts = _neighbor_lists(src[by_src], dst[by_src], np.ones(src.size, dtype=np.int64), n)
@@ -611,14 +610,9 @@ class NetworkSummary:
 
 def network_summary(g: GeneGraph, p: Partition | None = None) -> NetworkSummary:
     """Node/edge counts, average degree, modularity, component and community sizes."""
-    comps = connected_components(g) if g.n_nodes else []
-    comp_sizes = tuple(sorted((len(c) for c in comps), reverse=True))
-    if p is not None and g.n_edges > 0:
-        q = p.q
-        comm_sizes = tuple(sorted((len(c) for c in p.communities()), reverse=True))
-    else:
-        q = 0.0
-        comm_sizes = tuple(sorted((len(c) for c in p.communities()), reverse=True)) if p else ()
+    comp_sizes = tuple(sorted((len(c) for c in connected_components(g)), reverse=True))
+    q = p.q if p is not None and g.n_edges else 0.0
+    comm_sizes = tuple(sorted((len(c) for c in p.communities()), reverse=True)) if p else ()
     avg_deg = 2.0 * g.n_edges / g.n_nodes if g.n_nodes else 0.0
     return NetworkSummary(g.n_nodes, g.n_edges, avg_deg, q, comp_sizes, comm_sizes)
 
@@ -626,7 +620,7 @@ def network_summary(g: GeneGraph, p: Partition | None = None) -> NetworkSummary:
 def write_edge_list(g: GeneGraph, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("src\tdst\n")
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             fh.write(f"{g.nodes[u]}\t{g.nodes[v]}\n")
 
 
@@ -686,7 +680,7 @@ def write_graphml(
                 out.append(f'    <node id="{gid}">\n{"".join(data)}    </node>\n')
             else:
                 out.append(f'    <node id="{gid}" />\n')
-        out.extend(f'    <edge source="{ids[u]}" target="{ids[v]}" />\n' for u, v in g.edges)
+        out.extend(f'    <edge source="{ids[u]}" target="{ids[v]}" />\n' for u, v in g.edges.tolist())
         out.append("  </graph>\n")
     out.append("</graphml>")
     with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:

@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .atlas import CANONICAL_TIER_LABELS, CommunityNetwork, build_atlas, export_atlas, tier_genes
+from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
 from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train
 from .errors import GraphError, StageError, ValidationError
 from .folds import FoldPlan, oversample, save_plan, stratified_folds
@@ -271,13 +271,17 @@ def _cohort_network(
     cohort: str | None,
     sweep: tuple[float, float, float],
     seed: int,
-    threads: int,
     override: float | None = None,
 ):
     """The |Pearson| network of `genes` over `cohort`'s samples (None = all) at
     the modularity-best threshold of `sweep`: (graph, partition, sweep table)."""
     wg = build_weighted(m, genes, cohort)
-    return select_threshold(wg, *sweep, override=override, seed=seed, threads=threads)
+    return select_threshold(wg, *sweep, override=override, seed=seed)
+
+
+def _fold_plan(labels: Sequence[str], k: int, seed: int, factors: Mapping[str, int]) -> FoldPlan:
+    """Stratified k-fold plan with `factors[site]` extra copies of each sample of that site."""
+    return oversample(stratified_folds(labels, k, seed), factors)
 
 
 def _export_network(d: Path, g, p, table) -> None:
@@ -294,6 +298,13 @@ def _export_network(d: Path, g, p, table) -> None:
         ),
         encoding="utf-8",
     )
+
+
+def _atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
+           key_index: Mapping[str, int], d: Path) -> None:
+    """Build the atlas of `networks` over the gene tiers (`tier_genes`) and write it into `d`."""
+    entries = build_atlas(networks, tiers, key_index, max(tiers.values()) + 1)
+    export_atlas(entries, networks, tiers, key_index, d)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +339,9 @@ def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
 def _stage_folds(cfg: PipelineConfig, st: dict, out: Path) -> None:
     m = st["norm"]
     seed = stage_seed(cfg.seed, "folds")
-    raw = stratified_folds(m.labels, cfg.k, seed)
     factors = cfg.factors if cfg.factors is not None else derive_factors(m.labels)
-    balanced = oversample(raw, factors)
+    raw = _fold_plan(m.labels, cfg.k, seed, {})
+    balanced = _fold_plan(m.labels, cfg.k, seed, factors)
     d = out / "folds"
     d.mkdir(parents=True, exist_ok=True)
     save_plan(raw, d / "plan_raw.json")
@@ -400,7 +411,7 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
     seed = stage_seed(cfg.seed, "gcn")
     d = out / "gcn"
 
-    g_all, p_all, table_all = _cohort_network(m, st["primary"], None, cfg.gcn_sweep, seed, cfg.threads)
+    g_all, p_all, table_all = _cohort_network(m, st["primary"], None, cfg.gcn_sweep, seed)
     _export_network(d / "all", g_all, p_all, table_all)
     networks: dict[str, CommunityNetwork] = {"all": CommunityNetwork(g_all, p_all)}
 
@@ -409,7 +420,7 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
     cohorts = cfg.cohorts if cfg.cohorts is not None else tuple(dict.fromkeys(m.labels))
     for site in cohorts:
         try:
-            g, p, table = _cohort_network(m, giant_genes, site, cfg.gcn_sweep, seed, cfg.threads)
+            g, p, table = _cohort_network(m, giant_genes, site, cfg.gcn_sweep, seed)
         except (GraphError, ValidationError) as exc:
             logger.warning("cohort %r network skipped: %s", site, exc)
             continue
@@ -420,11 +431,7 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 def _stage_atlas(cfg: PipelineConfig, st: dict, out: Path) -> None:
     nested = _nested_sets([st["key_set"], st["rfe_raw_best"], st["refined"], st["primary"]])
-    tiers = tier_genes(nested) if len(nested) >= 2 else {g: 0 for g in nested[0].gene_ids}
-    n_tiers = max(tiers.values()) + 1
-    labels = CANONICAL_TIER_LABELS if n_tiers == 4 else None
-    entries = build_atlas(st["networks"], tiers, st["key_index"], n_tiers)
-    export_atlas(entries, st["networks"], tiers, st["key_index"], out / "atlas", labels)
+    _atlas(tier_genes(nested), st["networks"], st["key_index"], out / "atlas")
 
 
 STAGES: tuple[tuple[str, Callable[[PipelineConfig, dict, Path], None]], ...] = (

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
+from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
 from coexpress.normalize import NormalizationScheme, normalize_matrix
-from coexpress.synthetic import SynthSpec, generate
+from coexpress.synthetic import BlockSpec, SynthSpec, generate
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # the same examples on every run, and no timing failures on a loaded host
+    settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+    settings.load_profile("deterministic")
 
 # Planted fixture shared across tests: 3 balanced classes, 60 samples,
 # 50 background + 10 planted genes per class, 3-sigma effect.
@@ -25,6 +35,24 @@ def planted_bundle():
 def planted_rank(planted_bundle):
     m, planted, blocks = planted_bundle
     return normalize_matrix(m, NormalizationScheme("rank")), planted
+
+
+@pytest.fixture(scope="session")
+def golden_atlas_input():
+    """The pinned atlas input: three sites with four co-expression blocks, and
+    four nested tiers (5 < 13 < 34 < every gene) from a seeded permutation."""
+    spec = SynthSpec(
+        samples_per_class={"LN": 30, "Bone": 20, "Liver": 12},
+        background_genes=36,
+        planted_per_class=0,
+        blocks=(BlockSpec(12, 0.95), BlockSpec(10, 0.85), BlockSpec(8, 0.75),
+                BlockSpec(6, 0.7)),
+        seed=7,
+    )
+    m, _, _ = generate(spec)
+    order = np.random.default_rng(7).permutation(m.n_genes)
+    ids = [m.gene_ids[i] for i in order]
+    return m, [GeneSet(f"tier{n}", tuple(ids[:n])) for n in (5, 13, 34, m.n_genes)]
 
 
 @pytest.fixture

@@ -366,5 +366,5 @@ def test_criterion_9_sweep_semantics():
     # the winning graph is the clean two-clique split
     assert p.n_communities == 2
     assert p.q == pytest.approx(0.5, abs=1e-12)
-    assert g.edges == threshold_graph(wg, g.threshold).edges
+    assert np.array_equal(g.edges, threshold_graph(wg, g.threshold).edges)
     _report(9, f"26-row sweep, argmax t={g.threshold} with Q={p.q:.3f}")

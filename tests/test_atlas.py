@@ -28,7 +28,6 @@ from coexpress.graph import (
 )
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
-from coexpress.synthetic import BlockSpec, SynthSpec, generate
 
 
 def gs(name, *genes):
@@ -249,19 +248,8 @@ GOLDEN_ATLAS_DIGEST = "0602c04b7812418e78aec490521b1ae7b71ba053ee1a83414bc52b378
 
 
 class TestGoldenAtlas:
-    def test_atlas_bytes_unchanged(self, tmp_path):
-        spec = SynthSpec(
-            samples_per_class={"LN": 30, "Bone": 20, "Liver": 12},
-            background_genes=36,
-            planted_per_class=0,
-            blocks=(BlockSpec(12, 0.95), BlockSpec(10, 0.85), BlockSpec(8, 0.75),
-                    BlockSpec(6, 0.7)),
-            seed=7,
-        )
-        m, _, _ = generate(spec)
-        order = np.random.default_rng(7).permutation(m.n_genes)
-        ids = [m.gene_ids[i] for i in order]
-        nested = [GeneSet(f"tier{n}", tuple(ids[:n])) for n in (5, 13, 34, m.n_genes)]
+    def test_atlas_bytes_unchanged(self, tmp_path, golden_atlas_input):
+        m, nested = golden_atlas_input
         tiers = tier_genes(nested)
         key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
         networks, payload = {}, {}
@@ -271,7 +259,7 @@ class TestGoldenAtlas:
             networks[cohort] = CommunityNetwork(g, p)
             payload[cohort] = {
                 "threshold": repr(g.threshold),
-                "edges": [list(e) for e in g.edges],
+                "edges": g.edges.tolist(),
                 "q": repr(p.q),
                 "membership": list(p.membership),
                 "sweep": [[repr(r.threshold), repr(r.modularity), r.n_edges, r.n_communities]

@@ -154,6 +154,16 @@ class TestSubcommands:
         assert (out / "summary.csv").exists()
         assert (out / "all_colored_by_A.graphml").exists()
 
+    def test_atlas_single_nested_set_is_one_tier(self, dataset, tmp_path):
+        blocks = json.loads((dataset / "blocks.json").read_text())
+        genes = tmp_path / "all.genes"
+        genes.write_text("\n".join(blocks["block0"]) + "\n")
+        out = tmp_path / "atlas"
+        assert run("atlas", "--in", dataset, "--nested", genes, "--cohorts", "all",
+                   "--sweep", "0.4:0.9:0.05", "--out", out) == 0
+        header = (out / "all_communities.csv").read_text().splitlines()[0]
+        assert header == "community_rank,size,tier0,key_indices"
+
 
 class TestErrors:
     def test_missing_label_file_names_path(self, dataset, tmp_path, caplog):

@@ -223,7 +223,7 @@ class TestThresholdGraph:
 
     def test_boundary_edge_kept(self):
         g = threshold_graph(self._wg(), 0.5)
-        assert (0, 1) in g.edges  # weight exactly at the threshold stays
+        assert [0, 1] in g.edges.tolist()  # weight exactly at the threshold stays
 
     def test_isolated_nodes_logged_only_at_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="coexpress.graph"):
@@ -242,7 +242,7 @@ class TestThresholdGraph:
         wg = WeightedGeneGraph(tuple(f"g{i}" for i in range(n)), w)
         prev = None
         for t in (0.2, 0.4, 0.6, 0.8):
-            edges = set(threshold_graph(wg, t).edges)
+            edges = set(map(tuple, threshold_graph(wg, t).edges.tolist()))
             if prev is not None:
                 assert edges <= prev
             prev = edges
@@ -254,7 +254,7 @@ class TestThresholdOracle:
     @staticmethod
     def brute_force(w, t):
         n = w.shape[0]
-        return tuple((i, j) for i in range(n) for j in range(i + 1, n) if w[i, j] >= t)
+        return [[i, j] for i in range(n) for j in range(i + 1, n) if w[i, j] >= t]
 
     def test_matches_double_loop_on_random_matrices(self):
         rng = np.random.default_rng(11)
@@ -272,9 +272,9 @@ class TestThresholdOracle:
             wg = WeightedGeneGraph(tuple(f"g{i}" for i in range(n)), w)
             for t in thresholds:
                 g = threshold_graph(wg, t)
-                assert g.edges == self.brute_force(w, t)
+                assert g.edges.tolist() == self.brute_force(w, t)
                 assert g.threshold == t
-                assert all(type(x) is int for e in g.edges for x in e)
+                assert g.edges.dtype == np.int64
 
 
 class TestGeneGraphNormalisation:
@@ -282,8 +282,8 @@ class TestGeneGraphNormalisation:
     def test_reversed_duplicates_collapse_and_sort(self, as_array):
         edges = ((2, 0), (0, 2), (1, 3), (3, 1), (0, 1))
         g = GeneGraph(tuple("abcd"), np.array(edges) if as_array else edges)
-        assert g.edges == ((0, 1), (0, 2), (1, 3))
-        assert isinstance(g.edges, tuple) and all(isinstance(e, tuple) for e in g.edges)
+        assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 3]])
+        assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
 
     @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("edges", [((1, 1),), ((0, 3),), ((-1, 0),), ((0, 1), (2, 2))])
@@ -291,16 +291,16 @@ class TestGeneGraphNormalisation:
         with pytest.raises(ValidationError):
             GeneGraph(("a", "b", "c"), np.array(edges) if as_array else edges)
 
-    def test_numpy_int_endpoints_become_python_int(self):
+    def test_numpy_int_endpoints_become_int64(self):
         for edges in (((np.int32(1), np.int64(0)),), np.array([[1, 0]], dtype=np.uint16)):
             g = GeneGraph(("a", "b"), edges)
-            assert g.edges == ((0, 1),)
-            assert all(type(x) is int for x in g.edges[0])
+            assert g.edges.tolist() == [[0, 1]]
+            assert g.edges.dtype == np.int64
 
     @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2), dtype=np.int64)])
     def test_empty_edges(self, edges):
         g = GeneGraph(("a", "b"), edges)
-        assert g.edges == () and g.n_edges == 0
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64 and g.n_edges == 0
         assert g.degrees().tolist() == [0, 0]
         assert g.isolated_nodes() == ("a", "b")
 
@@ -322,7 +322,7 @@ class TestComponents:
     def test_connected_graph_is_its_own_giant(self):
         giant = giant_component(BARBELL)
         assert giant.nodes == BARBELL.nodes
-        assert giant.edges == BARBELL.edges
+        assert np.array_equal(giant.edges, BARBELL.edges)
 
     def test_empty_edges_smallest_id_singleton(self):
         g = GeneGraph(("z", "m", "a"), ())
@@ -616,6 +616,34 @@ class TestGoldenCommunities:
         assert checked >= 40
 
 
+def disconnected_communities(g: GeneGraph, p) -> list[list[int]]:
+    """The communities of p whose members do not induce a connected subgraph of g."""
+    return [c for c in p.communities() if len(connected_components(subgraph(g, c))) != 1]
+
+
+class TestCommunitiesConnected:
+    """Louvain's local moves alone can leave a community disconnected (Traag,
+    Waltman & van Eck 2019, arXiv:1810.08473); none of these graphs does."""
+
+    def test_golden_family(self):
+        for name, g in golden_community_graphs():
+            for seed in (0, 1, 7):
+                assert disconnected_communities(g, detect_communities(g, seed=seed)) == [], name
+
+    def test_atlas_sweep_graphs(self, golden_atlas_input):
+        m, nested = golden_atlas_input
+        checked = 0
+        for cohort in ("all", "LN", "Bone", "Liver"):
+            wg = build_weighted(m, nested[-1], None if cohort == "all" else cohort)
+            for t in sweep_thresholds(0.4, 0.9, 0.02):
+                g = threshold_graph(wg, t)
+                if g.n_edges:
+                    p = detect_communities(g, seed=3)
+                    assert disconnected_communities(g, p) == [], (cohort, t)
+                    checked += 1
+        assert checked == 104
+
+
 def two_clique_weighted(n_per=5, intra1=0.75, intra2=0.65, inter=0.42):
     """Two cliques that both survive mid thresholds; only clique 1 survives 0.7."""
     n = 2 * n_per
@@ -645,7 +673,7 @@ class TestSelectThreshold:
         # ties go to the smallest threshold whose Q equals the maximum exactly
         first_argmax = next(r.threshold for r in table if r.modularity == best)
         assert g.threshold == first_argmax
-        assert g.edges == threshold_graph(wg, first_argmax).edges
+        assert np.array_equal(g.edges, threshold_graph(wg, first_argmax).edges)
         assert g.threshold == pytest.approx(0.44)
         assert p.n_communities == 2
 
@@ -658,7 +686,7 @@ class TestSelectThreshold:
     def test_override_bypasses_sweep(self):
         wg = two_clique_weighted()
         g, p, table = select_threshold(wg, 0.4, 0.9, 0.02, override=0.56, seed=0)
-        assert g.edges == threshold_graph(wg, 0.56).edges
+        assert np.array_equal(g.edges, threshold_graph(wg, 0.56).edges)
         assert len(table) == 1 and table[0].threshold == 0.56
 
     def test_all_empty_rejected(self):
@@ -670,7 +698,7 @@ class TestSelectThreshold:
         wg = two_clique_weighted()
         g1, p1, t1 = select_threshold(wg, 0.4, 0.9, 0.02, seed=0, threads=1)
         g4, p4, t4 = select_threshold(wg, 0.4, 0.9, 0.02, seed=0, threads=4)
-        assert g1.edges == g4.edges and p1 == p4 and t1 == t4
+        assert np.array_equal(g1.edges, g4.edges) and p1 == p4 and t1 == t4
 
 
 class TestSummaryAndExports:

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from coexpress.booster import BoosterConfig
+from coexpress.errors import StageError
 from coexpress.pipeline import PipelineConfig, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
@@ -55,3 +56,20 @@ class TestGoldenPipeline:
 
     def test_manifest_bytes_unchanged(self, golden_manifest):
         assert hashlib.sha256(golden_manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST
+
+
+class TestNullData:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pure_noise_fails_in_select(self, tmp_path, seed):
+        # paper-shaped cohort, no planted signal: at the default thresholds the
+        # combined rule keeps no gene, so the run stops before any model is fit
+        spec = SynthSpec(samples_per_class={"LN": 90, "Bone": 50, "Liver": 20},
+                         background_genes=1800, planted_per_class=0, seed=seed)
+        m, planted, blocks = generate(spec)
+        write_dataset(m, planted, blocks, tmp_path / "data")
+        cfg = PipelineConfig(tmp_path / "data" / "matrix.tsv", tmp_path / "data" / "labels.tsv",
+                             tmp_path / "run", seed=seed)
+        with pytest.raises(StageError, match="combined selection kept no genes") as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "select"
+        assert not (tmp_path / "run" / "folds").exists()
