@@ -9,7 +9,7 @@ from pathlib import Path
 from . import __version__
 from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train as train_booster
 from .correlation import export_heatmap, group_mean, pairwise
-from .errors import CoexpressError, ValidationError
+from .errors import CoexpressError, GraphError, ValidationError
 from .folds import save_plan
 from .masks import (
     build_masks,
@@ -277,8 +277,14 @@ def _cmd_atlas(args) -> int:
     networks = {}
     for cohort in cohorts:
         site = None if cohort == "all" else cohort
-        g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed)
+        try:
+            g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed)
+        except (GraphError, ValidationError) as exc:
+            logger.warning("cohort %r network skipped: %s", cohort, exc)
+            continue
         networks[cohort] = CommunityNetwork(g, p)
+    if not networks:
+        raise GraphError("no cohort network remains for the atlas")
     _atlas(tiers, networks, key_index, Path(args.out))
     return 0
 

@@ -149,10 +149,7 @@ def group_mean(c: CorrelationMatrix, groups: Sequence[str]) -> GroupMeanTable:
     """
     if len(groups) != len(c.ids):
         raise ValidationError("one class per entity required")
-    classes: list[str] = []
-    for g in groups:
-        if g not in classes:
-            classes.append(g)
+    classes = list(dict.fromkeys(groups))
     idx = {cl: np.flatnonzero(np.asarray(groups, dtype=object) == cl) for cl in classes}
     n = len(classes)
     means = np.full((n, n), np.nan)
@@ -172,13 +169,9 @@ def group_mean(c: CorrelationMatrix, groups: Sequence[str]) -> GroupMeanTable:
 
 def _heatmap_order(c: CorrelationMatrix, groups: Sequence[str]) -> list[int]:
     """Group entities by class; sort within group by descending own-group mean."""
-    classes: list[str] = []
-    for g in groups:
-        if g not in classes:
-            classes.append(g)
     order: list[int] = []
     garr = np.asarray(groups, dtype=object)
-    for cl in classes:
+    for cl in dict.fromkeys(groups):
         members = np.flatnonzero(garr == cl)
         if members.size == 1:
             order.extend(members.tolist())

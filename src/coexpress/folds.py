@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -16,34 +16,32 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Per-sample fold assignment plus the expanded (replicated) index list.
+    """Per-sample fold assignment plus per-site extra copies.
 
-    `assignment[i]` is sample i's fold. `expanded` lists
-    (original sample index, fold index) entries including replicas; every
-    replica carries its original's fold, so no original/replica pair can
-    straddle a train/validation split. `replication` maps site -> extra
-    copies per sample of that site (0 = no replication).
+    `assignment[i]` is sample i's fold. `replication` maps site -> extra
+    copies per sample of that site (0 = no replication; sites absent from it
+    get 0). The replicas are not stored: `expanded` derives them from these
+    two fields, each in its original's fold, so no original/replica pair can
+    straddle a train/validation split.
     """
 
     k: int
     labels: tuple[str, ...]
     assignment: tuple[int, ...]
     replication: dict[str, int]
-    expanded: tuple[tuple[int, int], ...]
     seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "assignment", tuple(int(f) for f in self.assignment))
-        object.__setattr__(self, "expanded", tuple((int(i), int(f)) for i, f in self.expanded))
-        object.__setattr__(self, "replication", dict(self.replication))
+        object.__setattr__(self, "replication", {s: int(f) for s, f in self.replication.items()})
         if len(self.assignment) != len(self.labels):
             raise ValidationError("one fold assignment per sample required")
         if any(not 0 <= f < self.k for f in self.assignment):
             raise ValidationError("fold index out of range")
-        for i, f in self.expanded:
-            if self.assignment[i] != f:
-                raise ValidationError(f"replica of sample {i} violates fold co-location")
+        for site, f in self.replication.items():
+            if f < 0:
+                raise ValidationError(f"extra-copy factor for {site!r} must be >= 0")
         per_class: dict[str, list[int]] = {}
         for i, lab in enumerate(self.labels):
             per_class.setdefault(lab, [0] * self.k)[self.assignment[i]] += 1
@@ -56,6 +54,21 @@ class FoldPlan:
     @property
     def n_samples(self) -> int:
         return len(self.labels)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample index and fold of each row of `expanded`, as two arrays."""
+        copies = [1 + self.replication.get(lab, 0) for lab in self.labels]
+        return (
+            np.repeat(np.arange(self.n_samples, dtype=np.intp), copies),
+            np.repeat(np.asarray(self.assignment, dtype=np.intp), copies),
+        )
+
+    @property
+    def expanded(self) -> tuple[tuple[int, int], ...]:
+        """(original sample index, fold) per row, replicas included: each sample
+        appears 1 + its site's factor times, its rows together, in sample order."""
+        rows, folds = self._rows()
+        return tuple(zip(rows.tolist(), folds.tolist()))
 
 
 def stratified_folds(labels: Sequence[str], k: int, seed: int) -> FoldPlan:
@@ -73,48 +86,36 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> FoldPlan:
         raise ValidationError(f"k={k} exceeds sample count {n}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.intp)
-    classes: list[str] = []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
-    for cl in classes:
+    for cl in dict.fromkeys(labels):
         idx = np.array([i for i, lab in enumerate(labels) if lab == cl], dtype=np.intp)
         if idx.size < k:
             logger.warning("class %r has %d members for %d folds", cl, idx.size, k)
         rng.shuffle(idx)
         for pos, i in enumerate(idx):
             assignment[i] = pos % k
-    expanded = tuple((i, int(assignment[i])) for i in range(n))
-    return FoldPlan(k, labels, tuple(int(f) for f in assignment), {}, expanded, seed)
+    return FoldPlan(k, labels, assignment.tolist(), {}, seed)
 
 
 def oversample(plan: FoldPlan, factors: Mapping[str, int]) -> FoldPlan:
-    """Add extra copies of each sample per its site's factor, co-located in its fold.
-
-    A factor of f adds f extra copies (the sample then appears f+1 times in
+    """The plan with `factors` as its replication: f extra copies of each
+    sample of the site, in the sample's fold (it then appears f+1 times in
     `expanded`). Factors must be >= 0; sites absent from `factors` get 0.
     """
-    for site, f in factors.items():
-        if f < 0:
-            raise ValidationError(f"extra-copy factor for {site!r} must be >= 0")
-    expanded: list[tuple[int, int]] = []
-    for i, lab in enumerate(plan.labels):
-        copies = 1 + int(factors.get(lab, 0))
-        expanded.extend((i, plan.assignment[i]) for _ in range(copies))
-    return FoldPlan(plan.k, plan.labels, plan.assignment, dict(factors), tuple(expanded), plan.seed)
+    return replace(plan, replication=factors)
 
 
 def cv_split(plan: FoldPlan, validation_fold: int) -> tuple[np.ndarray, np.ndarray]:
     """(train indices, validation indices) over the expanded list.
 
-    Indices are original sample indices, repeated per replica. The two sides
-    partition `expanded`, and no original/replica pair straddles the split.
+    Indices are original sample indices, repeated per replica, in `expanded`
+    order. The two sides partition `expanded`, and no original/replica pair
+    straddles the split.
     """
     if not 0 <= validation_fold < plan.k:
         raise ValidationError(f"validation fold {validation_fold} out of range for k={plan.k}")
-    train = np.array([i for i, f in plan.expanded if f != validation_fold], dtype=np.intp)
-    val = np.array([i for i, f in plan.expanded if f == validation_fold], dtype=np.intp)
-    return train, val
+    rows, folds = plan._rows()
+    held = folds == validation_fold
+    return rows[~held], rows[held]
 
 
 def plan_to_json(plan: FoldPlan) -> str:
@@ -130,15 +131,21 @@ def plan_to_json(plan: FoldPlan) -> str:
 
 
 def plan_from_json(text: str) -> FoldPlan:
+    """Read a plan written by `plan_to_json`. The file's `expanded` list must
+    equal the one its assignment and replication derive."""
     d = json.loads(text)
-    return FoldPlan(
+    plan = FoldPlan(
         k=int(d["k"]),
         labels=tuple(d["labels"]),
         assignment=tuple(int(x) for x in d["assignment"]),
         replication={str(k): int(v) for k, v in d["replication"].items()},
-        expanded=tuple((int(i), int(f)) for i, f in d["expanded"]),
         seed=int(d["seed"]),
     )
+    if tuple((int(i), int(f)) for i, f in d["expanded"]) != plan.expanded:
+        raise ValidationError(
+            "plan file's expanded list does not match its assignment and replication"
+        )
+    return plan
 
 
 def save_plan(plan: FoldPlan, path: str | Path) -> None:

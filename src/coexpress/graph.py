@@ -471,13 +471,7 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
     deg = g.degrees()
     core = [v for v in canon if deg[v]]
     if len(core) <= EXACT_NODE_LIMIT:
-        per_node = _exact_partition(g, core)
-        relabel: dict[int, int] = {}
-        for c in per_node:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-        final = [relabel[c] for c in per_node]
-        return Partition(tuple(final), len(relabel), modularity(g, final))
+        return _first_appearance_partition(g, _exact_partition(g, core))
     # level 0 in canonical space: both directions of every edge, sorted by source
     ends = rank[g.edges]
     src, dst = np.concatenate((ends, ends[:, ::-1])).T
@@ -509,15 +503,15 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
         nbrs, wts = _community_lists(comm, neigh_w, label_to_next, n_level)
         del neigh_w
 
-    # contiguous labels in order of first appearance over the original node order
-    per_node = membership[rank].tolist()
-    relabel2: dict[int, int] = {}
-    for c in per_node:
-        if c not in relabel2:
-            relabel2[c] = len(relabel2)
-    final = [relabel2[c] for c in per_node]
-    q = modularity(g, final)
-    return Partition(tuple(final), len(relabel2), q)
+    return _first_appearance_partition(g, membership[rank].tolist())
+
+
+def _first_appearance_partition(g: GeneGraph, per_node: list[int]) -> Partition:
+    """The partition of `g` with community labels per node (original node
+    order) renumbered 0..C-1 in order of first appearance."""
+    relabel = {c: i for i, c in enumerate(dict.fromkeys(per_node))}
+    final = [relabel[c] for c in per_node]
+    return Partition(tuple(final), len(relabel), modularity(g, final))
 
 
 def singleton_partition(g: GeneGraph) -> Partition:

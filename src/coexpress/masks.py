@@ -37,10 +37,7 @@ class SiteMask:
 
 def build_masks(labels: Sequence[str]) -> list[SiteMask]:
     """One mask per site class, in order of first appearance; masks sum to all-ones."""
-    classes: list[str] = []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
+    classes = list(dict.fromkeys(labels))
     if len(classes) < 2:
         raise ValidationError("need at least 2 distinct site classes")
     arr = np.asarray(labels, dtype=object)

@@ -333,7 +333,7 @@ def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
         raise ValidationError("combined selection kept no genes")
     save_gene_set(primary, d / "set_primary.genes")
     save_gene_set(refined, d / "set_refined.genes")
-    st["primary"], st["refined"], st["pair"] = primary, refined, pair
+    st["primary"], st["refined"] = primary, refined
 
 
 def _stage_folds(cfg: PipelineConfig, st: dict, out: Path) -> None:
@@ -458,12 +458,12 @@ def _config_echo(cfg: PipelineConfig) -> dict:
         "t_combined": cfg.t_combined,
         "pair": list(cfg.pair) if cfg.pair else None,
         "k": cfg.k,
-        "factors": dict(sorted(cfg.factors.items())) if cfg.factors else None,
+        "factors": None if cfg.factors is None else dict(sorted(cfg.factors.items())),
         "booster": hyperparameters(cfg.booster),
         "drop_per_step": cfg.drop_per_step,
         "repeats": cfg.repeats,
         "gcn_sweep": list(cfg.gcn_sweep),
-        "cohorts": list(cfg.cohorts) if cfg.cohorts else None,
+        "cohorts": None if cfg.cohorts is None else list(cfg.cohorts),
     }
 
 

@@ -70,73 +70,6 @@ def metrics(confusion: np.ndarray, classes: Sequence[str]) -> dict[str, ClassMet
     return out
 
 
-def _rebuild_plan(plan: FoldPlan, repeat: int) -> FoldPlan:
-    if repeat == 0:
-        return plan
-    fresh = stratified_folds(plan.labels, plan.k, plan.seed + repeat)
-    if plan.replication:
-        fresh = oversample(fresh, plan.replication)
-    return fresh
-
-
-def _run_cv(
-    m: ExpressionMatrix,
-    genes: GeneSet,
-    plan: FoldPlan,
-    config: BoosterConfig,
-    repeats: int,
-) -> tuple[CvReport, np.ndarray]:
-    """Run the CV loop; returns the report and the mean normalized gain importance."""
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
-    if plan.labels != m.labels:
-        raise ValidationError("fold plan labels do not match the matrix")
-    rows = m.gene_index(genes.gene_ids)
-    X = m.values[rows].T
-    y = np.asarray(m.labels, dtype=object)
-    classes = tuple(sorted(set(m.labels)))
-    cidx = {c: k for k, c in enumerate(classes)}
-
-    repeat_accs: list[float] = []
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    importance_acc = np.zeros(len(genes))
-    models = 0
-
-    for r in range(repeats):
-        plan_r = _rebuild_plan(plan, r)
-        fold_accs: list[float] = []
-        last_repeat = r == repeats - 1
-        for v in range(plan_r.k):
-            tr, va = cv_split(plan_r, v)
-            if va.size == 0:
-                logger.warning("fold %d is empty; skipped", v)
-                continue
-            if len(set(y[tr])) < 2:
-                logger.warning("fold %d has a single training class; skipped", v)
-                continue
-            ens = train(X[tr], list(y[tr]), config)
-            pred, _ = predict(ens, X[va])
-            fold_accs.append(float(np.mean(pred == y[va])))
-            importance_acc += ens.importance
-            models += 1
-            if last_repeat:
-                for t_lab, p_lab in zip(y[va], pred):
-                    confusion[cidx[t_lab], cidx[p_lab]] += 1
-        if not fold_accs:
-            raise ValidationError("every fold was skipped; cannot cross-validate")
-        repeat_accs.append(float(np.mean(fold_accs)))
-
-    report = CvReport(
-        accuracy=float(np.mean(repeat_accs)),
-        per_class=metrics(confusion, classes),
-        confusion=confusion,
-        classes=classes,
-        fold_count=plan.k,
-        repeat_count=repeats,
-    )
-    return report, importance_acc / max(models, 1)
-
-
 def cross_validate(
     m: ExpressionMatrix,
     genes: GeneSet,
@@ -144,15 +77,9 @@ def cross_validate(
     config: BoosterConfig | None = None,
     repeats: int = 1,
 ) -> CvReport:
-    """k-fold cross-validation of the booster on the given gene subset.
-
-    Repeat 0 uses the plan verbatim; each further repeat reshuffles folds
-    with seed = plan.seed + repeat and reapplies the plan's replication
-    factors. Folds whose training split holds a single class are skipped
-    with a warning.
-    """
-    report, _ = _run_cv(m, genes, plan, config or BoosterConfig(), repeats)
-    return report
+    """k-fold cross-validation of the booster on the given gene subset; the
+    report of `cross_validate_step`."""
+    return cross_validate_step(m, genes, plan, config, repeats).report
 
 
 def majority_baseline(labels: Sequence[str]) -> float:
@@ -196,9 +123,65 @@ def cross_validate_step(
     repeats: int = 1,
     dropped: int = 0,
 ) -> EliminationStep:
-    """Cross-validate one gene set, keeping the report and the mean importance."""
-    report, imp = _run_cv(m, genes, plan, config or BoosterConfig(), repeats)
-    return EliminationStep(dropped, genes, report, imp)
+    """k-fold cross-validation of the booster on one gene set: the report and
+    the mean normalized gain importance over every model trained.
+
+    Repeat 0 uses the plan verbatim; each further repeat reshuffles folds
+    with seed = plan.seed + repeat and reapplies the plan's replication
+    factors. Folds whose training split holds a single class are skipped
+    with a warning.
+    """
+    if repeats < 1:
+        raise ValidationError("repeats must be >= 1")
+    if plan.labels != m.labels:
+        raise ValidationError("fold plan labels do not match the matrix")
+    config = config or BoosterConfig()
+    rows = m.gene_index(genes.gene_ids)
+    X = m.values[rows].T
+    y = np.asarray(m.labels, dtype=object)
+    classes = tuple(sorted(set(m.labels)))
+    cidx = {c: k for k, c in enumerate(classes)}
+
+    repeat_accs: list[float] = []
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    importance_acc = np.zeros(len(genes))
+    models = 0
+
+    for r in range(repeats):
+        plan_r = plan if r == 0 else oversample(
+            stratified_folds(plan.labels, plan.k, plan.seed + r), plan.replication
+        )
+        fold_accs: list[float] = []
+        last_repeat = r == repeats - 1
+        for v in range(plan_r.k):
+            tr, va = cv_split(plan_r, v)
+            if va.size == 0:
+                logger.warning("fold %d is empty; skipped", v)
+                continue
+            if len(set(y[tr])) < 2:
+                logger.warning("fold %d has a single training class; skipped", v)
+                continue
+            ens = train(X[tr], list(y[tr]), config)
+            pred, _ = predict(ens, X[va])
+            fold_accs.append(float(np.mean(pred == y[va])))
+            importance_acc += ens.importance
+            models += 1
+            if last_repeat:
+                for t_lab, p_lab in zip(y[va], pred):
+                    confusion[cidx[t_lab], cidx[p_lab]] += 1
+        if not fold_accs:
+            raise ValidationError("every fold was skipped; cannot cross-validate")
+        repeat_accs.append(float(np.mean(fold_accs)))
+
+    report = CvReport(
+        accuracy=float(np.mean(repeat_accs)),
+        per_class=metrics(confusion, classes),
+        confusion=confusion,
+        classes=classes,
+        fold_count=plan.k,
+        repeat_count=repeats,
+    )
+    return EliminationStep(dropped, genes, report, importance_acc / max(models, 1))
 
 
 def recursive_eliminate(
@@ -208,19 +191,18 @@ def recursive_eliminate(
     config: BoosterConfig | None = None,
     drop_per_step: int = 1,
     repeats: int = 1,
-    min_genes: int = MIN_RFE_GENES,
 ) -> EliminationTrace:
     """Repeatedly cross-validate, then drop the lowest-importance genes.
 
     Importance is the mean of per-model normalized gain scores over every
     model trained in the step's cross-validation; ties rank by gene ID. Each
-    step drops min(drop_per_step, surviving - min_genes) genes until only
-    min_genes remain, so surviving sets are strictly nested. Best step is the
-    highest mean accuracy; accuracies equal within 1e-9 resolve toward fewer
-    genes.
+    step drops min(drop_per_step, surviving - MIN_RFE_GENES) genes until only
+    MIN_RFE_GENES remain, so surviving sets are strictly nested. Best step is
+    the highest mean accuracy; accuracies equal within 1e-9 resolve toward
+    fewer genes.
     """
-    if len(start) <= min_genes:
-        raise ValidationError(f"start set must hold more than {min_genes} genes")
+    if len(start) <= MIN_RFE_GENES:
+        raise ValidationError(f"start set must hold more than {MIN_RFE_GENES} genes")
     if drop_per_step < 1:
         raise ValidationError("drop_per_step must be >= 1")
     config = config or BoosterConfig()
@@ -231,10 +213,10 @@ def recursive_eliminate(
     while True:
         step = cross_validate_step(m, current, plan, config, repeats, dropped_total)
         steps.append(step)
-        if len(current) <= min_genes:
+        if len(current) <= MIN_RFE_GENES:
             break
         imp = step.importance
-        d = min(drop_per_step, len(current) - min_genes)
+        d = min(drop_per_step, len(current) - MIN_RFE_GENES)
         ranked = sorted(range(len(current)), key=lambda i: (imp[i], current.gene_ids[i]))
         victims = {current.gene_ids[i] for i in ranked[:d]}
         survivors = tuple(g for g in current.gene_ids if g not in victims)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -7,8 +8,8 @@ import pytest
 from coexpress.booster import BoosterConfig
 from coexpress.cli import main
 from coexpress.errors import ValidationError
-from coexpress.masks import default_pair, load_gene_set
-from coexpress.matrix import load_matrix
+from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
+from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
 from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, spec_to_json, write_dataset
 
@@ -94,6 +95,15 @@ class TestSubcommands:
         assert payload["k"] == 5
         assert payload["replication"] == {"A": 1, "B": 2, "C": 0}
         assert len(payload["expanded"]) == 10 * 2 + 10 * 3 + 10
+        # the plan stores no replica list; the written rows keep their order and folds
+        assert hashlib.sha256(plan_path.read_bytes()).hexdigest() == (
+            "07215a65f20a72b913069144d9de75b017c56fe5a8c6f6cfefd91b7698d1e5d2")
+
+    def test_folds_raw_plan_bytes_pinned(self, dataset, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        assert run("folds", "--in", dataset, "--k", "5", "--seed", "42", "--out", plan_path) == 0
+        assert hashlib.sha256(plan_path.read_bytes()).hexdigest() == (
+            "0ea110ff8511e9d9e877963e35c82659b35b898ec4b628d57e3afb32010d398c")
 
     def test_train_and_rfe(self, dataset, tmp_path):
         genes_out = tmp_path / "sel.genes"
@@ -163,6 +173,48 @@ class TestSubcommands:
                    "--sweep", "0.4:0.9:0.05", "--out", out) == 0
         header = (out / "all_communities.csv").read_text().splitlines()[0]
         assert header == "community_rank,size,tier0,key_indices"
+
+
+def one_empty_cohort(d):
+    """A 13-gene bundle over LN 30, Bone 20, Liver 12 samples in which only the
+    LN network is empty: the LN rows are centred and mutually orthogonal (every
+    |r| is about 0), while Bone and Liver share two strong modules."""
+    rng = np.random.default_rng(0)
+    sizes = {"LN": 30, "Bone": 20, "Liver": 12}
+    n_genes = 13
+    n_ln = sizes["LN"]
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n_ln), rng.normal(size=(n_ln, n_genes))]))
+    cols = [5.0 * q[:, 1:].T]
+    module = np.arange(n_genes) % 2
+    for site in ("Bone", "Liver"):
+        f = rng.normal(size=(2, sizes[site]))
+        cols.append(3.0 * f[module] + 0.3 * rng.normal(size=(n_genes, sizes[site])))
+    labels = tuple(site for site, n in sizes.items() for _ in range(n))
+    genes = tuple(f"g{i:02d}" for i in range(n_genes))
+    m = ExpressionMatrix(genes, tuple(f"s{i}" for i in range(len(labels))), labels,
+                         np.hstack(cols) + 10.0)
+    d.mkdir()
+    write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
+    save_gene_set(GeneSet("n5", genes[:5]), d / "n5.genes")
+    save_gene_set(GeneSet("n13", genes), d / "n13.genes")
+    return d
+
+
+class TestAtlasSkipsFailedCohort:
+    def test_empty_cohort_skipped_with_warning(self, tmp_path, caplog):
+        d = one_empty_cohort(tmp_path / "data")
+        out = tmp_path / "atlas"
+        assert run("atlas", "--in", d, "--nested", f"{d / 'n5.genes'},{d / 'n13.genes'}",
+                   "--sweep", "0.4:0.9:0.05", "--out", out) == 0
+        assert any("cohort 'LN' network skipped" in r.message for r in caplog.records)
+        assert (out / "Bone_colored_by_Liver.graphml").exists()
+        assert not (out / "LN_communities.csv").exists()
+
+    def test_no_network_left_exits_1(self, tmp_path, caplog):
+        d = one_empty_cohort(tmp_path / "data")
+        assert run("atlas", "--in", d, "--nested", f"{d / 'n5.genes'},{d / 'n13.genes'}",
+                   "--cohorts", "LN", "--sweep", "0.4:0.9:0.05", "--out", tmp_path / "atlas") == 1
+        assert any("no cohort network remains" in r.message for r in caplog.records)
 
 
 class TestErrors:

@@ -1,11 +1,12 @@
+import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from coexpress.errors import ValidationError
 from coexpress.folds import (
-    FoldPlan,
     cv_split,
     load_plan,
     oversample,
@@ -144,6 +145,70 @@ class TestSerialization:
         save_plan(plan, tmp_path / "plan.json")
         assert load_plan(tmp_path / "plan.json") == plan
 
-    def test_colocation_enforced_on_construction(self):
-        with pytest.raises(ValidationError):
-            FoldPlan(2, ("A", "B"), (0, 1), {}, ((0, 1),), seed=0)
+    def test_mismatched_expanded_rejected_on_load(self):
+        plan = oversample(stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=0), {"B": 1})
+        moved = json.loads(plan_to_json(plan))
+        i, f = moved["expanded"][-1]
+        moved["expanded"][-1] = [i, 1 - f]  # a replica outside its original's fold
+        dropped = json.loads(plan_to_json(plan))
+        del dropped["expanded"][-1]
+        for bad in (moved, dropped):
+            with pytest.raises(ValidationError, match="expanded"):
+                plan_from_json(json.dumps(bad))
+
+    def test_negative_factor_in_file_rejected(self):
+        plan = stratified_folds(["A", "A", "B", "B"], 2, seed=0)
+        payload = json.loads(plan_to_json(plan))
+        payload["replication"] = {"A": -1}
+        with pytest.raises(ValidationError, match=">= 0"):
+            plan_from_json(json.dumps(payload))
+
+
+SITES = ("LN", "Bone", "Liver", "Lung")
+
+
+def check_plan_properties(inputs):
+    labels, k, seed, factors = inputs
+    plan = stratified_folds(labels, k, seed)
+    fat = oversample(plan, factors)
+    assert fat.assignment == plan.assignment
+
+    totals = Counter(labels)
+    for lab, per_fold in fold_class_counts(fat).items():
+        assert all(totals[lab] // k <= c <= -(-totals[lab] // k) for c in per_fold)
+
+    # the explicit replica list: each sample's copies together, in sample
+    # order, all in the sample's fold
+    listed = tuple(
+        (i, fat.assignment[i]) for i, lab in enumerate(labels) for _ in range(1 + factors.get(lab, 0))
+    )
+    assert fat.expanded == listed
+    copies = Counter(i for i, _ in fat.expanded)
+    assert all(copies[i] == 1 + factors.get(lab, 0) for i, lab in enumerate(labels))
+
+    text = plan_to_json(fat)
+    back = plan_from_json(text)
+    assert back == fat and plan_to_json(back) == text
+
+    # cv_split against a plain filter of `expanded`
+    for v in range(k):
+        train, val = cv_split(fat, v)
+        want_train = np.array([i for i, f in fat.expanded if f != v], dtype=np.intp)
+        want_val = np.array([i for i, f in fat.expanded if f == v], dtype=np.intp)
+        assert train.dtype == want_train.dtype and val.dtype == want_val.dtype
+        assert np.array_equal(train, want_train) and np.array_equal(val, want_val)
+
+
+class TestFoldPlanProperties:
+    def test_arbitrary_label_vectors(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        inputs = st.lists(st.sampled_from(SITES), min_size=2, max_size=40).flatmap(
+            lambda labels: st.tuples(
+                st.just(labels),
+                st.integers(2, len(labels)),
+                st.integers(0, 2**32 - 1),
+                st.dictionaries(st.sampled_from(SITES), st.integers(0, 5)),
+            )
+        )
+        hyp.given(inputs)(check_plan_properties)()

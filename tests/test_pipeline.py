@@ -10,7 +10,7 @@ import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import StageError
-from coexpress.pipeline import PipelineConfig, run_pipeline
+from coexpress.pipeline import PipelineConfig, _config_echo, load_config, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
 # sha256 of the MANIFEST `outputs` map (path -> sha256) of the golden run
@@ -73,3 +73,18 @@ class TestNullData:
             run_pipeline(cfg)
         assert exc.value.stage == "select"
         assert not (tmp_path / "run" / "folds").exists()
+
+
+class TestConfigEcho:
+    def test_empty_factors_and_cohorts_echo_apart_from_unset(self, tmp_path):
+        # `{}` adds no extra copies where unset derives them, and `()` builds
+        # only the "all" network where unset builds every site's
+        ini = tmp_path / "empty.ini"
+        ini.write_text("[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[folds]\nfactors = ,\n\n"
+                       "[gcn]\ncohorts = ,\n\n[run]\nout = o\n")
+        cfg = load_config(ini)
+        assert (cfg.factors, cfg.cohorts) == ({}, ())
+        echo = _config_echo(cfg)
+        assert (echo["factors"], echo["cohorts"]) == ({}, [])
+        unset = _config_echo(PipelineConfig("m.tsv", "l.tsv", "o"))
+        assert (unset["factors"], unset["cohorts"]) == (None, None)

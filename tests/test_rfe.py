@@ -5,13 +5,13 @@ import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import ValidationError
-from coexpress.folds import stratified_folds
+from coexpress.folds import oversample, stratified_folds
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
 from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _run_rfe
 from coexpress.rfe import (
-    _run_cv,
     cross_validate,
+    cross_validate_step,
     export_trace,
     majority_baseline,
     metrics,
@@ -98,6 +98,22 @@ class TestCrossValidate:
         r1 = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2)
         assert r1.repeat_count == 2
         assert r1.confusion.sum() == m.n_samples
+
+    def test_repeats_rebuild_keeps_replication(self):
+        # Repeat 1 reshuffles the folds and must reapply the plan's extra
+        # copies: the final repeat's confusion counts every replica, so its
+        # rows sum to 12 x 1, 8 x 2 and 5 x 3.
+        rng = np.random.default_rng(8)
+        labels = ("A",) * 12 + ("B",) * 8 + ("C",) * 5
+        values = rng.normal(size=(6, len(labels)))
+        values[0] += 2.5 * (np.array(labels) == "A")
+        values[1] += 2.5 * (np.array(labels) == "B")
+        m = ExpressionMatrix(tuple(f"g{i}" for i in range(6)),
+                             tuple(f"s{i}" for i in range(len(labels))), labels, values)
+        plan = oversample(stratified_folds(labels, 4, seed=9), {"A": 0, "B": 1, "C": 2})
+        report = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2)
+        assert repr(report.accuracy) == "0.7701923076923077"
+        assert report.confusion.tolist() == [[7, 5, 0], [4, 12, 0], [0, 0, 15]]
 
     def test_plan_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -210,7 +226,7 @@ class TestRecursiveEliminate:
         m = self._planted(noise_genes=6)
         plan = stratified_folds(m.labels, 5, seed=13)
         trace = recursive_eliminate(m, GeneSet("s", m.gene_ids), plan, FAST, drop_per_step=2)
-        _, fresh = _run_cv(m, trace.best.genes, plan, FAST, 1)
+        fresh = cross_validate_step(m, trace.best.genes, plan, FAST).importance
         assert np.array_equal(trace.best.importance, fresh)
         assert not trace.best.importance.flags.writeable
 
@@ -222,7 +238,7 @@ class TestRecursiveEliminate:
                              booster=FAST, drop_per_step=2)
         start = GeneSet("s", m.gene_ids[-n_start:])
         kept, imp = _run_rfe(cfg, {"norm": m}, tmp_path, "rfe_x", plan, start)
-        _, fresh = _run_cv(m, kept, plan, _booster_cfg(cfg), cfg.repeats)
+        fresh = cross_validate_step(m, kept, plan, _booster_cfg(cfg), cfg.repeats).importance
         assert np.array_equal(imp, fresh)
         if n_start == MIN_RFE_GENES:
             assert kept.gene_ids == start.gene_ids
