@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 
@@ -136,44 +138,10 @@ def load_matrix(
         raise ValidationError(f"label file not found: {labels_path}")
     delim = _delimiter_for(matrix_path, delimiter)
 
-    with open(matrix_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delim)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty matrix file", line=1) from None
-        sample_ids = [c.strip() for c in header[1:]]
-        if not sample_ids:
-            raise ParseError("header row has no sample IDs", line=1)
-        if len(set(sample_ids)) != len(sample_ids):
-            dup = sorted({s for s in sample_ids if sample_ids.count(s) > 1})
-            raise ValidationError(f"duplicate sample ID in header: {dup[0]!r}")
-
-        gene_ids: list[str] = []
-        rows: list[list[float]] = []
-        n_cols = len(sample_ids)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != n_cols + 1:
-                raise ParseError(
-                    f"row {row[0]!r} has {len(row) - 1} value cells, expected {n_cols}",
-                    line=lineno,
-                )
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError:
-                bad = next(c for c in row[1:] if not _is_number(c))
-                raise ParseError(
-                    f"non-numeric cell {bad!r} in row {row[0]!r}", line=lineno
-                ) from None
-            gene_ids.append(row[0].strip())
-    if not rows:
-        raise ParseError("matrix file has no data rows", line=2)
-
-    values = np.array(rows, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ParseError("matrix contains non-finite values (inf/nan)")
+    with open(matrix_path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    sample_ids, gene_ids, values = (_read_plain(text, delim)
+                                    or _read_csv(io.StringIO(text, newline=""), delim))
 
     label_map = _read_labels(labels_path)
     missing = [s for s in sample_ids if s not in label_map]
@@ -189,6 +157,84 @@ def load_matrix(
     return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), tuple(labels), values)
 
 
+# A quote or CR needs the csv parser. numpy strips the ASCII separators
+# \x1c-\x1f around a number as whitespace, float() does not.
+_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain(text: str, delim: str) -> tuple[list[str], list[str], np.ndarray] | None:
+    """`_read_csv`'s result for plain text, with the values parsed in one numpy call.
+
+    Plain text holds none of `_NOT_PLAIN`, and every line that is not blank
+    has a delimiter, so a line splits as the csv parser splits it. numpy's C
+    parser reads a cell as float() does (both end in PyOS_string_to_double),
+    except for what it rejects, such as underscores or non-ASCII digits.
+    Returns None for anything else and for anything the csv parser rejects,
+    so that it raises its own error.
+    """
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    sample_ids = [c.strip() for c in lines[0].split(delim)[1:]]
+    n_cols = len(sample_ids)
+    if not n_cols or len(set(sample_ids)) != n_cols:
+        return None
+    rows = [ln for ln in lines[1:] if delim in ln or ln.strip()]
+    if not rows or any(ln.count(delim) != n_cols for ln in rows):
+        return None
+    try:
+        # comments=None: a gene ID may start with "#"
+        values = np.loadtxt(rows, delimiter=delim, comments=None, dtype=np.float64,
+                            ndmin=2, usecols=range(1, n_cols + 1))
+    except ValueError:
+        return None
+    if values.shape != (len(rows), n_cols) or not np.all(np.isfinite(values)):
+        return None
+    return sample_ids, [ln.partition(delim)[0].strip() for ln in rows], values
+
+
+def _read_csv(fh: Iterable[str], delim: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Parse matrix text cell by cell; the reference reader, and the one for quoted or CRLF text."""
+    reader = csv.reader(fh, delimiter=delim)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty matrix file", line=1) from None
+    sample_ids = [c.strip() for c in header[1:]]
+    if not sample_ids:
+        raise ParseError("header row has no sample IDs", line=1)
+    if len(set(sample_ids)) != len(sample_ids):
+        dup = sorted({s for s in sample_ids if sample_ids.count(s) > 1})
+        raise ValidationError(f"duplicate sample ID in header: {dup[0]!r}")
+
+    gene_ids: list[str] = []
+    rows: list[list[float]] = []
+    n_cols = len(sample_ids)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != n_cols + 1:
+            raise ParseError(
+                f"row {row[0]!r} has {len(row) - 1} value cells, expected {n_cols}",
+                line=lineno,
+            )
+        try:
+            rows.append([float(c) for c in row[1:]])
+        except ValueError:
+            bad = next(c for c in row[1:] if not _is_number(c))
+            raise ParseError(
+                f"non-numeric cell {bad!r} in row {row[0]!r}", line=lineno
+            ) from None
+        gene_ids.append(row[0].strip())
+    if not rows:
+        raise ParseError("matrix file has no data rows", line=2)
+
+    values = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ParseError("matrix contains non-finite values (inf/nan)")
+    return sample_ids, gene_ids, values
+
+
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -199,7 +245,7 @@ def _is_number(cell: str) -> bool:
 
 def _read_labels(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter="\t")
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -215,8 +261,20 @@ def _read_labels(path: Path) -> dict[str, str]:
     return out
 
 
+def _exponent_rows(values: np.ndarray) -> np.ndarray:
+    """Rows with a cell that repr() writes in exponent form (1e-05, 1e+16).
+
+    Outside exponent form, repr() writes the shortest round-trip digits in the
+    layout orjson (Ryu) writes them, so every other row can be formatted by
+    one orjson call. Inside it the two differ: orjson writes 1e-05 as 0.00001
+    and 1e+16 as 1e16.
+    """
+    mags = np.abs(values)
+    return (((mags < 1e-4) & (values != 0.0)) | (mags >= 1e16)).any(axis=1)
+
+
 def write_matrix(m: ExpressionMatrix, matrix_path: str | Path, labels_path: str | Path) -> None:
-    """Serialize in the same TSV layout load_matrix reads."""
+    """Serialize in the same TSV layout load_matrix reads; each cell is repr() of its value."""
     matrix_path, labels_path = Path(matrix_path), Path(labels_path)
     with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter="\t", lineterminator="\n")
@@ -225,10 +283,14 @@ def write_matrix(m: ExpressionMatrix, matrix_path: str | Path, labels_path: str 
         # Written as a row of (ID, "") it comes out quoted as in the full row, plus a tab.
         id_cell = csv.writer(fh, delimiter="\t", lineterminator="")
         id_row = ("",) if m.n_samples else ()
-        # one row at a time: a whole-matrix tolist() would hold every cell as a Python float
-        for gid, row in zip(m.gene_ids, m.values):
+        # one row at a time: a whole-matrix dumps or tolist() would hold every cell at once
+        for gid, row, exp_form in zip(m.gene_ids, m.values, _exponent_rows(m.values)):
             id_cell.writerow((gid, *id_row))
-            fh.write("\t".join(map(repr, row.tolist())) + "\n")
+            if exp_form:
+                fh.write("\t".join(map(repr, row.tolist())) + "\n")
+            else:
+                cells = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+                fh.write(cells.replace(b",", b"\t").decode() + "\n")
     with open(labels_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, delimiter="\t", lineterminator="\n")
         w.writerow(["sample_id", "site"])
@@ -241,10 +303,25 @@ def truncate_values(values: np.ndarray, decimals: int = TRUNCATION_DECIMALS) -> 
 
     The inner round-to-6 snaps binary floats back onto the decimal the input
     file carried (double("1.234")*1000 is 1233.999...), which keeps the
-    operation a fixed point on already-truncated values.
+    operation a fixed point on already-truncated values. Past 2**52 / 10**(decimals + 6)
+    (about 4.5e6 at 3 decimals) that snap runs out of digits and stops being a
+    fixed point, and far above it overflows; such cells are cut on their
+    shortest decimal, repr(), instead.
     """
     scale = 10.0 ** decimals
-    return np.trunc(np.round(values * scale, 6)) / scale
+    with np.errstate(over="ignore"):
+        out = np.trunc(np.round(values * scale, 6)) / scale
+    wide = np.abs(values) >= 2.0 ** 52 / 10.0 ** (decimals + 6)
+    if wide.any():
+        out[wide] = [_cut_decimals(x, decimals) for x in values[wide].tolist()]
+    return out
+
+
+def _cut_decimals(x: float, decimals: int) -> float:
+    if abs(x) >= 2.0 ** 52:  # every double this large is an integer
+        return x
+    whole, _, frac = repr(x).partition(".")  # no exponent form below 1e16
+    return float(f"{whole}.{frac[:decimals]}")
 
 
 def cleanse(

@@ -32,7 +32,11 @@ def _range_map(v: np.ndarray) -> np.ndarray:
     lo, hi = v.min(), v.max()
     if hi == lo:
         raise DegenerateRowError("constant row: range map undefined")
-    return (v - lo) / (hi - lo)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if np.isinf(span):  # the row spans more than the largest double; halves cannot overflow
+        return (v / 2.0 - lo / 2.0) / (hi / 2.0 - lo / 2.0)
+    return (v - lo) / span
 
 
 def _log10_values(v: np.ndarray) -> np.ndarray:
@@ -46,7 +50,12 @@ def _log10_values(v: np.ndarray) -> np.ndarray:
             raise DegenerateRowError("all-zero row: log map undefined")
         # log10(0) is undefined; zeros are clamped below the row's smallest
         # positive value so ordering is preserved.
-        v[zeros] = positive.min() / 10.0
+        floor = positive.min() / 10.0
+        if floor == 0.0:  # a subnormal minimum: the clamp underflowed, so clamp its log instead
+            logs = np.log10(np.where(zeros, 1.0, v))
+            logs[zeros] = logs[~zeros].min() - 1.0
+            return logs
+        v[zeros] = floor
     return np.log10(v)
 
 

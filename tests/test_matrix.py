@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from coexpress.errors import ParseError, ValidationError
 from coexpress.matrix import (
     ExpressionMatrix,
+    _exponent_rows,
+    _read_csv,
+    _read_plain,
     cleanse,
     export_stats,
     filter_sites,
@@ -27,6 +31,8 @@ def _write(tmp_path, matrix_text, labels_text, name="m.tsv"):
 LABELS_2 = "s1\tLN\ns2\tBone\n"
 # sha256 of the matrix then labels bytes written by TestWriteMatrixBytes
 GOLDEN_WRITE_MATRIX = "89c0ddb760b18c224cb79fef41f5d3d00d4abe41acd864a6a92a48f4b5b4b7d2"
+# the same for a matrix with no cell in repr's exponent form
+GOLDEN_WRITE_MATRIX_PLAIN = "a6d6b704707a8296994cffab96432f226c73a7df6e0a6b7f0e00ddf924d17022"
 
 
 class TestLoadMatrix:
@@ -75,6 +81,22 @@ class TestLoadMatrix:
         m = load_matrix(mp, lp)
         assert m.values[0, 1] == 2.0
 
+    def test_label_file_with_bom(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        mp, lp = _write(tmp_path, "gene_id\ts1\ts2\ng1\t1\t2\n", "")
+        lp.write_bytes(b"\xef\xbb\xbf" + LABELS_2.encode())
+        assert load_matrix(mp, lp).labels == ("LN", "Bone")
+        lp.write_bytes(b"\xef\xbb\xbfsample_id\tsite\n" + LABELS_2.encode())
+        assert load_matrix(mp, lp).labels == ("LN", "Bone")
+
+    def test_matrix_file_with_bom(self, tmp_path):
+        mp, lp = _write(tmp_path, "", LABELS_2)
+        for text in ("\ufeffgene_id\ts1\ts2\ng1\t1\t2\n", '\ufeff"gene_id"\ts1\ts2\r\ng1\t1\t2\r\n'):
+            mp.write_bytes(text.encode())
+            m = load_matrix(mp, lp)
+            assert m.sample_ids == ("s1", "s2") and m.gene_ids == ("g1",)
+            np.testing.assert_array_equal(m.values, [[1.0, 2.0]])
+
     def test_roundtrip(self, tmp_path, tiny_matrix):
         write_matrix(tiny_matrix, tmp_path / "m.tsv", tmp_path / "l.tsv")
         back = load_matrix(tmp_path / "m.tsv", tmp_path / "l.tsv")
@@ -104,6 +126,109 @@ class TestWriteMatrixBytes:
         assert back.gene_ids == m.gene_ids
         np.testing.assert_array_equal(back.values, m.values)
         assert np.signbit(back.values[0, 1])
+
+    def test_golden_bytes_plain_rows(self, tmp_path):
+        # every row is formatted by orjson; 17-digit values, -0.0, integers, both ends of the range
+        m = ExpressionMatrix(
+            gene_ids=("g1", "#g2", 'q "3"', ""),
+            sample_ids=("s1", "s2", "s3", "s4", "s5"),
+            labels=("LN", "LN", "Bone", "Bone", "Liver"),
+            values=np.array([
+                [1.234, -5.678, 0.001, 12.5, -0.0],
+                [7.0, -3.0, 42.0, 0.0, 1e15],
+                [0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 1.0000000000000002, 123456789.12345679],
+                [1e-4, -1e-4, 9999999999999998.0, -9999999999999998.0, 0.00010000000000000002],
+            ]),
+        )
+        assert not _exponent_rows(m.values).any()
+        write_matrix(m, tmp_path / "m.tsv", tmp_path / "l.tsv")
+        digest = hashlib.sha256((tmp_path / "m.tsv").read_bytes()
+                                + (tmp_path / "l.tsv").read_bytes()).hexdigest()
+        # pinned on the per-cell repr(float(v)) writer
+        assert digest == GOLDEN_WRITE_MATRIX_PLAIN
+        back = load_matrix(tmp_path / "m.tsv", tmp_path / "l.tsv")
+        assert back.gene_ids == m.gene_ids
+        np.testing.assert_array_equal(back.values.view(np.uint64), m.values.view(np.uint64))
+
+    def test_exponent_form_rule(self):
+        edges = np.array([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0), 1e16,
+                          5e-324, 0.0, -0.0, 1e-5, 2.0 ** 60])
+        expected = ["e" in repr(x) for x in edges.tolist()]
+        assert _exponent_rows(edges[:, None]).tolist() == expected
+        assert _exponent_rows((-edges)[:, None]).tolist() == expected
+
+
+def _outcome(read):
+    """(sample IDs, gene IDs, value bits) of a reader, or its exception type and message."""
+    try:
+        sample_ids, gene_ids, values = read()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return sample_ids, gene_ids, values.shape, values.tobytes()
+
+
+def _loaded(mp, lp):
+    m = load_matrix(mp, lp)
+    return list(m.sample_ids), list(m.gene_ids), m.values
+
+
+HEAD = "gene_id\ts1\ts2\n"
+
+# (text, taken by the bulk reader); every other input goes to the csv parser
+PARITY_CASES = {
+    "underscore": (HEAD + "g1\t1_0\t2\n", False),
+    "full-width digit": (HEAD + "g1\t\uff11\t2\n", False),
+    "nbsp padding": (HEAD + "g1\t\xa01.5\xa0\t 2 \n", True),
+    "sign and bare dot": (HEAD + "g1\t+.5\t5.\n", True),
+    "exponent": (HEAD + "g1\t1E3\t-2.5e-3\n", True),
+    "overflow": (HEAD + "g1\t1e500\t2\n", False),
+    "inf": (HEAD + "g1\tinf\t2\n", False),
+    "nan": (HEAD + "g1\t1\tNaN\n", False),
+    "hex": (HEAD + "g1\t0x10\t2\n", False),
+    "empty cell": (HEAD + "g1\t\t2\n", False),
+    "ascii separator": (HEAD + "g1\t\x1c3\t2\n", False),
+    "nul": (HEAD + "g1\t3\x00\t2\n", False),
+    "ragged short": (HEAD + "g1\t1\t2\ng2\t7\n", False),
+    "ragged long": (HEAD + "g1\t1\t2\t3\n", False),
+    "quoted id": (HEAD + '"g\t1"\t1\t2\n', False),
+    "hash id": (HEAD + "#g1\t1\t2\n# g2\t3\t4\n", True),
+    "empty id": (HEAD + "\t1\t2\n", True),
+    "padded id": (HEAD + " g1 \t1\t2\n", True),
+    "crlf": (HEAD.replace("\n", "\r\n") + "g1\t1\t2\r\ng2\t3\t4\r\n", False),
+    "blank lines": (HEAD + "\ng1\t1\t2\n\n\ng2\t3\t4", True),
+    "whitespace lines": (HEAD + "  \ng1\t1\t2\n\xa0\n\x0c\n", True),
+    "tab-only line": (HEAD + "g1\t1\t2\n\t\n", False),
+    "stray text line": (HEAD + "g1\t1\t2\nnotes\n", False),
+    "no data rows": (HEAD + "\n\n", False),
+    "empty file": ("", False),
+    "blank header": ("\ng1\t1\t2\n", False),
+    "no sample ids": ("gene_id\ng1\n", False),
+    "duplicate sample": ("gene_id\ts1\t s1\ng1\t1\t2\n", False),
+    "padded sample ids": ("gene_id\t s1\ts2 \ng1\t1\t2\n", True),
+    "signed zero": (HEAD + "g1\t-0.0\t-0\n", True),
+    "subnormal and underflow": (HEAD + "g1\t5e-324\t1e-400\n", True),
+}
+
+
+class TestReaderParity:
+    """The bulk reader against the csv parser: same bits, IDs and errors, line numbers included."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_same_result_as_csv_parser(self, tmp_path, case):
+        text, bulk = PARITY_CASES[case]
+        assert (_read_plain(text, "\t") is not None) is bulk
+        mp, lp = tmp_path / "m.tsv", tmp_path / "labels.tsv"
+        mp.write_text(text, encoding="utf-8", newline="")
+        lp.write_text(LABELS_2)
+        reference = _outcome(lambda: _read_csv(io.StringIO(text, newline=""), "\t"))
+        assert _outcome(lambda: _loaded(mp, lp)) == reference
+
+    def test_csv_delimiter(self):
+        text = "gene_id,s1,s2\n#g1, 1.5 ,\t2\ng2,3,4\n"
+        fast = _read_plain(text, ",")
+        assert fast is not None
+        assert _outcome(lambda: fast) == _outcome(lambda: _read_csv(io.StringIO(text), ","))
+        assert fast[1] == ["#g1", "g2"]
 
 
 class TestCleanse:

@@ -139,3 +139,55 @@ class TestNormalizeMatrix:
         for variant in VARIANTS:
             out = normalize_matrix(tiny_matrix, scheme(variant))
             assert out.n_samples == tiny_matrix.n_samples
+
+
+def check_ranges(row, variant, epsilon):
+    v = np.array(row)
+    s = scheme(variant, epsilon=epsilon)
+    try:
+        out = normalize_row(v, s)
+    except DegenerateRowError:
+        # constant, or constant once in log10 (neighbouring large doubles share a log)
+        logs = np.log10(v) if variant in ("log", "logit_log") and v.min() > 0 else v
+        assert logs.min() == logs.max()
+        return
+    assert out.shape == v.shape and np.all(np.isfinite(out))
+    if variant in BOUNDED:
+        assert out.min() == 0.0 and out.max() == 1.0
+    else:
+        # the clamped ends of the logit, hit exactly: +-logit(1 - epsilon) up to rounding
+        lo = np.log(epsilon / (1.0 - epsilon))
+        hi = np.log((1.0 - epsilon) / (1.0 - (1.0 - epsilon)))
+        assert out.min() == lo and out.max() == hi
+        assert hi == pytest.approx(-lo, rel=1e-9)
+
+
+class TestRangeProperties:
+    """Every scheme over arbitrary finite rows: the output range and both of its ends."""
+
+    def test_arbitrary_finite_rows(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # the ends of the double range on their own too: spans that overflow, clamps that underflow
+        big, tiny = 1.7976931348623157e308, 5e-324
+        nonnegative = st.one_of(st.sampled_from((0.0, tiny, 2 * tiny, 1.0, big)),
+                                st.floats(0.0, allow_infinity=False))
+        finite = st.one_of(nonnegative, nonnegative.map(lambda x: -x))
+        epsilons = st.sampled_from((1e-6, 1e-3, 0.1, 0.49))
+        rows = st.sampled_from(("range", "rank", "logit", "log", "logit_log")).flatmap(
+            lambda variant: st.tuples(
+                st.lists(nonnegative if variant in ("log", "logit_log") else finite,
+                         min_size=2, max_size=12).filter(lambda r: min(r) != max(r)),
+                st.just(variant),
+                epsilons,
+            )
+        )
+        hyp.given(rows)(lambda case: check_ranges(*case))()
+
+    def test_spans_past_the_largest_double(self):
+        out = normalize_row(np.array([-1e308, 0.0, 1e308]), scheme("range"))
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
+
+    def test_zero_below_a_subnormal_minimum(self):
+        out = normalize_row(np.array([0.0, 5e-324, 1.0]), scheme("log"))
+        assert out[0] == 0.0 < out[1] < out[2] == 1.0
