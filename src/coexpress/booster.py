@@ -59,6 +59,9 @@ class BoosterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
         if self.max_depth < 1:
@@ -99,10 +102,6 @@ class RegressionTree:
     right: tuple[int, ...]
     weight: tuple[float, ...]
     gain: tuple[float, ...]
-
-    @property
-    def n_internal(self) -> int:
-        return sum(1 for f in self.feature if f >= 0)
 
 
 def tree_predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

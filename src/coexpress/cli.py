@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from pathlib import Path
 
 from . import __version__
-from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train as train_booster
+from .booster import BoosterConfig, ensemble_to_json, hyperparameters
 from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, GraphError, ValidationError
 from .folds import save_plan
@@ -22,7 +23,7 @@ from .masks import (
     select_pair_opposite,
     select_three_mask_intersect,
 )
-from .matrix import ExpressionMatrix, load_matrix
+from .matrix import ExpressionMatrix, load_matrix, read_text
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
     PipelineConfig,
@@ -30,6 +31,7 @@ from .pipeline import (
     _cohort_network,
     _csv_list,
     _export_network,
+    _fit,
     _fold_plan,
     _ingest,
     _normalize,
@@ -80,12 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coexpress", description=__doc__)
     parser.add_argument("--version", action="version", version=f"coexpress {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="recorded in the config echo; no stage currently runs in parallel",
-    )
     common.add_argument("-v", "--verbose", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="load, filter, and cleanse a matrix")
@@ -120,20 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="discriminand pair, e.g. LN,Bone; default LN,Bone, else the two largest classes")
     p.add_argument("--out", required=True, help="gene-set output file")
 
-    p = sub.add_parser("folds", parents=[common], help="build a stratified fold plan")
+    p = sub.add_parser("folds", parents=[seeded], help="build a stratified fold plan")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--k", type=int, default=PipelineConfig.k)
     p.add_argument("--factors", default="",
                    help="extra copies per site, SITE:N,..., e.g. LN:1,Bone:2,Liver:5")
     p.add_argument("--out", required=True, help="plan JSON path")
 
-    p = sub.add_parser("train", parents=[common], help="train the boosted model on a gene set")
+    p = sub.add_parser("train", parents=[seeded], help="train the boosted model on a gene set")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     _add_booster_flags(p)
     p.add_argument("--out", required=True, help="model JSON path")
 
-    p = sub.add_parser("rfe", parents=[common], help="recursive feature elimination")
+    p = sub.add_parser("rfe", parents=[seeded], help="recursive feature elimination")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     p.add_argument("--k", type=int, default=PipelineConfig.k)
@@ -143,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_booster_flags(p)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("gcn", parents=[common], help="build a co-expression network")
+    p = sub.add_parser("gcn", parents=[seeded], help="build a co-expression network")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     p.add_argument("--cohort", default=None, help="site class; omit for all samples")
@@ -151,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override", type=float, default=None, help="fixed threshold, bypass sweep")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("atlas", parents=[common], help="cross-cohort community comparison")
+    p = sub.add_parser("atlas", parents=[seeded], help="cross-cohort community comparison")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--nested", required=True,
                    help="comma-separated nested gene-set files, smallest first")
@@ -166,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", parents=[common], help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None, help="override run.seed")
     p.add_argument("--out", default=None, help="override run.out")
 
     return parser
@@ -193,10 +193,11 @@ def _cmd_corr(args) -> int:
         export_heatmap(c, groups, csv_path=args.csv, svg_path=args.heatmap)
     if args.group_means:
         table = group_mean(c, groups)
-        with open(args.group_means, "w", encoding="utf-8") as fh:
-            fh.write("," + ",".join(table.classes) + "\n")
-            for i, cl in enumerate(table.classes):
-                fh.write(cl + "," + ",".join(repr(float(v)) for v in table.means[i]) + "\n")
+        with open(args.group_means, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["", *table.classes])
+            for cl, row in zip(table.classes, table.means):
+                w.writerow([cl, *(repr(float(v)) for v in row)])
     return 0
 
 
@@ -236,8 +237,7 @@ def _cmd_folds(args) -> int:
 def _cmd_train(args) -> int:
     m = _load_bundle(args.indir)
     genes = load_gene_set(args.genes)
-    X = m.values[m.gene_index(genes.gene_ids)].T
-    ens = train_booster(X, list(m.labels), _booster_from_args(args))
+    ens = _fit(m, genes, _booster_from_args(args))
     Path(args.out).write_text(ensemble_to_json(ens), encoding="utf-8")
     logger.info("trained on %d genes; final training loss %.5f", len(genes), ens.loss_curve[-1])
     return 0
@@ -250,7 +250,7 @@ def _cmd_rfe(args) -> int:
         m, load_gene_set(args.genes), plan, _booster_from_args(args),
         drop_per_step=args.drop, repeats=args.repeats,
     )
-    _write_rfe(Path(args.out), trace.best.report, trace.best.genes, trace)
+    _write_rfe(Path(args.out), trace, trace.best.genes)
     logger.info("best step keeps %d genes at accuracy %.4f",
                 len(trace.best.genes), trace.best.report.accuracy)
     return 0
@@ -290,7 +290,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+    spec = spec_from_json(read_text(args.spec))
     m, planted, blocks = generate(spec)
     write_dataset(m, planted, blocks, args.out)
     logger.info("synthesized %d genes x %d samples", m.n_genes, m.n_samples)
@@ -298,12 +298,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    overrides = {"seed": str(args.seed)} if args.seed else {}
-    if args.out:
-        overrides["out"] = args.out
-    if args.threads and args.threads != 1:
-        overrides["threads"] = str(args.threads)
-    cfg = load_config(args.config, overrides)
+    flags = {"seed": args.seed, "out": args.out}
+    cfg = load_config(args.config, {k: str(v) for k, v in flags.items() if v is not None})
     manifest = run_pipeline(cfg)
     logger.info("pipeline complete; manifest at %s", manifest)
     return 0
@@ -333,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except CoexpressError as exc:
+    except (CoexpressError, OSError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -14,8 +14,6 @@ from .matrix import ExpressionMatrix
 
 logger = logging.getLogger(__name__)
 
-CLAMP_TOL = 1e-12
-
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson coefficient via mean-centered dot products.

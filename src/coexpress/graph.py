@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -528,6 +529,8 @@ class SweepRow:
 
 
 def sweep_thresholds(t_min: float, t_max: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (t_min, t_max, step))):
+        raise ValidationError("sweep bounds and step must be finite")
     if step <= 0 or t_max < t_min:
         raise ValidationError("need step > 0 and t_max >= t_min")
     out = []
@@ -548,7 +551,7 @@ def select_threshold(
     step: float = 0.02,
     override: float | None = None,
     seed: int = 0,
-    threads: int = 1,
+    threads: int = 1,  # no flag or config key sets it; perfbench/workloads.py passes it
 ) -> tuple[GeneGraph, Partition, list[SweepRow]]:
     """Sweep thresholds, detect communities on each full thresholded graph,
     and return the graph/partition of maximum modularity (tie: smallest t).
@@ -556,9 +559,9 @@ def select_threshold(
     Candidates whose graph has no edges are recorded with modularity None and
     skipped by the argmax. With `override` set, the sweep is bypassed and the
     returned table holds the single override row. The sweep runs serially and
-    keeps only the best graph so far; `threads` is accepted for configuration
-    compatibility and has no effect (community detection is pure Python under
-    the GIL, where a thread pool measured slower than one thread).
+    keeps only the best graph so far; `threads` has no effect (community
+    detection is pure Python under the GIL, where a thread pool measured slower
+    than one thread).
     """
     if override is not None:
         g = threshold_graph(wg, override)

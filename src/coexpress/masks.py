@@ -12,7 +12,7 @@ import numpy as np
 
 from .correlation import _standardize_rows
 from .errors import ValidationError
-from .matrix import ExpressionMatrix
+from .matrix import ExpressionMatrix, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -124,7 +124,7 @@ def save_gene_set(gs: GeneSet, path: str | Path) -> None:
 def load_gene_set(path: str | Path) -> GeneSet:
     name, provenance = Path(path).stem, ""
     genes: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line:
             continue

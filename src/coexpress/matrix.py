@@ -116,6 +116,16 @@ def _delimiter_for(path: Path, delimiter: str | None) -> str:
     return "," if path.suffix.lower() == ".csv" else "\t"
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of `path` (a leading byte-order mark dropped, line ends kept)."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {raw[exc.start]:#04x})",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
+
+
 def load_matrix(
     matrix_path: str | Path,
     labels_path: str | Path,
@@ -138,8 +148,7 @@ def load_matrix(
         raise ValidationError(f"label file not found: {labels_path}")
     delim = _delimiter_for(matrix_path, delimiter)
 
-    with open(matrix_path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = read_text(matrix_path)
     sample_ids, gene_ids, values = (_read_plain(text, delim)
                                     or _read_csv(io.StringIO(text, newline=""), delim))
 
@@ -245,19 +254,18 @@ def _is_number(cell: str) -> bool:
 
 def _read_labels(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ParseError("label row needs two columns (sample_id, site)", line=lineno)
-            sid, site = row[0].strip(), row[1].strip()
-            if lineno == 1 and sid.lower() in ("sample_id", "sample"):
-                continue
-            if sid in out and out[sid] != site:
-                raise ValidationError(f"conflicting labels for sample {sid!r}")
-            out[sid] = site
+    reader = csv.reader(io.StringIO(read_text(path), newline=""), delimiter="\t")
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ParseError("label row needs two columns (sample_id, site)", line=lineno)
+        sid, site = row[0].strip(), row[1].strip()
+        if lineno == 1 and sid.lower() in ("sample_id", "sample"):
+            continue
+        if sid in out and out[sid] != site:
+            raise ValidationError(f"conflicting labels for sample {sid!r}")
+        out[sid] = site
     return out
 
 

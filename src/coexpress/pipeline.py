@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
-from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train
+from .booster import BoostedEnsemble, BoosterConfig, ensemble_to_json, hyperparameters, train
 from .errors import GraphError, StageError, ValidationError
 from .folds import FoldPlan, oversample, save_plan, stratified_folds
 from .graph import (
@@ -39,15 +39,7 @@ from .masks import (
 )
 from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
 from .normalize import NormalizationScheme, normalize_matrix
-from .rfe import (
-    MIN_RFE_GENES,
-    CvReport,
-    EliminationTrace,
-    cross_validate_step,
-    export_trace,
-    recursive_eliminate,
-    report_to_dict,
-)
+from .rfe import MIN_RFE_GENES, EliminationTrace, export_trace, recursive_eliminate, report_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +64,7 @@ class PipelineConfig:
     gcn_sweep: tuple[float, float, float] = (0.4, 0.9, 0.02)
     cohorts: tuple[str, ...] | None = None   # None = every site class
     seed: int = 0
-    threads: int = 1
+    threads: int = 1   # no config key or flag; kept because perfbench/workloads.py passes it
 
     def __post_init__(self):
         self.matrix = Path(self.matrix)
@@ -126,7 +118,6 @@ _CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("gcn", "cohorts"): ("cohorts", _csv_list),
     ("run", "out"): ("out", Path),
     ("run", "seed"): ("seed", int),
-    ("run", "threads"): ("threads", int),
 }
 
 
@@ -139,33 +130,39 @@ def _read_key(section: str, key: str, parse: Callable[[str], object], text: str)
 
 
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> PipelineConfig:
-    """Read the INI-style config; `overrides` (flag values) win over file keys.
+    """Read the INI-style config; `overrides` (flag values, by key) win over file keys.
 
-    Keys left unset (or empty) take their PipelineConfig / BoosterConfig defaults.
+    Keys left unset (or empty) take their PipelineConfig / BoosterConfig defaults;
+    a section or key that is not in the table is an error.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config {path} does not parse: {str(exc).splitlines()[0]}") from None
     if not read:
         raise ValidationError(f"config file not found: {path}")
-    overrides = dict(overrides or {})
+    keys = {**_CONFIG_KEYS, **{("booster", name): (name, type(default))
+                               for name, default in hyperparameters(BoosterConfig()).items()}}
+    sections = {section for section, _ in keys}
+    unknown = ["[DEFAULT]"] if cp.defaults() else []
+    for section in cp.sections():
+        if section not in sections:
+            unknown.append(f"[{section}]")
+        else:
+            unknown += [f"[{section}] {key}" for key in cp.options(section)
+                        if (section, key) not in keys and key not in cp.defaults()]
+    if unknown:
+        raise ValidationError(f"config {path} has unknown sections or keys: {', '.join(unknown)}")
 
-    def get(section: str, key: str) -> str | None:
-        if overrides.get(key) is not None:
-            return overrides[key]
-        return cp.get(section, key, fallback=None)
-
-    kwargs = {}
-    for (section, key), (name, parse) in _CONFIG_KEYS.items():
-        text = get(section, key)
+    overrides = overrides or {}
+    kwargs, booster = {}, {}
+    for (section, key), (name, parse) in keys.items():
+        text = overrides.get(key, cp.get(section, key, fallback=None))
         if text:
-            kwargs[name] = _read_key(section, key, parse, text)
+            (booster if section == "booster" else kwargs)[name] = _read_key(section, key, parse, text)
     if not {"matrix", "labels", "out"} <= kwargs.keys():
         raise ValidationError("config must provide input.matrix, input.labels, run.out")
-    booster = {}
-    for name, default in hyperparameters(BoosterConfig()).items():
-        text = get("booster", name)
-        if text:
-            booster[name] = _read_key("booster", name, type(default), text)
     return PipelineConfig(booster=BoosterConfig(**booster), **kwargs)
 
 
@@ -254,15 +251,19 @@ def _normalize(m: ExpressionMatrix, scheme: NormalizationScheme, d: Path) -> Exp
     return out
 
 
-def _write_rfe(d: Path, report: CvReport, best: GeneSet, trace: EliminationTrace | None = None) -> None:
-    """cv_report.json and best.genes, plus trace.csv and gene_sets.json when elimination ran."""
+def _write_rfe(d: Path, trace: EliminationTrace, best: GeneSet) -> None:
+    """trace.csv, gene_sets.json, the best step's cv_report.json, and `best` as best.genes."""
     d.mkdir(parents=True, exist_ok=True)
-    if trace is not None:
-        export_trace(trace, d)
+    export_trace(trace, d)
     (d / "cv_report.json").write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True), encoding="utf-8"
+        json.dumps(report_to_dict(trace.best.report), indent=2, sort_keys=True), encoding="utf-8"
     )
     save_gene_set(best, d / "best.genes")
+
+
+def _fit(m: ExpressionMatrix, genes: GeneSet, config: BoosterConfig) -> BoostedEnsemble:
+    """The booster trained on every sample of `m`, over the rows of `genes`."""
+    return train(m.values[m.gene_index(genes.gene_ids)].T, list(m.labels), config)
 
 
 def _cohort_network(
@@ -357,16 +358,9 @@ def _run_rfe(
     cfg: PipelineConfig, st: dict, out: Path, stage: str, plan: FoldPlan, start: GeneSet
 ) -> tuple[GeneSet, np.ndarray]:
     """The stage's kept gene set and its genes' mean CV importance, in set order."""
-    d = out / stage
-    bcfg = _booster_cfg(cfg)
-    if len(start) <= MIN_RFE_GENES:
-        logger.warning("%s: start set has %d genes; skipping elimination", stage, len(start))
-        step = cross_validate_step(st["norm"], start, plan, bcfg, cfg.repeats)
-        best = GeneSet(f"set_{stage}", start.gene_ids, provenance=f"{stage}: start set kept unchanged")
-        _write_rfe(d, step.report, best)
-        return best, step.importance
     trace = recursive_eliminate(
-        st["norm"], start, plan, bcfg, drop_per_step=cfg.drop_per_step, repeats=cfg.repeats
+        st["norm"], start, plan, _booster_cfg(cfg), drop_per_step=cfg.drop_per_step,
+        repeats=cfg.repeats,
     )
     best = GeneSet(
         f"set_{stage}",
@@ -374,7 +368,7 @@ def _run_rfe(
         provenance=f"{stage} best step ({len(trace.best.genes)} genes, "
         f"accuracy {trace.best.report.accuracy:.4f})",
     )
-    _write_rfe(d, trace.best.report, best, trace)
+    _write_rfe(out / stage, trace, best)
     return best, trace.best.importance
 
 
@@ -396,10 +390,8 @@ def _stage_rfe_balanced(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 
 def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    m = st["norm"]
     key = st["key_set"]
-    X = m.values[m.gene_index(key.gene_ids)].T
-    ens = train(X, list(m.labels), _booster_cfg(cfg))
+    ens = _fit(st["norm"], key, _booster_cfg(cfg))
     d = out / "model"
     d.mkdir(parents=True, exist_ok=True)
     (d / "model.json").write_text(ensemble_to_json(ens), encoding="utf-8")
@@ -448,23 +440,14 @@ STAGES: tuple[tuple[str, Callable[[PipelineConfig, dict, Path], None]], ...] = (
 
 
 def _config_echo(cfg: PipelineConfig) -> dict:
-    """Path-free config echo for the manifest (paths would break rerun identity)."""
-    return {
-        "keep_sites": list(cfg.keep_sites) if cfg.keep_sites else None,
-        "scheme": cfg.scheme,
-        "epsilon": cfg.epsilon,
-        "select_sweep": list(cfg.select_sweep),
-        "t_intersect": cfg.t_intersect,
-        "t_combined": cfg.t_combined,
-        "pair": list(cfg.pair) if cfg.pair else None,
-        "k": cfg.k,
-        "factors": None if cfg.factors is None else dict(sorted(cfg.factors.items())),
-        "booster": hyperparameters(cfg.booster),
-        "drop_per_step": cfg.drop_per_step,
-        "repeats": cfg.repeats,
-        "gcn_sweep": list(cfg.gcn_sweep),
-        "cohorts": None if cfg.cohorts is None else list(cfg.cohorts),
-    }
+    """Every config-file setting but the paths (they would break rerun identity)
+    and the seed (the manifest's `root_seed`), with tuples as lists."""
+    echo = {"booster": hyperparameters(cfg.booster)}
+    for name, parse in _CONFIG_KEYS.values():
+        if parse is not Path and name != "seed":
+            value = getattr(cfg, name)
+            echo[name] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:

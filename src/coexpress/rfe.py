@@ -197,12 +197,12 @@ def recursive_eliminate(
     Importance is the mean of per-model normalized gain scores over every
     model trained in the step's cross-validation; ties rank by gene ID. Each
     step drops min(drop_per_step, surviving - MIN_RFE_GENES) genes until only
-    MIN_RFE_GENES remain, so surviving sets are strictly nested. Best step is
-    the highest mean accuracy; accuracies equal within 1e-9 resolve toward
-    fewer genes.
+    MIN_RFE_GENES remain, so surviving sets are strictly nested; a start of at
+    most MIN_RFE_GENES genes gives a one-step trace. Best step is the highest
+    mean accuracy; accuracies equal within 1e-9 resolve toward fewer genes.
     """
-    if len(start) <= MIN_RFE_GENES:
-        raise ValidationError(f"start set must hold more than {MIN_RFE_GENES} genes")
+    if len(start) == 0:
+        raise ValidationError("start set is empty")
     if drop_per_step < 1:
         raise ValidationError("drop_per_step must be >= 1")
     config = config or BoosterConfig()

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .masks import GeneSet, save_gene_set
 from .matrix import ExpressionMatrix, write_matrix
 
@@ -132,7 +132,10 @@ def spec_to_json(spec: SynthSpec) -> str:
 
 
 def spec_from_json(text: str) -> SynthSpec:
-    d = json.loads(text)
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"spec is not JSON: {exc.msg} (column {exc.colno})", line=exc.lineno) from None
     return SynthSpec(
         samples_per_class={str(k): int(v) for k, v in d["samples_per_class"].items()},
         background_genes=int(d.get("background_genes", 50)),

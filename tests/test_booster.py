@@ -219,6 +219,12 @@ class TestTraining:
         with pytest.raises(ValidationError):
             BoosterConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "reg_lambda", "gamma", "min_child_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            BoosterConfig(**{name: value})
+
 
 class TestPrediction:
     def test_zero_round_ensemble_is_uniform(self):

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import hashlib
 import json
 import re
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from coexpress.booster import BoosterConfig
-from coexpress.cli import main
+from coexpress.cli import build_parser, main
 from coexpress.errors import ValidationError
 from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
 from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
@@ -444,3 +446,144 @@ class TestOneSitePair:
         assert "select" in (tmp_path / "onesite" / ".partial").read_text()
         assert any("stage 'select' failed" in r.message and "exactly two sites" in r.message
                    for r in caplog.records)
+
+
+SEEDED = {"folds", "train", "rfe", "gcn", "atlas", "pipeline"}
+
+
+class TestFlags:
+    def test_seed_only_where_a_seed_is_used_and_no_threads(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {o for a in p._actions for o in a.option_strings}
+                 for name, p in sub.choices.items()}
+        assert {name for name, opts in flags.items() if "--seed" in opts} == SEEDED
+        assert not any("--threads" in opts for opts in flags.values())
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--spec", "spec.json", "--out", "o", "--seed", "1"),
+        ("ingest", "--matrix", "m.tsv", "--labels", "l.tsv", "--out", "o", "--threads", "2"),
+    ])
+    def test_removed_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+
+    def test_pipeline_seed_zero_overrides_config_seed(self, pipeline_config):
+        tmp_path, write_cfg = pipeline_config
+        cfg = write_cfg("seed0")
+        cfg.write_text(cfg.read_text().replace("seed = 7", "seed = 42"))
+        assert run("pipeline", "--config", cfg, "--seed", "0") == 0
+        assert json.loads((tmp_path / "seed0" / "MANIFEST.json").read_text())["root_seed"] == 0
+
+    def test_rfe_on_min_genes_runs_one_step(self, dataset, tmp_path):
+        genes = tmp_path / "three.genes"
+        genes.write_text("\n".join(load_matrix(dataset / "matrix.tsv",
+                                               dataset / "labels.tsv").gene_ids[:3]) + "\n")
+        out = tmp_path / "rfe"
+        assert run("rfe", "--in", dataset, "--genes", genes, "--k", "3",
+                   "--n-estimators", "4", "--out", out) == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 2
+        assert load_gene_set(out / "best.genes").gene_ids == load_gene_set(genes).gene_ids
+
+
+MINIMAL_INI = "[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[run]\nout = o\n"
+
+
+class TestUnknownConfigKeys:
+    @pytest.mark.parametrize("extra,named", [
+        ("[booster]\nn_estimator = 5\n", "[booster] n_estimator"),
+        ("[gcn]\nsweeep = 0.3:0.9:0.1\n", "[gcn] sweeep"),
+        ("[networks]\nsweep = 0.3:0.9:0.1\n", "[networks]"),
+        ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
+    ])
+    def test_unknown_section_or_key_exits_1(self, tmp_path, caplog, extra, named):
+        ini = tmp_path / "typo.ini"
+        ini.write_text(MINIMAL_INI + "\n" + extra)
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            load_config(ini)
+        assert run("pipeline", "--config", ini) == 1
+        assert any(named in r.message for r in caplog.records)
+
+    def test_threads_key_is_unknown(self, tmp_path):
+        ini = tmp_path / "threads.ini"
+        ini.write_text(MINIMAL_INI + "threads = 2\n")
+        with pytest.raises(ValidationError, match=re.escape("[run] threads")):
+            load_config(ini)
+
+    def test_every_unknown_key_is_named(self, tmp_path):
+        ini = tmp_path / "two.ini"
+        ini.write_text(MINIMAL_INI + "\n[booster]\nn_estimator = 5\n\n[gcn]\nsweeep = 0.3:0.9:0.1\n")
+        with pytest.raises(ValidationError, match=r"\[booster\] n_estimator, \[gcn\] sweeep"):
+            load_config(ini)
+
+
+class TestOutsideFiles:
+    """A file from outside that cannot be read ends in one logged line and exit 1."""
+
+    def _fails_with(self, caplog, argv, *needles):
+        assert run(*argv) == 1
+        (msg,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "\n" not in msg
+        for needle in needles:
+            assert needle in msg
+
+    def test_latin1_matrix(self, tmp_path, caplog):
+        matrix = tmp_path / "latin1.tsv"
+        matrix.write_bytes(b"gene_id\ts1\ts2\nG\xe8ne\t1\t2\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("s1\tA\ns2\tB\n")
+        self._fails_with(caplog, ("ingest", "--matrix", matrix, "--labels", labels,
+                                  "--out", tmp_path / "o"), "latin1.tsv", "line 2", "UTF-8")
+
+    def test_latin1_labels(self, tmp_path, caplog):
+        matrix = tmp_path / "matrix.tsv"
+        matrix.write_text("gene_id\ts1\ts2\ng1\t1\t2\n")
+        labels = tmp_path / "sites.tsv"
+        labels.write_bytes(b"s1\tA\ns2\tF\xe9mur\n")
+        self._fails_with(caplog, ("ingest", "--matrix", matrix, "--labels", labels,
+                                  "--out", tmp_path / "o"), "sites.tsv", "line 2", "UTF-8")
+
+    def test_missing_gene_set(self, dataset, tmp_path, caplog):
+        self._fails_with(caplog, ("train", "--in", dataset, "--genes", tmp_path / "nope.genes",
+                                  "--out", tmp_path / "model.json"), "nope.genes")
+
+    def test_config_without_section_header(self, tmp_path, caplog):
+        ini = tmp_path / "flat.ini"
+        ini.write_text("matrix = m.tsv\nlabels = l.tsv\n")
+        self._fails_with(caplog, ("pipeline", "--config", ini), "flat.ini", "no section headers")
+
+    def test_truncated_spec(self, tmp_path, caplog):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_to_json(SMALL_SPEC)[:40])
+        self._fails_with(caplog, ("synth", "--spec", spec, "--out", tmp_path / "o"),
+                         "spec is not JSON")
+
+
+class TestNonFiniteFlags:
+    def test_nan_learning_rate_exits_1(self, dataset, tmp_path, caplog):
+        genes = tmp_path / "g.genes"
+        genes.write_text("BG0000\n")
+        model = tmp_path / "model.json"
+        assert run("train", "--in", dataset, "--genes", genes, "--learning-rate", "nan",
+                   "--out", model) == 1
+        assert any("learning_rate must be finite" in r.message for r in caplog.records)
+        assert not model.exists()
+
+
+class TestGroupMeansCsv:
+    def test_site_with_comma_keeps_rows_whole(self, tmp_path):
+        rng = np.random.default_rng(4)
+        labels = ("L,N",) * 3 + ("Bone",) * 3 + ("Liver",) * 3
+        m = ExpressionMatrix(tuple(f"g{i}" for i in range(6)), tuple(f"s{i}" for i in range(9)),
+                             labels, rng.normal(size=(6, 9)))
+        d = tmp_path / "data"
+        d.mkdir()
+        write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
+        gm = tmp_path / "gm.csv"
+        assert run("corr", "--in", d, "--group-means", gm) == 0
+        with open(gm, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["", "L,N", "Bone", "Liver"]
+        assert [r[0] for r in rows[1:]] == ["L,N", "Bone", "Liver"]
+        assert all(len(r) == 4 for r in rows)

@@ -1,6 +1,11 @@
 import hashlib
 import heapq
 import logging
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -654,6 +659,35 @@ def two_clique_weighted(n_per=5, intra1=0.75, intra2=0.65, inter=0.42):
                 w[i, j] = val
     np.fill_diagonal(w, 0.0)
     return WeightedGeneGraph(tuple(f"g{i}" for i in range(n)), w)
+
+
+SWEEP_IN_CHILD = """
+import sys
+from coexpress.errors import ValidationError
+from coexpress.graph import sweep_thresholds
+try:
+    sweep_thresholds(*map(float, sys.argv[1:]))
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestSweepThresholds:
+    # A sweep that never ends grows its list until memory runs out, so each
+    # case runs in a child process with 1 GiB of address space and a timeout.
+    @pytest.mark.parametrize("bounds", [("nan", "0.9", "0.02"), ("0.4", "inf", "0.02"),
+                                        ("0.4", "0.9", "nan")])
+    def test_non_finite_bounds_rejected(self, bounds):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", SWEEP_IN_CHILD, *bounds], env=env,
+                              capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
+        assert done.returncode == 0, done.stderr[-500:]
+        assert done.stdout.strip() == "sweep bounds and step must be finite"
 
 
 class TestSelectThreshold:

@@ -5,12 +5,13 @@ the all-cohort network, two cohort networks and one skipped cohort, in about a s
 """
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import StageError
-from coexpress.pipeline import PipelineConfig, _config_echo, load_config, run_pipeline
+from coexpress.pipeline import _CONFIG_KEYS, PipelineConfig, _config_echo, load_config, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
 # sha256 of the MANIFEST `outputs` map (path -> sha256) of the golden run
@@ -88,3 +89,8 @@ class TestConfigEcho:
         assert (echo["factors"], echo["cohorts"]) == ({}, [])
         unset = _config_echo(PipelineConfig("m.tsv", "l.tsv", "o"))
         assert (unset["factors"], unset["cohorts"]) == (None, None)
+
+    def test_echo_keys_are_the_config_table_fields(self):
+        # every setting read from the config file but the paths and the seed
+        fields = {name for name, parse in _CONFIG_KEYS.values() if parse is not Path} - {"seed"}
+        assert _config_echo(PipelineConfig("m.tsv", "l.tsv", "o")).keys() == fields | {"booster"}

@@ -199,11 +199,22 @@ class TestRecursiveEliminate:
         tied = [i for i, a in enumerate(accs) if abs(a - best_acc) <= 1e-9]
         assert trace.best_index == tied[-1]
 
-    def test_start_too_small_rejected(self):
+    def test_start_of_min_genes_is_one_step_trace(self):
         m = self._planted(noise_genes=2)
         plan = stratified_folds(m.labels, 5, seed=11)
-        with pytest.raises(ValidationError):
-            recursive_eliminate(m, GeneSet("s", m.gene_ids[:3]), plan, FAST)
+        start = GeneSet("s", m.gene_ids[:MIN_RFE_GENES])
+        trace = recursive_eliminate(m, start, plan, FAST)
+        assert (len(trace.steps), trace.best_index) == (1, 0)
+        assert trace.best.genes == start and trace.best.dropped == 0
+        step = cross_validate_step(m, start, plan, FAST)
+        assert trace.best.report.accuracy == step.report.accuracy
+        assert np.array_equal(trace.best.importance, step.importance)
+
+    def test_empty_start_rejected(self):
+        m = self._planted(noise_genes=2)
+        plan = stratified_folds(m.labels, 5, seed=11)
+        with pytest.raises(ValidationError, match="empty"):
+            recursive_eliminate(m, GeneSet("s", ()), plan, FAST)
 
     def test_export_trace_files_and_metric_recompute(self, tmp_path):
         m = self._planted(noise_genes=6)
@@ -242,3 +253,6 @@ class TestRecursiveEliminate:
         assert np.array_equal(imp, fresh)
         if n_start == MIN_RFE_GENES:
             assert kept.gene_ids == start.gene_ids
+        # a start at the minimum takes the same path: a one-step trace is written
+        assert (tmp_path / "rfe_x" / "trace.csv").exists()
+        assert "best step" in kept.provenance
