@@ -73,7 +73,7 @@ from .pipeline import PipelineConfig, load_config, run_pipeline
 from .rfe import (
     CvReport,
     EliminationTrace,
-    cross_validate,
+    cross_validate_step,
     export_trace,
     majority_baseline,
     metrics,

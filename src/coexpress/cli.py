@@ -26,6 +26,7 @@ from .masks import (
 from .matrix import ExpressionMatrix, load_matrix, read_text
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
+    ALL_SAMPLES,
     PipelineConfig,
     _atlas,
     _cohort_network,
@@ -37,11 +38,10 @@ from .pipeline import (
     _normalize,
     _parse_factors,
     _parse_triplet,
-    _write_rfe,
     load_config,
     run_pipeline,
 )
-from .rfe import recursive_eliminate
+from .rfe import export_trace, recursive_eliminate
 from .synthetic import generate, spec_from_json, write_dataset
 from .atlas import CommunityNetwork, tier_genes
 
@@ -250,7 +250,7 @@ def _cmd_rfe(args) -> int:
         m, load_gene_set(args.genes), plan, _booster_from_args(args),
         drop_per_step=args.drop, repeats=args.repeats,
     )
-    _write_rfe(Path(args.out), trace, trace.best.genes)
+    export_trace(trace, args.out, trace.best.genes)
     logger.info("best step keeps %d genes at accuracy %.4f",
                 len(trace.best.genes), trace.best.report.accuracy)
     return 0
@@ -273,10 +273,10 @@ def _cmd_atlas(args) -> int:
     tiers = tier_genes(nested)
     # the smallest nested set is the key set; file order defines indices 0..K-1
     key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
-    cohorts = args.cohorts or ["all", *dict.fromkeys(m.labels)]
+    cohorts = args.cohorts or [ALL_SAMPLES, *dict.fromkeys(m.labels)]
     networks = {}
     for cohort in cohorts:
-        site = None if cohort == "all" else cohort
+        site = None if cohort == ALL_SAMPLES else cohort
         try:
             g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed)
         except (GraphError, ValidationError) as exc:

@@ -20,6 +20,7 @@ from .matrix import ExpressionMatrix
 logger = logging.getLogger(__name__)
 
 GAIN_TOL = 1e-12
+MAX_THRESHOLDS = 10_000  # per sweep; a tiny step would otherwise fill memory
 
 
 @dataclass(frozen=True)
@@ -533,6 +534,9 @@ def sweep_thresholds(t_min: float, t_max: float, step: float) -> list[float]:
         raise ValidationError("sweep bounds and step must be finite")
     if step <= 0 or t_max < t_min:
         raise ValidationError("need step > 0 and t_max >= t_min")
+    count = (t_max - t_min) / step + 1
+    if count > MAX_THRESHOLDS:
+        raise ValidationError(f"a sweep of {count:.0f} thresholds exceeds the limit of {MAX_THRESHOLDS}")
     out = []
     i = 0
     while True:

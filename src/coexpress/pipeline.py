@@ -39,9 +39,11 @@ from .masks import (
 )
 from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
 from .normalize import NormalizationScheme, normalize_matrix
-from .rfe import MIN_RFE_GENES, EliminationTrace, export_trace, recursive_eliminate, report_to_dict
+from .rfe import MIN_RFE_GENES, export_trace, recursive_eliminate
 
 logger = logging.getLogger(__name__)
+
+ALL_SAMPLES = "all"  # the all-sample network's cohort name; no site may take it
 
 
 @dataclass
@@ -224,6 +226,8 @@ def _ingest(
     m = load_matrix(matrix, labels)
     if keep_sites:
         m = filter_sites(m, keep_sites)
+    if ALL_SAMPLES in m.labels:
+        raise ValidationError(f"site label {ALL_SAMPLES!r} is reserved for the all-sample network")
     site_order = list(keep_sites) if keep_sites else list(dict.fromkeys(m.labels))
     m, report = cleanse(m, site_order)
     _write_bundle(m, d)
@@ -249,16 +253,6 @@ def _normalize(m: ExpressionMatrix, scheme: NormalizationScheme, d: Path) -> Exp
     out = normalize_matrix(m, scheme)
     _write_bundle(out, d)
     return out
-
-
-def _write_rfe(d: Path, trace: EliminationTrace, best: GeneSet) -> None:
-    """trace.csv, gene_sets.json, the best step's cv_report.json, and `best` as best.genes."""
-    d.mkdir(parents=True, exist_ok=True)
-    export_trace(trace, d)
-    (d / "cv_report.json").write_text(
-        json.dumps(report_to_dict(trace.best.report), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    save_gene_set(best, d / "best.genes")
 
 
 def _fit(m: ExpressionMatrix, genes: GeneSet, config: BoosterConfig) -> BoostedEnsemble:
@@ -368,7 +362,7 @@ def _run_rfe(
         provenance=f"{stage} best step ({len(trace.best.genes)} genes, "
         f"accuracy {trace.best.report.accuracy:.4f})",
     )
-    _write_rfe(out / stage, trace, best)
+    export_trace(trace, out / stage, best)
     return best, trace.best.importance
 
 
@@ -404,8 +398,8 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
     d = out / "gcn"
 
     g_all, p_all, table_all = _cohort_network(m, st["primary"], None, cfg.gcn_sweep, seed)
-    _export_network(d / "all", g_all, p_all, table_all)
-    networks: dict[str, CommunityNetwork] = {"all": CommunityNetwork(g_all, p_all)}
+    _export_network(d / ALL_SAMPLES, g_all, p_all, table_all)
+    networks: dict[str, CommunityNetwork] = {ALL_SAMPLES: CommunityNetwork(g_all, p_all)}
 
     # Downstream cohorts study only the all-cohort giant component's genes.
     giant_genes = tuple(giant_component(g_all).nodes)

@@ -13,7 +13,7 @@ import numpy as np
 from .booster import BoosterConfig, predict, train
 from .errors import ValidationError
 from .folds import FoldPlan, cv_split, oversample, stratified_folds
-from .masks import GeneSet
+from .masks import GeneSet, save_gene_set
 from .matrix import ExpressionMatrix
 
 logger = logging.getLogger(__name__)
@@ -70,18 +70,6 @@ def metrics(confusion: np.ndarray, classes: Sequence[str]) -> dict[str, ClassMet
     return out
 
 
-def cross_validate(
-    m: ExpressionMatrix,
-    genes: GeneSet,
-    plan: FoldPlan,
-    config: BoosterConfig | None = None,
-    repeats: int = 1,
-) -> CvReport:
-    """k-fold cross-validation of the booster on the given gene subset; the
-    report of `cross_validate_step`."""
-    return cross_validate_step(m, genes, plan, config, repeats).report
-
-
 def majority_baseline(labels: Sequence[str]) -> float:
     """Accuracy of the constant majority-class predictor (report floor)."""
     labs = list(labels)
@@ -93,7 +81,6 @@ class EliminationStep:
     """One cross-validated gene set. `importance` is the mean normalized gain
     over every model of the step's CV, aligned with `genes.gene_ids`."""
 
-    dropped: int              # total genes dropped so far
     genes: GeneSet
     report: CvReport
     importance: np.ndarray
@@ -115,13 +102,27 @@ class EliminationTrace:
         return self.steps[self.best_index]
 
 
+def _cv_fold(X: np.ndarray, y: np.ndarray, plan: FoldPlan, v: int, config: BoosterConfig):
+    """Fold `v` of `plan`: a skip reason, or (validation labels, predictions,
+    model importance). No logging and no accumulator, so folds can run in any
+    order or process. `cv_split`, `train` and `predict` are module globals
+    here because perfbench/tracer.py wraps them by name."""
+    tr, va = cv_split(plan, v)
+    if va.size == 0:
+        return "is empty"
+    if len(set(y[tr])) < 2:
+        return "has a single training class"
+    ens = train(X[tr], list(y[tr]), config)
+    pred, _ = predict(ens, X[va])
+    return y[va], pred, ens.importance
+
+
 def cross_validate_step(
     m: ExpressionMatrix,
     genes: GeneSet,
     plan: FoldPlan,
     config: BoosterConfig | None = None,
     repeats: int = 1,
-    dropped: int = 0,
 ) -> EliminationStep:
     """k-fold cross-validation of the booster on one gene set: the report and
     the mean normalized gain importance over every model trained.
@@ -129,46 +130,39 @@ def cross_validate_step(
     Repeat 0 uses the plan verbatim; each further repeat reshuffles folds
     with seed = plan.seed + repeat and reapplies the plan's replication
     factors. Folds whose training split holds a single class are skipped
-    with a warning.
+    with a warning. Each repeat maps `_cv_fold` over its folds, then reduces
+    in fold order (warnings, accuracies, importance sum, confusion).
     """
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
     if plan.labels != m.labels:
         raise ValidationError("fold plan labels do not match the matrix")
-    config = config or BoosterConfig()
-    rows = m.gene_index(genes.gene_ids)
-    X = m.values[rows].T
+    config = config or BoosterConfig()  # perfbench/tracer.py reads the config passed to train
+    X = m.values[m.gene_index(genes.gene_ids)].T
     y = np.asarray(m.labels, dtype=object)
     classes = tuple(sorted(set(m.labels)))
     cidx = {c: k for k, c in enumerate(classes)}
 
     repeat_accs: list[float] = []
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     importance_acc = np.zeros(len(genes))
     models = 0
-
     for r in range(repeats):
         plan_r = plan if r == 0 else oversample(
             stratified_folds(plan.labels, plan.k, plan.seed + r), plan.replication
         )
+        folds = [_cv_fold(X, y, plan_r, v, config) for v in range(plan_r.k)]
         fold_accs: list[float] = []
-        last_repeat = r == repeats - 1
-        for v in range(plan_r.k):
-            tr, va = cv_split(plan_r, v)
-            if va.size == 0:
-                logger.warning("fold %d is empty; skipped", v)
+        confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        for v, fold in enumerate(folds):
+            if isinstance(fold, str):
+                logger.warning("fold %d %s; skipped", v, fold)
                 continue
-            if len(set(y[tr])) < 2:
-                logger.warning("fold %d has a single training class; skipped", v)
-                continue
-            ens = train(X[tr], list(y[tr]), config)
-            pred, _ = predict(ens, X[va])
-            fold_accs.append(float(np.mean(pred == y[va])))
-            importance_acc += ens.importance
+            truth, pred, importance = fold
+            fold_accs.append(float(np.mean(pred == truth)))
+            importance_acc += importance
             models += 1
-            if last_repeat:
-                for t_lab, p_lab in zip(y[va], pred):
-                    confusion[cidx[t_lab], cidx[p_lab]] += 1
+            for t_lab, p_lab in zip(truth, pred):
+                confusion[cidx[t_lab], cidx[p_lab]] += 1
         if not fold_accs:
             raise ValidationError("every fold was skipped; cannot cross-validate")
         repeat_accs.append(float(np.mean(fold_accs)))
@@ -181,7 +175,7 @@ def cross_validate_step(
         fold_count=plan.k,
         repeat_count=repeats,
     )
-    return EliminationStep(dropped, genes, report, importance_acc / max(models, 1))
+    return EliminationStep(genes, report, importance_acc / models)
 
 
 def recursive_eliminate(
@@ -205,13 +199,11 @@ def recursive_eliminate(
         raise ValidationError("start set is empty")
     if drop_per_step < 1:
         raise ValidationError("drop_per_step must be >= 1")
-    config = config or BoosterConfig()
 
     steps: list[EliminationStep] = []
     current = start
-    dropped_total = 0
     while True:
-        step = cross_validate_step(m, current, plan, config, repeats, dropped_total)
+        step = cross_validate_step(m, current, plan, config, repeats)
         steps.append(step)
         if len(current) <= MIN_RFE_GENES:
             break
@@ -220,51 +212,47 @@ def recursive_eliminate(
         ranked = sorted(range(len(current)), key=lambda i: (imp[i], current.gene_ids[i]))
         victims = {current.gene_ids[i] for i in ranked[:d]}
         survivors = tuple(g for g in current.gene_ids if g not in victims)
-        dropped_total += d
+        dropped = len(start) - len(survivors)
         current = GeneSet(
-            f"{start.name}_drop{dropped_total}",
+            f"{start.name}_drop{dropped}",
             survivors,
-            provenance=f"rfe from {start.name}, {dropped_total} dropped",
+            provenance=f"rfe from {start.name}, {dropped} dropped",
         )
 
     best = 0
-    for i in range(1, len(steps)):
-        if steps[i].report.accuracy > steps[best].report.accuracy + ACCURACY_TIE_TOL:
-            best = i
-        elif abs(steps[i].report.accuracy - steps[best].report.accuracy) <= ACCURACY_TIE_TOL:
-            best = i  # equal accuracy, fewer genes
+    for i, s in enumerate(steps):
+        if s.report.accuracy >= steps[best].report.accuracy - ACCURACY_TIE_TOL:
+            best = i  # higher, or equal within the tolerance with fewer genes
     return EliminationTrace(tuple(steps), best, plan.seed)
 
 
-def export_trace(trace: EliminationTrace, out_dir: str | Path) -> None:
-    """Write trace.csv (dropped, surviving, accuracy) and gene_sets.json."""
+def export_trace(trace: EliminationTrace, out_dir: str | Path, best: GeneSet) -> None:
+    """Write trace.csv (dropped, surviving, accuracy), gene_sets.json, the best
+    step's cv_report.json, and `best` as best.genes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    start = len(trace.steps[0].genes)
     with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["step", "dropped", "surviving", "accuracy", "is_best"])
         for i, s in enumerate(trace.steps):
-            w.writerow([i, s.dropped, len(s.genes), repr(s.report.accuracy), int(i == trace.best_index)])
+            w.writerow([i, start - len(s.genes), len(s.genes), repr(s.report.accuracy),
+                        int(i == trace.best_index)])
     payload = {
         "seed": trace.seed,
         "best_step": trace.best_index,
         "steps": [
-            {"dropped": s.dropped, "genes": list(s.genes.gene_ids), "accuracy": s.report.accuracy}
+            {"dropped": start - len(s.genes), "genes": list(s.genes.gene_ids),
+             "accuracy": s.report.accuracy}
             for s in trace.steps
         ],
     }
     (out / "gene_sets.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def report_to_dict(report: CvReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "fold_count": report.fold_count,
-        "repeat_count": report.repeat_count,
-        "classes": list(report.classes),
-        "confusion": report.confusion.tolist(),
-        "per_class": {
-            cl: {"precision": mts.precision, "recall": mts.recall, "f1": mts.f1}
-            for cl, mts in report.per_class.items()
-        },
-    }
+    report = trace.best.report
+    summary = {"accuracy": report.accuracy, "fold_count": report.fold_count,
+               "repeat_count": report.repeat_count, "classes": list(report.classes),
+               "confusion": report.confusion.tolist(),
+               "per_class": {cl: mts._asdict() for cl, mts in report.per_class.items()}}
+    (out / "cv_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
+                                        encoding="utf-8")
+    save_gene_set(best, out / "best.genes")

@@ -131,20 +131,33 @@ def spec_to_json(spec: SynthSpec) -> str:
     )
 
 
+_SPEC_KEYS = {
+    "samples_per_class": lambda v: {str(k): int(n) for k, n in v.items()},
+    "background_genes": int,
+    "planted_per_class": int,
+    "effect_size": float,
+    "noise_sigma": float,
+    "blocks": lambda v: tuple(BlockSpec(int(n), float(l)) for n, l in v),
+    "seed": int,
+}
+
+
 def spec_from_json(text: str) -> SynthSpec:
+    """A spec from JSON; keys other than `samples_per_class` take the SynthSpec defaults."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"spec is not JSON: {exc.msg} (column {exc.colno})", line=exc.lineno) from None
-    return SynthSpec(
-        samples_per_class={str(k): int(v) for k, v in d["samples_per_class"].items()},
-        background_genes=int(d.get("background_genes", 50)),
-        planted_per_class=int(d.get("planted_per_class", 10)),
-        effect_size=float(d.get("effect_size", 3.0)),
-        noise_sigma=float(d.get("noise_sigma", 1.0)),
-        blocks=tuple(BlockSpec(int(n), float(l)) for n, l in d.get("blocks", [])),
-        seed=int(d.get("seed", 0)),
-    )
+    if not isinstance(d, dict) or "samples_per_class" not in d:
+        raise ParseError("spec must be a JSON object with the key 'samples_per_class'")
+    fields = {}
+    for key, parse in _SPEC_KEYS.items():
+        if key in d:
+            try:
+                fields[key] = parse(d[key])
+            except (AttributeError, OverflowError, TypeError, ValueError):
+                raise ParseError(f"spec key {key!r} is malformed: {json.dumps(d[key])}") from None
+    return SynthSpec(**fields)
 
 
 def write_dataset(

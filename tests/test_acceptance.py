@@ -26,7 +26,7 @@ from coexpress.masks import build_masks, mask_correlations, select_combined, sel
 from coexpress.matrix import cleanse, filter_sites, load_matrix
 from coexpress.normalize import NormalizationScheme, normalize_matrix, normalize_row
 from coexpress.pipeline import load_config, run_pipeline
-from coexpress.rfe import cross_validate, recursive_eliminate
+from coexpress.rfe import cross_validate_step, recursive_eliminate
 from coexpress.synthetic import write_dataset
 
 BARBELL = GeneGraph(tuple("abcdef"), ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)))
@@ -60,7 +60,7 @@ def test_criterion_1_paper_reproduction():
 
     cfg = BoosterConfig()  # the documented booster configuration
     plan = stratified_folds(mn.labels, 10, seed=42)
-    raw_report = cross_validate(mn, combined, plan, cfg)
+    raw_report = cross_validate_step(mn, combined, plan, cfg).report
     assert abs(raw_report.accuracy - 0.9221) <= 0.04, raw_report.accuracy
 
     balanced = oversample(plan, {"LN": 1, "Bone": 2, "Liver": 5})
@@ -167,7 +167,7 @@ def test_criterion_4_planted_recovery(planted_rank):
         assert survivors & set(planted[cl].gene_ids), f"no planted {cl} gene at best step"
 
     plan10 = stratified_folds(mn.labels, 10, seed=11)
-    report = cross_validate(mn, start, plan10, cfg)
+    report = cross_validate_step(mn, start, plan10, cfg).report
     assert report.accuracy >= 0.9, f"cv accuracy {report.accuracy}"
 
     elapsed = time.monotonic() - t0

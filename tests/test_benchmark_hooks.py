@@ -4,9 +4,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import coexpress.rfe as rfe
+from coexpress.booster import BoosterConfig
 from coexpress.folds import oversample, stratified_folds
+from coexpress.masks import GeneSet
+from coexpress.matrix import ExpressionMatrix
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -29,3 +34,27 @@ def test_cv_split_rows_counter_reads_the_plan(tracer):
     (count,) = [c for m, attr, _, c in tracer.WRAPPED if attr == "cv_split"]
     plan = oversample(stratified_folds(["A"] * 4 + ["B"] * 2, 2, seed=0), {"B": 3})
     assert count((plan, 0), {}, None) == {"rows": 4 + 2 * 4}
+
+
+def test_rfe_step_calls_each_wrapped_name_once_per_fold(monkeypatch):
+    # booster.train.calls and folds.cv_split.calls count these calls by name
+    calls = {"train": 0, "cv_split": 0}
+
+    def counting(name):
+        inner = getattr(rfe, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rfe, name, counting(name))
+    labels = ("A",) * 10 + ("B",) * 10
+    values = np.random.default_rng(0).normal(size=(3, len(labels)))
+    m = ExpressionMatrix(("g0", "g1", "g2"), tuple(f"s{i}" for i in range(len(labels))),
+                         labels, values)
+    plan = stratified_folds(labels, 5, seed=0)
+    rfe.cross_validate_step(m, GeneSet("all", m.gene_ids), plan,
+                            BoosterConfig(n_estimators=2), repeats=2)
+    assert calls == {"train": 10, "cv_split": 10}

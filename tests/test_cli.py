@@ -2,14 +2,20 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.cli import build_parser, main
-from coexpress.errors import ValidationError
+from coexpress.errors import StageError, ValidationError
 from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
 from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
 from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
@@ -559,6 +565,16 @@ class TestOutsideFiles:
         self._fails_with(caplog, ("synth", "--spec", spec, "--out", tmp_path / "o"),
                          "spec is not JSON")
 
+    @pytest.mark.parametrize("text, needle", [
+        ("{}", "spec must be a JSON object with the key 'samples_per_class'"),
+        ("[]", "spec must be a JSON object"),
+        ('{"samples_per_class": [1, 2]}', "spec key 'samples_per_class' is malformed"),
+    ], ids=["empty", "list", "counts_as_list"])
+    def test_malformed_spec(self, tmp_path, caplog, text, needle):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        self._fails_with(caplog, ("synth", "--spec", spec, "--out", tmp_path / "o"), needle)
+
 
 class TestNonFiniteFlags:
     def test_nan_learning_rate_exits_1(self, dataset, tmp_path, caplog):
@@ -587,3 +603,45 @@ class TestGroupMeansCsv:
         assert rows[0] == ["", "L,N", "Bone", "Liver"]
         assert [r[0] for r in rows[1:]] == ["L,N", "Bone", "Liver"]
         assert all(len(r) == 4 for r in rows)
+
+
+class TestReservedSiteName:
+    """`all` names the all-sample network, so a site of that name is rejected at ingest."""
+
+    @pytest.fixture
+    def all_site(self, tmp_path):
+        m, planted, blocks = generate(UNEQUAL_SPEC)
+        labels = tuple("all" if lab == "A" else lab for lab in m.labels)
+        data = tmp_path / "data"
+        write_dataset(replace(m, labels=labels), planted, blocks, data)
+        return data
+
+    def test_pipeline_stops_in_ingest(self, all_site, tmp_path):
+        cfg = PipelineConfig(matrix=all_site / "matrix.tsv", labels=all_site / "labels.tsv",
+                             out=tmp_path / "run", k=3, booster=BoosterConfig(n_estimators=4))
+        with pytest.raises(StageError, match="reserved") as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "ingest"
+        assert not (tmp_path / "run" / "gcn").exists()
+
+    def test_ingest_exits_1(self, all_site, tmp_path, caplog):
+        assert run("ingest", "--matrix", all_site / "matrix.tsv", "--labels",
+                   all_site / "labels.tsv", "--out", tmp_path / "ingest") == 1
+        assert any("site label 'all' is reserved" in r.getMessage() for r in caplog.records)
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_gcn_sweep_of_too_many_thresholds_exits_1(dataset, tmp_path):
+    # run in a child process with 1 GiB of address space, as an unbounded
+    # sweep fills memory before it fails
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    argv = ["gcn", "--in", dataset, "--genes", dataset / "planted_A.genes",
+            "--sweep", "0.4:0.9:1e-9", "--out", tmp_path / "gcn"]
+    done = subprocess.run([sys.executable, "-m", "coexpress.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
+    assert done.returncode == 1
+    assert "exceeds the limit of 10000" in done.stderr

@@ -15,6 +15,7 @@ from coexpress.errors import GraphError, ValidationError
 from coexpress.graph import (
     EXACT_NODE_LIMIT,
     GAIN_TOL,
+    MAX_THRESHOLDS,
     GeneGraph,
     WeightedGeneGraph,
     build_weighted,
@@ -679,15 +680,24 @@ def _cap_memory():
 class TestSweepThresholds:
     # A sweep that never ends grows its list until memory runs out, so each
     # case runs in a child process with 1 GiB of address space and a timeout.
-    @pytest.mark.parametrize("bounds", [("nan", "0.9", "0.02"), ("0.4", "inf", "0.02"),
-                                        ("0.4", "0.9", "nan")])
-    def test_non_finite_bounds_rejected(self, bounds):
+    def _rejection(self, *bounds):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", SWEEP_IN_CHILD, *bounds], env=env,
                               capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
         assert done.returncode == 0, done.stderr[-500:]
-        assert done.stdout.strip() == "sweep bounds and step must be finite"
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize("bounds", [("nan", "0.9", "0.02"), ("0.4", "inf", "0.02"),
+                                        ("0.4", "0.9", "nan")])
+    def test_non_finite_bounds_rejected(self, bounds):
+        assert self._rejection(*bounds) == "sweep bounds and step must be finite"
+
+    def test_too_many_thresholds_rejected(self):
+        assert self._rejection("0.4", "0.9", "1e-9") == (
+            f"a sweep of 500000001 thresholds exceeds the limit of {MAX_THRESHOLDS}")
+        assert len(sweep_thresholds(0.0, 0.9999, 0.0001)) == MAX_THRESHOLDS
+        assert len(sweep_thresholds(0.05, 0.6, 0.05)) == 12  # the default select sweep
 
 
 class TestSelectThreshold:

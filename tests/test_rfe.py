@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +12,6 @@ from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
 from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _run_rfe
 from coexpress.rfe import (
-    cross_validate,
     cross_validate_step,
     export_trace,
     majority_baseline,
@@ -66,7 +67,7 @@ class TestCrossValidate:
         m = _simple_matrix(rng)
         plan = stratified_folds(m.labels, 5, seed=1)
         genes = GeneSet("all", m.gene_ids)
-        report = cross_validate(m, genes, plan, FAST)
+        report = cross_validate_step(m, genes, plan, FAST).report
         assert report.accuracy == 1.0
 
     def test_random_labels_near_chance(self):
@@ -80,14 +81,14 @@ class TestCrossValidate:
             rng.normal(size=(10, n)),
         )
         plan = stratified_folds(m.labels, 5, seed=2)
-        report = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST)
+        report = cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST).report
         assert abs(report.accuracy - 1 / 3) <= 0.1
 
     def test_confusion_trace_matches_accuracy_with_equal_folds(self):
         rng = np.random.default_rng(2)
         m = _simple_matrix(rng, n_per_class=20)
         plan = stratified_folds(m.labels, 10, seed=3)  # equal 6-sample folds
-        report = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST)
+        report = cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST).report
         pooled = np.trace(report.confusion) / report.confusion.sum()
         assert report.accuracy == pytest.approx(pooled, abs=1e-12)
 
@@ -95,7 +96,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(3)
         m = _simple_matrix(rng)
         plan = stratified_folds(m.labels, 5, seed=4)
-        r1 = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2)
+        r1 = cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2).report
         assert r1.repeat_count == 2
         assert r1.confusion.sum() == m.n_samples
 
@@ -111,16 +112,19 @@ class TestCrossValidate:
         m = ExpressionMatrix(tuple(f"g{i}" for i in range(6)),
                              tuple(f"s{i}" for i in range(len(labels))), labels, values)
         plan = oversample(stratified_folds(labels, 4, seed=9), {"A": 0, "B": 1, "C": 2})
-        report = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2)
-        assert repr(report.accuracy) == "0.7701923076923077"
-        assert report.confusion.tolist() == [[7, 5, 0], [4, 12, 0], [0, 0, 15]]
+        step = cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2)
+        assert repr(step.report.accuracy) == "0.7701923076923077"
+        assert step.report.confusion.tolist() == [[7, 5, 0], [4, 12, 0], [0, 0, 15]]
+        # the importance sum runs over repeats, then folds, in order
+        assert hashlib.sha256(step.importance.tobytes()).hexdigest() == (
+            "1afe8851d9c885ec0275ec296589970077a45db966c09475ddf49a8862416d41")
 
     def test_plan_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         m = _simple_matrix(rng)
         plan = stratified_folds(("A",) * 15 + ("B",) * 15, 5, seed=0)
         with pytest.raises(ValidationError):
-            cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST)
+            cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST)
 
     def test_majority_baseline(self):
         assert majority_baseline(["A", "A", "B"]) == pytest.approx(2 / 3)
@@ -140,9 +144,11 @@ class TestCrossValidate:
         # split is then pure A and must be skipped
         plan = stratified_folds(labels, 2, seed=0)
         with caplog.at_level(logging.WARNING):
-            report = cross_validate(m, GeneSet("all", m.gene_ids), plan, FAST)
-        assert any("single training class" in r.message for r in caplog.records)
+            report = cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST).report
+        assert "fold 0 has a single training class; skipped" in caplog.messages
         assert report.fold_count == 2  # one fold evaluated, one skipped
+        assert repr(report.accuracy) == "1.0"
+        assert report.confusion.tolist() == [[3, 0], [0, 0]]
 
 
 class TestRecursiveEliminate:
@@ -165,13 +171,15 @@ class TestRecursiveEliminate:
         assert "decisive" in trace.steps[-1].genes.gene_ids
         assert len(trace.steps[-1].genes) == 3
 
-    def test_loop_arithmetic_from_five_genes(self):
+    def test_loop_arithmetic_from_five_genes(self, tmp_path):
         m = self._planted(noise_genes=4)
         plan = stratified_folds(m.labels, 5, seed=7)
         trace = recursive_eliminate(m, GeneSet("start", m.gene_ids), plan, FAST, drop_per_step=1)
         sizes = [len(s.genes) for s in trace.steps]
         assert sizes == [5, 4, 3]
-        assert [s.dropped for s in trace.steps] == [0, 1, 2]
+        export_trace(trace, tmp_path, trace.best.genes)
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            assert [row["dropped"] for row in csv.DictReader(fh)] == ["0", "1", "2"]
 
     def test_nesting_and_step_sizes(self):
         m = self._planted()
@@ -205,7 +213,7 @@ class TestRecursiveEliminate:
         start = GeneSet("s", m.gene_ids[:MIN_RFE_GENES])
         trace = recursive_eliminate(m, start, plan, FAST)
         assert (len(trace.steps), trace.best_index) == (1, 0)
-        assert trace.best.genes == start and trace.best.dropped == 0
+        assert trace.best.genes == start
         step = cross_validate_step(m, start, plan, FAST)
         assert trace.best.report.accuracy == step.report.accuracy
         assert np.array_equal(trace.best.importance, step.importance)
@@ -220,7 +228,7 @@ class TestRecursiveEliminate:
         m = self._planted(noise_genes=6)
         plan = stratified_folds(m.labels, 5, seed=12)
         trace = recursive_eliminate(m, GeneSet("s", m.gene_ids), plan, FAST, drop_per_step=2)
-        export_trace(trace, tmp_path)
+        export_trace(trace, tmp_path, trace.best.genes)
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(rows) == len(trace.steps) + 1
         payload = json.loads((tmp_path / "gene_sets.json").read_text())
