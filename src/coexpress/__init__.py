@@ -15,7 +15,6 @@ from .booster import (
     RegressionTree,
     ensemble_from_json,
     ensemble_to_json,
-    feature_importance,
     predict,
     train,
 )
@@ -29,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from .folds import FoldPlan, cv_split, load_plan, oversample, save_plan, stratified_folds
+from .folds import FoldPlan, cv_split, load_plan, save_plan, stratified_folds
 from .graph import (
     GeneGraph,
     Partition,
@@ -54,7 +53,6 @@ from .masks import (
     select_combined,
     select_pair_opposite,
     select_three_mask_intersect,
-    set_difference,
     sweep_report,
 )
 from .matrix import (

@@ -567,15 +567,6 @@ def predict(e: BoostedEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, proba
 
 
-def feature_importance(e: BoostedEnsemble, kind: str = "gain") -> np.ndarray:
-    """Normalized per-feature score: 'gain' shares total split gain, 'weight' split counts."""
-    if kind == "gain":
-        return e.importance.copy()
-    if kind == "weight":
-        return e.importance_weight.copy()
-    raise ValidationError("kind must be 'gain' or 'weight'")
-
-
 def ensemble_to_json(e: BoostedEnsemble) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,7 @@ from . import __version__
 from .booster import BoosterConfig, ensemble_to_json, hyperparameters
 from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, GraphError, ValidationError
-from .folds import save_plan
+from .folds import save_plan, stratified_folds
 from .masks import (
     build_masks,
     default_pair,
@@ -30,10 +30,10 @@ from .pipeline import (
     PipelineConfig,
     _atlas,
     _cohort_network,
+    _cohort_networks,
     _csv_list,
     _export_network,
     _fit,
-    _fold_plan,
     _ingest,
     _normalize,
     _parse_factors,
@@ -230,7 +230,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_folds(args) -> int:
     m = _load_bundle(args.indir)
-    save_plan(_fold_plan(m.labels, args.k, args.seed, _parse_factors(args.factors)), args.out)
+    save_plan(stratified_folds(m.labels, args.k, args.seed, _parse_factors(args.factors)), args.out)
     return 0
 
 
@@ -245,7 +245,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_rfe(args) -> int:
     m = _load_bundle(args.indir)
-    plan = _fold_plan(m.labels, args.k, args.seed, _parse_factors(args.factors))
+    plan = stratified_folds(m.labels, args.k, args.seed, _parse_factors(args.factors))
     trace = recursive_eliminate(
         m, load_gene_set(args.genes), plan, _booster_from_args(args),
         drop_per_step=args.drop, repeats=args.repeats,
@@ -274,15 +274,8 @@ def _cmd_atlas(args) -> int:
     # the smallest nested set is the key set; file order defines indices 0..K-1
     key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
     cohorts = args.cohorts or [ALL_SAMPLES, *dict.fromkeys(m.labels)]
-    networks = {}
-    for cohort in cohorts:
-        site = None if cohort == ALL_SAMPLES else cohort
-        try:
-            g, p, _ = _cohort_network(m, nested[-1], site, args.sweep, args.seed)
-        except (GraphError, ValidationError) as exc:
-            logger.warning("cohort %r network skipped: %s", cohort, exc)
-            continue
-        networks[cohort] = CommunityNetwork(g, p)
+    networks = {cohort: CommunityNetwork(g, p) for cohort, g, p, _ in
+                _cohort_networks(m, nested[-1], cohorts, args.sweep, args.seed)}
     if not networks:
         raise GraphError("no cohort network remains for the atlas")
     _atlas(tiers, networks, key_index, Path(args.out))

@@ -14,6 +14,8 @@ from .matrix import ExpressionMatrix
 
 logger = logging.getLogger(__name__)
 
+SVG_MAX_CELLS = 1000  # larger matrices are exported CSV-only
+
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson coefficient via mean-centered dot products.
@@ -48,7 +50,6 @@ class CorrelationMatrix:
 
     ids: tuple[str, ...]
     values: np.ndarray
-    entity_kind: str
     excluded: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -60,8 +61,6 @@ class CorrelationMatrix:
         n = len(self.ids)
         if vals.shape != (n, n):
             raise ValidationError("correlation matrix must be square over ids")
-        if self.entity_kind not in ("sample", "gene"):
-            raise ValidationError("entity_kind must be 'sample' or 'gene'")
 
 
 def _standardize_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,25 +104,21 @@ def pairwise(
         raise ValidationError("subset of size < 2: correlation undefined")
 
     if axis == "samples":
-        block = work.values.T
-        ids = work.sample_ids
-        kind = "sample"
+        block, ids = work.values.T, work.sample_ids
     else:
-        block = work.values
-        ids = work.gene_ids
-        kind = "gene"
+        block, ids = work.values, work.gene_ids
 
     if block.shape[1] < 2:
         raise ValidationError("need >= 2 observations per entity")
     corr, ok = correlation_block(block)
     excluded = tuple(ids[i] for i in np.flatnonzero(~ok))
     if excluded:
-        logger.warning("excluding %d zero-variance %s(s): %s", len(excluded), kind,
+        logger.warning("excluding %d zero-variance %s(s): %s", len(excluded), axis[:-1],
                        ", ".join(excluded[:10]))
     kept_ids = tuple(ids[i] for i in np.flatnonzero(ok))
     if len(kept_ids) < 2:
         raise ValidationError("fewer than 2 usable entities after zero-variance exclusion")
-    return CorrelationMatrix(kept_ids, corr, kind, excluded)
+    return CorrelationMatrix(kept_ids, corr, excluded)
 
 
 @dataclass(frozen=True)
@@ -201,12 +196,11 @@ def export_heatmap(
     groups: Sequence[str],
     csv_path: str | Path | None = None,
     svg_path: str | Path | None = None,
-    max_cells: int = 1000,
 ) -> None:
     """Write the class-grouped, within-group-sorted matrix as CSV and/or SVG.
 
     The SVG is a plain grid of rects on a diverging blue-white-red scale;
-    matrices larger than max_cells x max_cells are exported CSV-only.
+    matrices larger than SVG_MAX_CELLS x SVG_MAX_CELLS are exported CSV-only.
     """
     order = _heatmap_order(c, groups)
     ids = [c.ids[i] for i in order]
@@ -221,8 +215,8 @@ def export_heatmap(
 
     if svg_path is not None:
         n = len(ids)
-        if n > max_cells:
-            logger.warning("matrix %dx%d exceeds the %d-cell SVG cap; skipping SVG", n, n, max_cells)
+        if n > SVG_MAX_CELLS:
+            logger.warning("matrix %dx%d exceeds the %d-cell SVG cap; skipping SVG", n, n, SVG_MAX_CELLS)
             return
         cell = max(1, 1000 // max(n, 1))
         size = cell * n

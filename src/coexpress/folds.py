@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,12 +71,17 @@ class FoldPlan:
         return tuple(zip(rows.tolist(), folds.tolist()))
 
 
-def stratified_folds(labels: Sequence[str], k: int, seed: int) -> FoldPlan:
+def stratified_folds(
+    labels: Sequence[str], k: int, seed: int, replication: Mapping[str, int] | None = None
+) -> FoldPlan:
     """Assign samples to k folds, per-class round-robin after a seeded shuffle.
 
     Each fold's class counts match the global distribution within +-1 sample
     per class. Classes with fewer than k members trigger a warning (some
-    folds get none). Deterministic for a fixed seed.
+    folds get none). Deterministic for a fixed seed. `replication[site]`
+    extra copies of each sample of the site go in the sample's fold (it then
+    appears f+1 times in `expanded`); factors must be >= 0, and sites absent
+    from it get 0. The fold assignment does not depend on `replication`.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -93,15 +98,7 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> FoldPlan:
         rng.shuffle(idx)
         for pos, i in enumerate(idx):
             assignment[i] = pos % k
-    return FoldPlan(k, labels, assignment.tolist(), {}, seed)
-
-
-def oversample(plan: FoldPlan, factors: Mapping[str, int]) -> FoldPlan:
-    """The plan with `factors` as its replication: f extra copies of each
-    sample of the site, in the sample's fold (it then appears f+1 times in
-    `expanded`). Factors must be >= 0; sites absent from `factors` get 0.
-    """
-    return replace(plan, replication=factors)
+    return FoldPlan(k, labels, assignment.tolist(), replication or {}, seed)
 
 
 def cv_split(plan: FoldPlan, validation_fold: int) -> tuple[np.ndarray, np.ndarray]:

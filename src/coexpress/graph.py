@@ -29,7 +29,6 @@ class WeightedGeneGraph:
 
     genes: tuple[str, ...]
     weights: np.ndarray
-    cohort: str | None = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -150,7 +149,7 @@ def build_weighted(
         raise ValidationError("fewer than 2 usable genes for the weighted graph")
     w = np.abs(corr, out=corr)  # |r| of r clipped to [-1, 1] already lies in [0, 1]
     np.fill_diagonal(w, 0.0)
-    return WeightedGeneGraph(tuple(kept), w, cohort)
+    return WeightedGeneGraph(tuple(kept), w)
 
 
 def threshold_graph(wg: WeightedGeneGraph, t: float) -> GeneGraph:
@@ -516,11 +515,6 @@ def _first_appearance_partition(g: GeneGraph, per_node: list[int]) -> Partition:
     return Partition(tuple(final), len(relabel), modularity(g, final))
 
 
-def singleton_partition(g: GeneGraph) -> Partition:
-    q = modularity(g, list(range(g.n_nodes))) if g.n_edges else 0.0
-    return Partition(tuple(range(g.n_nodes)), g.n_nodes, q)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     threshold: float
@@ -605,17 +599,12 @@ class NetworkSummary:
     n_edges: int
     average_degree: float
     modularity: float
-    component_sizes: tuple[int, ...]
-    community_sizes: tuple[int, ...]
 
 
-def network_summary(g: GeneGraph, p: Partition | None = None) -> NetworkSummary:
-    """Node/edge counts, average degree, modularity, component and community sizes."""
-    comp_sizes = tuple(sorted((len(c) for c in connected_components(g)), reverse=True))
-    q = p.q if p is not None and g.n_edges else 0.0
-    comm_sizes = tuple(sorted((len(c) for c in p.communities()), reverse=True)) if p else ()
+def network_summary(g: GeneGraph, p: Partition) -> NetworkSummary:
+    """Node/edge counts, average degree and modularity (0 without edges)."""
     avg_deg = 2.0 * g.n_edges / g.n_nodes if g.n_nodes else 0.0
-    return NetworkSummary(g.n_nodes, g.n_edges, avg_deg, q, comp_sizes, comm_sizes)
+    return NetworkSummary(g.n_nodes, g.n_edges, avg_deg, p.q if g.n_edges else 0.0)
 
 
 def write_edge_list(g: GeneGraph, path: str | Path) -> None:

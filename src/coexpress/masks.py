@@ -110,33 +110,29 @@ class GeneSet:
     def __len__(self) -> int:
         return len(self.gene_ids)
 
-    def __contains__(self, gene: str) -> bool:
-        return gene in set(self.gene_ids)
-
 
 def save_gene_set(gs: GeneSet, path: str | Path) -> None:
-    """One gene ID per line with '#'-prefixed name/provenance header."""
+    """Two header lines, `# name: ...` and `# provenance: ...`, then one gene ID per line."""
     lines = [f"# name: {gs.name}", f"# provenance: {gs.provenance}"]
     lines.extend(gs.gene_ids)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_gene_set(path: str | Path) -> GeneSet:
-    name, provenance = Path(path).stem, ""
+    """Read a `save_gene_set` file. A line is a header only if it starts with
+    `#` and, after the `#`s and spaces, with `name:` or `provenance:`; every
+    other non-blank line is one gene ID, so an ID may begin with `#`. The name
+    defaults to the file's stem."""
+    header = {"name": Path(path).stem, "provenance": ""}
     genes: list[str] = []
     for raw in read_text(path).splitlines():
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("name:"):
-                name = body[len("name:"):].strip()
-            elif body.startswith("provenance:"):
-                provenance = body[len("provenance:"):].strip()
-            continue
-        genes.append(line)
-    return GeneSet(name, tuple(genes), provenance)
+        key, colon, value = line.lstrip("#").strip().partition(":")
+        if line.startswith("#") and colon and key in header:
+            header[key] = value.strip()
+        elif line:
+            genes.append(line)
+    return GeneSet(header["name"], tuple(genes), header["provenance"])
 
 
 def _check_threshold(t: float) -> None:
@@ -254,13 +250,3 @@ def write_sweep_report(rows: Sequence[SweepCount], path: str | Path) -> None:
         w.writerow(["threshold", "rule", "kept"])
         for r in rows:
             w.writerow([repr(r.threshold), r.rule, r.kept])
-
-
-def set_difference(a: GeneSet, b: GeneSet, name: str | None = None) -> GeneSet:
-    """Genes of `a` not in `b`, preserving the order of `a`."""
-    drop = set(b.gene_ids)
-    return GeneSet(
-        name if name is not None else f"{a.name}-{b.name}",
-        tuple(g for g in a.gene_ids if g not in drop),
-        provenance=f"{a.name} minus {b.name}",
-    )

@@ -106,14 +106,6 @@ class GeneStats:
 class CleansingReport:
     removed_all_zero: int
     removed_duplicates: int
-    column_order: tuple[int, ...]
-    truncation_applied: bool
-
-
-def _delimiter_for(path: Path, delimiter: str | None) -> str:
-    if delimiter is not None:
-        return delimiter
-    return "," if path.suffix.lower() == ".csv" else "\t"
 
 
 def read_text(path: str | Path) -> str:
@@ -126,16 +118,12 @@ def read_text(path: str | Path) -> str:
                          line=raw.count(b"\n", 0, exc.start) + 1) from None
 
 
-def load_matrix(
-    matrix_path: str | Path,
-    labels_path: str | Path,
-    delimiter: str | None = None,
-    allowed_sites: Sequence[str] | None = None,
-) -> ExpressionMatrix:
+def load_matrix(matrix_path: str | Path, labels_path: str | Path) -> ExpressionMatrix:
     """Parse a delimited expression matrix plus its two-column label file.
 
     Matrix format: header row is a corner cell followed by sample IDs; every
-    data row is a gene ID followed by one numeric cell per sample. The label
+    data row is a gene ID followed by one numeric cell per sample, separated
+    by commas in a `.csv` file and by tabs otherwise. The label
     file maps sample_id -> site, one pair per line (an optional
     ``sample_id<TAB>site`` header line is skipped). Decimal separator is
     always the dot, independent of locale.
@@ -146,7 +134,7 @@ def load_matrix(
         raise ValidationError(f"matrix file not found: {matrix_path}")
     if not labels_path.is_file():
         raise ValidationError(f"label file not found: {labels_path}")
-    delim = _delimiter_for(matrix_path, delimiter)
+    delim = "," if matrix_path.suffix.lower() == ".csv" else "\t"
 
     text = read_text(matrix_path)
     sample_ids, gene_ids, values = (_read_plain(text, delim)
@@ -157,10 +145,6 @@ def load_matrix(
     if missing:
         raise ValidationError(f"label file {labels_path} has no entry for sample {missing[0]!r}")
     labels = [label_map[s] for s in sample_ids]
-    if allowed_sites is not None:
-        unknown = sorted({lab for lab in labels if lab not in set(allowed_sites)})
-        if unknown:
-            raise ValidationError(f"unknown site label {unknown[0]!r} (allowed: {list(allowed_sites)})")
 
     # Duplicate gene IDs are allowed here; cleanse() resolves them.
     return ExpressionMatrix(tuple(gene_ids), tuple(sample_ids), tuple(labels), values)
@@ -381,13 +365,7 @@ def cleanse(
         labels=tuple(m.labels[j] for j in perm),
         values=values[np.ix_(keep_rows, perm)],
     )
-    report = CleansingReport(
-        removed_all_zero=removed_zero,
-        removed_duplicates=removed_dup,
-        column_order=tuple(perm),
-        truncation_applied=True,
-    )
-    return cleaned, report
+    return cleaned, CleansingReport(removed_zero, removed_dup)
 
 
 def filter_sites(m: ExpressionMatrix, keep_sites: Sequence[str]) -> ExpressionMatrix:
@@ -421,13 +399,9 @@ def gene_stats(m: ExpressionMatrix) -> list[GeneStats]:
     ]
 
 
-def export_stats(stats: Iterable[GeneStats], ordering: str, path: str | Path) -> None:
-    """Write stats CSV in descending order of the chosen key, ties by gene ID."""
-    keys = {"mean": lambda s: s.mean, "sensitivity": lambda s: s.sensitivity}
-    if ordering not in keys:
-        raise ValidationError(f"ordering must be one of {sorted(keys)}, got {ordering!r}")
-    key = keys[ordering]
-    ordered = sorted(stats, key=lambda s: (-key(s), s.gene_id))
+def export_stats(stats: Iterable[GeneStats], path: str | Path) -> None:
+    """Write stats CSV in descending order of mean, ties by gene ID."""
+    ordered = sorted(stats, key=lambda s: (-s.mean, s.gene_id))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["gene_id", "max", "min", "mean", "median", "sensitivity"])

@@ -16,7 +16,7 @@ from . import __version__
 from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
 from .booster import BoostedEnsemble, BoosterConfig, ensemble_to_json, hyperparameters, train
 from .errors import GraphError, StageError, ValidationError
-from .folds import FoldPlan, oversample, save_plan, stratified_folds
+from .folds import FoldPlan, save_plan, stratified_folds
 from .graph import (
     build_weighted,
     giant_component,
@@ -76,6 +76,14 @@ class PipelineConfig:
             raise ValidationError(
                 "t_combined must be >= t_intersect so the selected sets nest"
             )
+        for key, sweep in (("[select] sweep", self.select_sweep), ("[gcn] sweep", self.gcn_sweep)):
+            try:
+                sweep_thresholds(*sweep)
+            except ValidationError as exc:
+                raise ValidationError(f"config {key}: {exc}") from None
+        if ALL_SAMPLES in (self.cohorts or ()):
+            raise ValidationError(f"config [gcn] cohorts: {ALL_SAMPLES!r} is not a site; "
+                                  f"the all-sample network is always built")
 
 
 def _csv_list(text: str) -> tuple[str, ...]:
@@ -236,7 +244,7 @@ def _ingest(
             {
                 "removed_all_zero": report.removed_all_zero,
                 "removed_duplicates": report.removed_duplicates,
-                "truncation_applied": report.truncation_applied,
+                "truncation_applied": True,  # cleanse always truncates
                 "n_genes": m.n_genes,
                 "n_samples": m.n_samples,
             },
@@ -245,7 +253,7 @@ def _ingest(
         ),
         encoding="utf-8",
     )
-    export_stats(gene_stats(m), "mean", d / "gene_stats.csv")
+    export_stats(gene_stats(m), d / "gene_stats.csv")
     return m
 
 
@@ -274,9 +282,32 @@ def _cohort_network(
     return select_threshold(wg, *sweep, override=override, seed=seed)
 
 
-def _fold_plan(labels: Sequence[str], k: int, seed: int, factors: Mapping[str, int]) -> FoldPlan:
-    """Stratified k-fold plan with `factors[site]` extra copies of each sample of that site."""
-    return oversample(stratified_folds(labels, k, seed), factors)
+def _check_cohorts(labels: Sequence[str], cohorts: Sequence[str]) -> None:
+    """Raise unless each cohort is a site label of `labels` or ALL_SAMPLES."""
+    sites = dict.fromkeys(labels)
+    unknown = [c for c in cohorts if c != ALL_SAMPLES and c not in sites]
+    if unknown:
+        raise ValidationError(
+            f"cohort {unknown[0]!r} is neither a site label ({', '.join(sites)}) nor {ALL_SAMPLES!r}"
+        )
+
+
+def _cohort_networks(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohorts: Sequence[str],
+                     sweep: tuple[float, float, float], seed: int):
+    """Yield (cohort, graph, partition, sweep table) per cohort whose network
+    builds, in order; ALL_SAMPLES is every sample. An unknown name or a bad sweep
+    raises before any network is built; a network that fails on the data is
+    skipped with a warning."""
+    _check_cohorts(m.labels, cohorts)
+    sweep_thresholds(*sweep)
+    for cohort in cohorts:
+        try:
+            g, p, table = _cohort_network(m, genes, None if cohort == ALL_SAMPLES else cohort,
+                                          sweep, seed)
+        except (GraphError, ValidationError) as exc:
+            logger.warning("cohort %r network skipped: %s", cohort, exc)
+            continue
+        yield cohort, g, p, table
 
 
 def _export_network(d: Path, g, p, table) -> None:
@@ -308,6 +339,7 @@ def _atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
 
 def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
     st["clean"] = _ingest(cfg.matrix, cfg.labels, cfg.keep_sites, out / "ingest")
+    _check_cohorts(st["clean"].labels, cfg.cohorts or ())  # fail before the RFE stages run
 
 
 def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
@@ -335,8 +367,8 @@ def _stage_folds(cfg: PipelineConfig, st: dict, out: Path) -> None:
     m = st["norm"]
     seed = stage_seed(cfg.seed, "folds")
     factors = cfg.factors if cfg.factors is not None else derive_factors(m.labels)
-    raw = _fold_plan(m.labels, cfg.k, seed, {})
-    balanced = _fold_plan(m.labels, cfg.k, seed, factors)
+    raw = stratified_folds(m.labels, cfg.k, seed)
+    balanced = stratified_folds(m.labels, cfg.k, seed, factors)
     d = out / "folds"
     d.mkdir(parents=True, exist_ok=True)
     save_plan(raw, d / "plan_raw.json")
@@ -404,12 +436,7 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
     # Downstream cohorts study only the all-cohort giant component's genes.
     giant_genes = tuple(giant_component(g_all).nodes)
     cohorts = cfg.cohorts if cfg.cohorts is not None else tuple(dict.fromkeys(m.labels))
-    for site in cohorts:
-        try:
-            g, p, table = _cohort_network(m, giant_genes, site, cfg.gcn_sweep, seed)
-        except (GraphError, ValidationError) as exc:
-            logger.warning("cohort %r network skipped: %s", site, exc)
-            continue
+    for site, g, p, table in _cohort_networks(m, giant_genes, cohorts, cfg.gcn_sweep, seed):
         _export_network(d / site, g, p, table)
         networks[site] = CommunityNetwork(g, p)
     st["networks"] = networks

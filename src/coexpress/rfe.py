@@ -12,7 +12,7 @@ import numpy as np
 
 from .booster import BoosterConfig, predict, train
 from .errors import ValidationError
-from .folds import FoldPlan, cv_split, oversample, stratified_folds
+from .folds import FoldPlan, cv_split, stratified_folds
 from .masks import GeneSet, save_gene_set
 from .matrix import ExpressionMatrix
 
@@ -147,8 +147,8 @@ def cross_validate_step(
     importance_acc = np.zeros(len(genes))
     models = 0
     for r in range(repeats):
-        plan_r = plan if r == 0 else oversample(
-            stratified_folds(plan.labels, plan.k, plan.seed + r), plan.replication
+        plan_r = plan if r == 0 else stratified_folds(
+            plan.labels, plan.k, plan.seed + r, plan.replication
         )
         folds = [_cv_fold(X, y, plan_r, v, config) for v in range(plan_r.k)]
         fold_accs: list[float] = []

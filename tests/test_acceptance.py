@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coexpress.booster import BoosterConfig, train
-from coexpress.folds import oversample, stratified_folds
+from coexpress.folds import stratified_folds
 from coexpress.graph import (
     GeneGraph,
     WeightedGeneGraph,
@@ -63,7 +63,7 @@ def test_criterion_1_paper_reproduction():
     raw_report = cross_validate_step(mn, combined, plan, cfg).report
     assert abs(raw_report.accuracy - 0.9221) <= 0.04, raw_report.accuracy
 
-    balanced = oversample(plan, {"LN": 1, "Bone": 2, "Liver": 5})
+    balanced = stratified_folds(mn.labels, 10, seed=42, replication={"LN": 1, "Bone": 2, "Liver": 5})
     trace = recursive_eliminate(mn, combined, balanced, cfg, drop_per_step=1)
     assert abs(trace.best.report.accuracy - 0.9197) <= 0.04, trace.best.report.accuracy
     _report(1, f"combined={len(combined)} genes, raw CV {raw_report.accuracy:.4f}, "
@@ -239,7 +239,7 @@ def test_criterion_6_resampling_contract():
             assert all(lo <= c <= hi for c in counts), (labels, k, lab, counts)
 
         factors = {lab: int(rng.integers(0, 6)) for lab in totals}
-        fat = oversample(plan, factors)
+        fat = stratified_folds(labels, k, seed=checked, replication=factors)
         for i, f in fat.expanded:
             assert f == fat.assignment[i]
         copies = {i: 0 for i in range(n)}
@@ -250,7 +250,7 @@ def test_criterion_6_resampling_contract():
         checked += 1
 
     labels = ["LN"] * 12 + ["Bone"] * 7 + ["Liver"] * 4
-    fat = oversample(stratified_folds(labels, 2, seed=0), {"LN": 1, "Bone": 2, "Liver": 5})
+    fat = stratified_folds(labels, 2, seed=0, replication={"LN": 1, "Bone": 2, "Liver": 5})
     counts = {"LN": 0, "Bone": 0, "Liver": 0}
     for i, _ in fat.expanded:
         counts[labels[i]] += 1

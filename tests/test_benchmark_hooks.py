@@ -9,7 +9,7 @@ import pytest
 
 import coexpress.rfe as rfe
 from coexpress.booster import BoosterConfig
-from coexpress.folds import oversample, stratified_folds
+from coexpress.folds import stratified_folds
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
 
@@ -32,7 +32,7 @@ def test_every_wrapped_name_resolves(tracer):
 
 def test_cv_split_rows_counter_reads_the_plan(tracer):
     (count,) = [c for m, attr, _, c in tracer.WRAPPED if attr == "cv_split"]
-    plan = oversample(stratified_folds(["A"] * 4 + ["B"] * 2, 2, seed=0), {"B": 3})
+    plan = stratified_folds(["A"] * 4 + ["B"] * 2, 2, seed=0, replication={"B": 3})
     assert count((plan, 0), {}, None) == {"rows": 4 + 2 * 4}
 
 

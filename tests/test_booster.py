@@ -15,7 +15,6 @@ from coexpress.booster import (
     _logit,
     ensemble_from_json,
     ensemble_to_json,
-    feature_importance,
     predict,
     train,
     tree_predict,
@@ -253,13 +252,10 @@ class TestPrediction:
         X = np.column_stack([rng.normal(size=40), rng.normal(size=40) * 1e-4])
         y = ["A" if v < 0 else "B" for v in X[:, 0]]
         ens = train(X, y, BoosterConfig(n_estimators=10))
-        gain = feature_importance(ens, "gain")
-        weight = feature_importance(ens, "weight")
+        gain, weight = ens.importance, ens.importance_weight
         assert gain.sum() == pytest.approx(1.0, abs=1e-9)
         assert weight.sum() == pytest.approx(1.0, abs=1e-9)
         assert gain[0] > 0.9
-        with pytest.raises(ValidationError):
-            feature_importance(ens, "cover")
 
     def test_json_roundtrip_preserves_predictions(self):
         rng = np.random.default_rng(8)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coexpress.pipeline as pipeline
 from coexpress.booster import BoosterConfig
 from coexpress.cli import build_parser, main
 from coexpress.errors import StageError, ValidationError
@@ -628,6 +629,61 @@ class TestReservedSiteName:
         assert run("ingest", "--matrix", all_site / "matrix.tsv", "--labels",
                    all_site / "labels.tsv", "--out", tmp_path / "ingest") == 1
         assert any("site label 'all' is reserved" in r.getMessage() for r in caplog.records)
+
+
+class TestCohortNames:
+    """A cohort name that is not a site label fails before any network is built."""
+
+    def _config(self, data, out, **kw):
+        return PipelineConfig(matrix=data / "matrix.tsv", labels=data / "labels.tsv", out=out,
+                              k=3, booster=BoosterConfig(n_estimators=4), **kw)
+
+    def test_pipeline_unknown_cohort_stops_before_rfe(self, dataset, tmp_path):
+        with pytest.raises(StageError, match="'Lung' is neither a site label") as exc:
+            run_pipeline(self._config(dataset, tmp_path / "run", cohorts=("A", "Lung")))
+        assert exc.value.stage == "ingest"
+        assert not (tmp_path / "run" / "rfe_raw").exists()
+        assert not (tmp_path / "run" / "gcn").exists()
+
+    def test_config_cohort_all_rejected(self, pipeline_config, caplog):
+        tmp_path, write_cfg = pipeline_config
+        with pytest.raises(ValidationError, match="'all' is not a site"):
+            self._config(tmp_path, tmp_path / "run", cohorts=("A", "all"))
+        ini = write_cfg("run")
+        ini.write_text(ini.read_text().replace("[gcn]\n", "[gcn]\ncohorts = all\n"))
+        assert run("pipeline", "--config", ini) == 1
+        assert any("'all' is not a site" in r.getMessage() for r in caplog.records)
+        assert not (tmp_path / "run").exists()
+
+    def test_atlas_unknown_cohort_exits_1(self, dataset, tmp_path, caplog, monkeypatch):
+        def no_network(*args, **kwargs):
+            pytest.fail("a network was built")
+
+        monkeypatch.setattr(pipeline, "build_weighted", no_network)
+        out = tmp_path / "atlas"
+        assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
+                   "--cohorts", "all,Lung", "--out", out) == 1
+        assert not out.exists()
+        assert any("'Lung' is neither a site label (A, B, C) nor 'all'" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_atlas_bad_sweep_is_one_error_not_skipped_cohorts(self, dataset, tmp_path, caplog):
+        assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
+                   "--sweep", "0.4:0.9:0", "--out", tmp_path / "atlas") == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname != "INFO"] == [
+            "need step > 0 and t_max >= t_min"]
+
+
+@pytest.mark.parametrize("section,sweep", [("gcn", "0.4:0.9:0"), ("select", "0.6:0.05:0.05"),
+                                           ("gcn", "nan:0.9:0.02")])
+def test_bad_sweep_fails_before_the_first_stage(pipeline_config, caplog, section, sweep):
+    tmp_path, write_cfg = pipeline_config
+    ini = write_cfg("run")
+    text = ini.read_text().replace("[gcn]\nsweep = 0.4:0.9:0.02\n", "[gcn]\n")
+    ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\nsweep = {sweep}\n"))
+    assert run("pipeline", "--config", ini) == 1
+    assert any(f"config [{section}] sweep:" in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "run").exists()
 
 
 def _cap_memory():

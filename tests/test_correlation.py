@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import coexpress.correlation as correlation
 from coexpress.correlation import (
     CorrelationMatrix,
     export_heatmap,
@@ -74,7 +75,6 @@ class TestPairwise:
         # identical columns but need variance within columns: g values differ
         c = pairwise(m, axis="samples")
         assert c.values[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert c.entity_kind == "sample"
 
     def test_orthogonal_deviations_near_zero(self):
         # two sample columns whose deviation vectors are orthogonal
@@ -121,8 +121,8 @@ class TestPairwise:
         assert c.values.min() >= -1.0 and c.values.max() <= 1.0
 
 
-def _corr_from(values, ids, kind="sample"):
-    return CorrelationMatrix(tuple(ids), np.asarray(values, dtype=float), kind)
+def _corr_from(values, ids):
+    return CorrelationMatrix(tuple(ids), np.asarray(values, dtype=float))
 
 
 class TestGroupMean:
@@ -174,10 +174,11 @@ class TestExportHeatmap:
         svg = svg_path.read_text()
         assert svg.count("<rect") == 36
 
-    def test_oversize_matrix_csv_only(self, tmp_path, caplog):
+    def test_oversize_matrix_csv_only(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(correlation, "SVG_MAX_CELLS", 10)
         n = 12
         v = np.eye(n)
         c = _corr_from(v, [f"e{i}" for i in range(n)])
         svg_path = tmp_path / "big.svg"
-        export_heatmap(c, ["g"] * n, svg_path=svg_path, max_cells=10)
+        export_heatmap(c, ["g"] * n, svg_path=svg_path)
         assert not svg_path.exists()

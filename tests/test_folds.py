@@ -9,7 +9,6 @@ from coexpress.errors import ValidationError
 from coexpress.folds import (
     cv_split,
     load_plan,
-    oversample,
     plan_from_json,
     plan_to_json,
     save_plan,
@@ -74,8 +73,7 @@ class TestStratifiedFolds:
 class TestOversample:
     def test_paper_arithmetic_12_7_4(self):
         labels = ["LN"] * 12 + ["Bone"] * 7 + ["Liver"] * 4
-        plan = stratified_folds(labels, 2, seed=0)
-        fat = oversample(plan, {"LN": 1, "Bone": 2, "Liver": 5})
+        fat = stratified_folds(labels, 2, seed=0, replication={"LN": 1, "Bone": 2, "Liver": 5})
         counts = {"LN": 0, "Bone": 0, "Liver": 0}
         for i, _ in fat.expanded:
             counts[labels[i]] += 1
@@ -83,7 +81,7 @@ class TestOversample:
 
     def test_zero_factors_identity(self):
         plan = stratified_folds(["A", "A", "B", "B"], 2, seed=3)
-        fat = oversample(plan, {"A": 0, "B": 0})
+        fat = stratified_folds(["A", "A", "B", "B"], 2, seed=3, replication={"A": 0, "B": 0})
         assert fat.expanded == plan.expanded
 
     def test_colocation_exhaustive(self):
@@ -92,9 +90,8 @@ class TestOversample:
             labels = [f"c{rng.integers(0, 3)}" for _ in range(20)]
             if len(set(labels)) < 2:
                 continue
-            plan = stratified_folds(labels, 4, seed=trial)
             factors = {lab: int(rng.integers(0, 4)) for lab in set(labels)}
-            fat = oversample(plan, factors)
+            fat = stratified_folds(labels, 4, seed=trial, replication=factors)
             for i, f in fat.expanded:
                 assert f == fat.assignment[i]
             for i, lab in enumerate(labels):
@@ -102,16 +99,14 @@ class TestOversample:
                 assert copies == 1 + factors[lab]
 
     def test_negative_factor_rejected(self):
-        plan = stratified_folds(["A", "A", "B", "B"], 2, seed=0)
         with pytest.raises(ValidationError):
-            oversample(plan, {"A": -1})
+            stratified_folds(["A", "A", "B", "B"], 2, seed=0, replication={"A": -1})
 
 
 class TestCvSplit:
     def _plan(self):
         labels = ["A"] * 10 + ["B"] * 10
-        plan = stratified_folds(labels, 5, seed=7)
-        return oversample(plan, {"A": 1, "B": 2})
+        return stratified_folds(labels, 5, seed=7, replication={"A": 1, "B": 2})
 
     def test_holdout_fold_contents(self):
         plan = self._plan()
@@ -139,14 +134,14 @@ class TestCvSplit:
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
         labels = ["A"] * 6 + ["B"] * 4
-        plan = oversample(stratified_folds(labels, 2, seed=11), {"A": 0, "B": 2})
+        plan = stratified_folds(labels, 2, seed=11, replication={"A": 0, "B": 2})
         back = plan_from_json(plan_to_json(plan))
         assert back == plan
         save_plan(plan, tmp_path / "plan.json")
         assert load_plan(tmp_path / "plan.json") == plan
 
     def test_mismatched_expanded_rejected_on_load(self):
-        plan = oversample(stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=0), {"B": 1})
+        plan = stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=0, replication={"B": 1})
         moved = json.loads(plan_to_json(plan))
         i, f = moved["expanded"][-1]
         moved["expanded"][-1] = [i, 1 - f]  # a replica outside its original's fold
@@ -170,7 +165,7 @@ SITES = ("LN", "Bone", "Liver", "Lung")
 def check_plan_properties(inputs):
     labels, k, seed, factors = inputs
     plan = stratified_folds(labels, k, seed)
-    fat = oversample(plan, factors)
+    fat = stratified_folds(labels, k, seed, factors)
     assert fat.assignment == plan.assignment
 
     totals = Counter(labels)

@@ -17,6 +17,7 @@ from coexpress.graph import (
     GAIN_TOL,
     MAX_THRESHOLDS,
     GeneGraph,
+    Partition,
     WeightedGeneGraph,
     build_weighted,
     connected_components,
@@ -25,7 +26,6 @@ from coexpress.graph import (
     modularity,
     network_summary,
     select_threshold,
-    singleton_partition,
     subgraph,
     sweep_thresholds,
     threshold_graph,
@@ -424,7 +424,7 @@ class TestDetectCommunities:
             if g.n_edges == 0:
                 continue
             p = detect_communities(g, seed=trial)
-            assert p.q >= singleton_partition(g).q - 1e-12
+            assert p.q >= modularity(g, list(range(g.n_nodes))) - 1e-12
             assert p.q >= modularity(g, [0] * g.n_nodes) - 1e-12
 
     def test_near_exhaustive_optimum_small_graphs(self):
@@ -751,16 +751,15 @@ class TestSummaryAndExports:
         s = network_summary(BARBELL, p)
         assert (s.n_nodes, s.n_edges) == (6, 7)
         assert s.average_degree == pytest.approx(7 / 3)
-        assert s.component_sizes == (6,)
-        assert s.community_sizes == (3, 3)
+        assert s.modularity == p.q
 
     def test_empty_graph_zeros(self):
-        s = network_summary(GeneGraph((), ()))
+        s = network_summary(GeneGraph((), ()), Partition((), 0, 0.0))
         assert (s.n_nodes, s.n_edges, s.average_degree, s.modularity) == (0, 0, 0.0, 0.0)
 
     def test_triangle_average_degree(self):
         tri = GeneGraph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))
-        assert network_summary(tri).average_degree == pytest.approx(2.0)
+        assert network_summary(tri, Partition((0, 0, 0), 1, 0.0)).average_degree == pytest.approx(2.0)
 
     def test_edge_list(self, tmp_path):
         path = tmp_path / "edges.tsv"

@@ -13,7 +13,6 @@ from coexpress.masks import (
     select_combined,
     select_pair_opposite,
     select_three_mask_intersect,
-    set_difference,
     sweep_report,
 )
 from coexpress.matrix import ExpressionMatrix
@@ -183,14 +182,6 @@ class TestSelectionProperties:
 
 
 class TestGeneSets:
-    def test_set_difference_examples(self):
-        a = GeneSet("a", ("g1", "g2", "g3"))
-        b = GeneSet("b", ("g2",))
-        assert set_difference(a, b).gene_ids == ("g1", "g3")
-        assert set_difference(b, a).gene_ids == ()          # a subset of b
-        c = GeneSet("c", ("x1", "x2"))
-        assert set_difference(a, c).gene_ids == a.gene_ids  # disjoint
-
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
             GeneSet("bad", ("g1", "g1"))
@@ -203,3 +194,18 @@ class TestGeneSets:
         assert back.name == gs.name
         assert back.gene_ids == gs.gene_ids
         assert back.provenance == gs.provenance
+
+    def test_hash_gene_ids_roundtrip(self, tmp_path):
+        # load_matrix reads gene IDs that begin with "#", so a gene-set file must too
+        gs = GeneSet("s", ("#g1", "g2", "# g3", "#name", "##"), provenance="p: q")
+        path = tmp_path / "s.genes"
+        save_gene_set(gs, path)
+        assert path.read_text() == "# name: s\n# provenance: p: q\n#g1\ng2\n# g3\n#name\n##\n"
+        assert load_gene_set(path) == gs
+
+    def test_header_lines_and_defaults(self, tmp_path):
+        path = tmp_path / "stem.genes"
+        path.write_text("## provenance:  by hand \n\ng1\n  g2  \n#name:inner\n")
+        assert load_gene_set(path) == GeneSet("inner", ("g1", "g2"), "by hand")
+        path.write_text("g1\n")
+        assert load_gene_set(path) == GeneSet("stem", ("g1",), "")

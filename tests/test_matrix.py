@@ -68,11 +68,6 @@ class TestLoadMatrix:
         with pytest.raises(ValidationError, match="s2"):
             load_matrix(mp, lp)
 
-    def test_unknown_site_rejected_when_declared(self, tmp_path):
-        mp, lp = _write(tmp_path, "gene_id\ts1\ts2\ng1\t1\t2\n", "s1\tLN\ns2\tLung\n")
-        with pytest.raises(ValidationError, match="Lung"):
-            load_matrix(mp, lp, allowed_sites=["LN", "Bone"])
-
     def test_csv_delimiter_inferred(self, tmp_path):
         mp = tmp_path / "m.csv"
         mp.write_text("gene_id,s1,s2\ng1,1,2\n")
@@ -245,7 +240,6 @@ class TestCleanse:
         assert cleaned.values[0, 0] == 1.234
         assert report.removed_all_zero == 1
         assert report.removed_duplicates == 1
-        assert report.truncation_applied
 
     def test_already_clean_identity(self, tiny_matrix):
         cleaned, report = cleanse(tiny_matrix, ["LN", "Bone"])
@@ -262,11 +256,10 @@ class TestCleanse:
             ("Bone", "LN", "LN"),
             np.array([[1.0, 2.0, 3.0]]),
         )
-        cleaned, report = cleanse(m, ["LN", "Bone"])
+        cleaned, _ = cleanse(m, ["LN", "Bone"])
         assert cleaned.labels == ("LN", "LN", "Bone")
         # original relative order of the two LN samples preserved
         assert cleaned.sample_ids == ("l1", "l2", "b1")
-        assert sorted(report.column_order) == [0, 1, 2]
 
     def test_idempotent(self):
         rng = np.random.default_rng(42)
@@ -345,11 +338,9 @@ class TestExportAndFilter:
             np.array([[2.0, 2.0], [2.0, 2.0], [9.0, 1.0]]),
         )
         path = tmp_path / "stats.csv"
-        export_stats(gene_stats(m), "mean", path)
+        export_stats(gene_stats(m), path)
         rows = path.read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["c", "a", "b"]
-        with pytest.raises(ValidationError):
-            export_stats(gene_stats(m), "nope", path)
 
     def test_filter_sites(self):
         m = ExpressionMatrix(

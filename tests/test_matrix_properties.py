@@ -90,4 +90,3 @@ def test_cleanse_is_idempotent(m):
     assert (twice.gene_ids, twice.sample_ids, twice.labels) == (once.gene_ids, once.sample_ids, once.labels)
     np.testing.assert_array_equal(twice.values.view(np.uint64), once.values.view(np.uint64))
     assert report.removed_all_zero == 0 and report.removed_duplicates == 0
-    assert report.column_order == tuple(range(once.n_samples))

@@ -7,7 +7,7 @@ import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import ValidationError
-from coexpress.folds import oversample, stratified_folds
+from coexpress.folds import stratified_folds
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
 from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _run_rfe
@@ -111,7 +111,7 @@ class TestCrossValidate:
         values[1] += 2.5 * (np.array(labels) == "B")
         m = ExpressionMatrix(tuple(f"g{i}" for i in range(6)),
                              tuple(f"s{i}" for i in range(len(labels))), labels, values)
-        plan = oversample(stratified_folds(labels, 4, seed=9), {"A": 0, "B": 1, "C": 2})
+        plan = stratified_folds(labels, 4, seed=9, replication={"A": 0, "B": 1, "C": 2})
         step = cross_validate_step(m, GeneSet("all", m.gene_ids), plan, FAST, repeats=2)
         assert repr(step.report.accuracy) == "0.7701923076923077"
         assert step.report.confusion.tolist() == [[7, 5, 0], [4, 12, 0], [0, 0, 15]]
