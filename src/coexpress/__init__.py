@@ -37,15 +37,12 @@ from .graph import (
     detect_communities,
     giant_component,
     modularity,
-    network_summary,
     select_threshold,
     threshold_graph,
 )
 from .masks import (
     GeneSet,
     MaskCorrelations,
-    SiteMask,
-    build_masks,
     load_gene_set,
     mask_correlations,
     save_gene_set,
@@ -53,7 +50,6 @@ from .masks import (
     select_combined,
     select_pair_opposite,
     select_three_mask_intersect,
-    sweep_report,
 )
 from .matrix import (
     CleansingReport,

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .graph import GeneGraph, NetworkSummary, Partition, giant_component, network_summary, write_graphml
+from .graph import GeneGraph, Partition, giant_component, write_graphml
 from .masks import GeneSet
 
 logger = logging.getLogger(__name__)
@@ -57,7 +57,6 @@ class CommunityNetwork(NamedTuple):
 class CommunityRow:
     rank: int                  # 1-based, by size descending
     size: int
-    members: tuple[str, ...]
     tier_counts: tuple[int, ...]
     key_indices: tuple[int, ...]
 
@@ -65,7 +64,6 @@ class CommunityRow:
 @dataclass(frozen=True)
 class AtlasEntry:
     cohort: str
-    summary: NetworkSummary
     communities: tuple[CommunityRow, ...]
 
     @property
@@ -80,16 +78,13 @@ class AtlasEntry:
         return sum(c.size for c in self.communities)
 
 
-def _giant_communities(net: CommunityNetwork) -> list[list[str]]:
-    giant = giant_component(net.graph)
-    giant_set = set(giant.nodes)
-    by_comm: dict[int, list[str]] = {}
-    for i, gene in enumerate(net.graph.nodes):
-        if gene in giant_set:
-            by_comm.setdefault(net.partition.membership[i], []).append(gene)
-    groups = [sorted(g) for g in by_comm.values()]
-    groups.sort(key=lambda g: (-len(g), g[0]))
-    return groups
+def _ranked_communities(net: CommunityNetwork, keep: set[str] | None = None) -> list[list[str]]:
+    """Each community's sorted member genes (those in `keep`, when given; a
+    community with none is dropped), largest first, ties by smallest member."""
+    nodes = net.graph.nodes
+    groups = [sorted(nodes[i] for i in c if keep is None or nodes[i] in keep)
+              for c in net.partition.communities()]
+    return sorted((g for g in groups if g), key=lambda g: (-len(g), g[0]))
 
 
 def build_atlas(
@@ -107,25 +102,17 @@ def build_atlas(
     entries: list[AtlasEntry] = []
     for cohort, net in networks.items():
         rows: list[CommunityRow] = []
-        for rank, members in enumerate(_giant_communities(net), start=1):
+        giant = set(giant_component(net.graph).nodes)
+        for rank, members in enumerate(_ranked_communities(net, giant), start=1):
             counts = [0] * n_tiers
             for g in members:
                 if g not in tiers:
                     raise ValidationError(f"gene {g!r} in cohort {cohort!r} has no tier")
                 counts[tiers[g]] += 1
             keys = tuple(sorted(key_index[g] for g in members if g in key_index))
-            rows.append(CommunityRow(rank, len(members), tuple(members), tuple(counts), keys))
-        entries.append(AtlasEntry(cohort, network_summary(net.graph, net.partition), tuple(rows)))
+            rows.append(CommunityRow(rank, len(members), tuple(counts), keys))
+        entries.append(AtlasEntry(cohort, tuple(rows)))
     return entries
-
-
-def _community_ranks(net: CommunityNetwork) -> dict[int, int]:
-    """community index -> size rank (0-based), ties by smallest member gene ID."""
-    groups: dict[int, list[str]] = {}
-    for i, gene in enumerate(net.graph.nodes):
-        groups.setdefault(net.partition.membership[i], []).append(gene)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), min(kv[1])))
-    return {comm: rank for rank, (comm, _) in enumerate(ordered)}
 
 
 def rank_color(rank: int) -> str:
@@ -139,15 +126,9 @@ def cross_color(target: CommunityNetwork, reference: CommunityNetwork) -> dict[s
     palette by reference community size rank, so using the target itself as
     reference reproduces its own coloring.
     """
-    ranks = _community_ranks(reference)
-    ref_comm = {gene: reference.partition.membership[i] for i, gene in enumerate(reference.graph.nodes)}
-    out: dict[str, str] = {}
-    for gene in target.graph.nodes:
-        if gene in ref_comm:
-            out[gene] = rank_color(ranks[ref_comm[gene]])
-        else:
-            out[gene] = NEUTRAL
-    return out
+    ref_color = {gene: rank_color(rank)
+                 for rank, members in enumerate(_ranked_communities(reference)) for gene in members}
+    return {gene: ref_color.get(gene, NEUTRAL) for gene in target.graph.nodes}
 
 
 def export_atlas(
@@ -189,23 +170,20 @@ def export_atlas(
             "giant_size", "communities",
         ])
         for entry in entries:
-            s = entry.summary
+            g, p = networks[entry.cohort]  # an atlas network has nodes and edges
             w.writerow([
-                entry.cohort, s.n_nodes, s.n_edges, repr(s.average_degree),
-                repr(s.modularity), entry.giant_size, len(entry.communities),
+                entry.cohort, g.n_nodes, g.n_edges, repr(2.0 * g.n_edges / g.n_nodes),
+                repr(p.q), entry.giant_size, len(entry.communities),
             ])
 
     size_tier = {g: n_tiers - t for g, t in tiers.items()}  # tier 0 -> largest size
     for target_name, target in networks.items():
+        nodes = target.graph.nodes
+        node_attrs = {
+            "size_tier": {g: size_tier.get(g, 0) for g in nodes},
+            "key_gene_index": {g: key_index[g] for g in nodes if g in key_index},
+            "community": {g: int(target.partition.membership[i]) for i, g in enumerate(nodes)},
+        }
         for ref_name, ref in networks.items():
-            colors = cross_color(target, ref)
-            attrs = {
-                "color": colors,
-                "size_tier": {g: size_tier.get(g, 0) for g in target.graph.nodes},
-                "key_gene_index": {g: key_index[g] for g in target.graph.nodes if g in key_index},
-                "community": {
-                    g: int(target.partition.membership[i])
-                    for i, g in enumerate(target.graph.nodes)
-                },
-            }
+            attrs = {"color": cross_color(target, ref), **node_attrs}
             write_graphml(target.graph, out / f"{target_name}_colored_by_{ref_name}.graphml", attrs)

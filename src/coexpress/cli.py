@@ -13,7 +13,6 @@ from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, GraphError, ValidationError
 from .folds import save_plan, stratified_folds
 from .masks import (
-    build_masks,
     default_pair,
     load_gene_set,
     mask_correlations,
@@ -203,7 +202,7 @@ def _cmd_corr(args) -> int:
 
 def _cmd_select(args) -> int:
     m = _load_bundle(args.indir)
-    mc = mask_correlations(m, build_masks(m.labels))
+    mc = mask_correlations(m)
     pair = args.pair or default_pair(m.labels)
     name = Path(args.out).stem
     if args.rule == "any":
@@ -275,7 +274,7 @@ def _cmd_atlas(args) -> int:
     key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
     cohorts = args.cohorts or [ALL_SAMPLES, *dict.fromkeys(m.labels)]
     networks = {cohort: CommunityNetwork(g, p) for cohort, g, p, _ in
-                _cohort_networks(m, nested[-1], cohorts, args.sweep, args.seed)}
+                _cohort_networks(m, nested[-1].gene_ids, cohorts, args.sweep, args.seed)}
     if not networks:
         raise GraphError("no cohort network remains for the atlas")
     _atlas(tiers, networks, key_index, Path(args.out))

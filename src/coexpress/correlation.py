@@ -128,10 +128,6 @@ class GroupMeanTable:
     classes: tuple[str, ...]
     means: np.ndarray
 
-    def cell(self, a: str, b: str) -> float:
-        i, j = self.classes.index(a), self.classes.index(b)
-        return float(self.means[i, j])
-
 
 def group_mean(c: CorrelationMatrix, groups: Sequence[str]) -> GroupMeanTable:
     """Mean correlation within and between classes.

@@ -593,20 +593,6 @@ def write_sweep(table: Sequence[SweepRow], path: str | Path) -> None:
                         r.n_edges, r.n_communities])
 
 
-@dataclass(frozen=True)
-class NetworkSummary:
-    n_nodes: int
-    n_edges: int
-    average_degree: float
-    modularity: float
-
-
-def network_summary(g: GeneGraph, p: Partition) -> NetworkSummary:
-    """Node/edge counts, average degree and modularity (0 without edges)."""
-    avg_deg = 2.0 * g.n_edges / g.n_nodes if g.n_nodes else 0.0
-    return NetworkSummary(g.n_nodes, g.n_edges, avg_deg, p.q if g.n_edges else 0.0)
-
-
 def write_edge_list(g: GeneGraph, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("src\tdst\n")

@@ -20,31 +20,6 @@ DEFAULT_PAIR = ("LN", "Bone")  # the paper's discriminand sites
 
 
 @dataclass(frozen=True)
-class SiteMask:
-    """Binary indicator over samples for one site class."""
-
-    site: str
-    indicator: np.ndarray
-
-    def __post_init__(self):
-        ind = np.ascontiguousarray(self.indicator, dtype=np.uint8)
-        ind.flags.writeable = False
-        object.__setattr__(self, "indicator", ind)
-        ones = int(ind.sum())
-        if ones == 0 or ones == ind.size:
-            raise ValidationError(f"mask for {self.site!r} must contain both 0s and 1s")
-
-
-def build_masks(labels: Sequence[str]) -> list[SiteMask]:
-    """One mask per site class, in order of first appearance; masks sum to all-ones."""
-    classes = list(dict.fromkeys(labels))
-    if len(classes) < 2:
-        raise ValidationError("need at least 2 distinct site classes")
-    arr = np.asarray(labels, dtype=object)
-    return [SiteMask(cl, (arr == cl).astype(np.uint8)) for cl in classes]
-
-
-@dataclass(frozen=True)
 class MaskCorrelations:
     """Per-gene Pearson correlation against each site mask.
 
@@ -73,25 +48,25 @@ class MaskCorrelations:
         return self.values[:, self.sites.index(site)]
 
 
-def mask_correlations(m: ExpressionMatrix, masks: Sequence[SiteMask]) -> MaskCorrelations:
-    """Correlate every gene row with every mask indicator.
+def mask_correlations(m: ExpressionMatrix) -> MaskCorrelations:
+    """Correlate every gene row with each site's 0/1 sample indicator, sites in
+    order of first appearance.
 
     Genes with zero variance are excluded (logged), never silently set to 0.
+    Fewer than 2 sites raise; with 2 or more, no indicator is constant.
     """
-    for mk in masks:
-        if mk.indicator.size != m.n_samples:
-            raise ValidationError(f"mask {mk.site!r} length does not match sample count")
+    sites = tuple(dict.fromkeys(m.labels))
+    if len(sites) < 2:
+        raise ValidationError("need at least 2 distinct site classes")
+    labels = np.asarray(m.labels, dtype=object)
     gene_unit, gene_ok = _standardize_rows(m.values)
-    mask_block = np.vstack([mk.indicator.astype(np.float64) for mk in masks])
-    mask_unit, mask_ok = _standardize_rows(mask_block)
-    if not np.all(mask_ok):  # SiteMask construction forbids constant indicators
-        raise ValidationError("constant mask indicator")
+    mask_unit, _ = _standardize_rows(np.vstack([(labels == s).astype(np.float64) for s in sites]))
     corr = np.clip(gene_unit[gene_ok] @ mask_unit.T, -1.0, 1.0)
     excluded = tuple(m.gene_ids[i] for i in np.flatnonzero(~gene_ok))
     if excluded:
         logger.warning("mask correlations skipped %d zero-variance gene(s)", len(excluded))
     kept = tuple(m.gene_ids[i] for i in np.flatnonzero(gene_ok))
-    return MaskCorrelations(kept, tuple(mk.site for mk in masks), corr, excluded)
+    return MaskCorrelations(kept, sites, corr, excluded)
 
 
 @dataclass(frozen=True)
@@ -223,30 +198,17 @@ def select_combined(
     )
 
 
-@dataclass(frozen=True)
-class SweepCount:
-    threshold: float
-    rule: str
-    kept: int
-
-
-def sweep_report(
-    mc: MaskCorrelations,
-    thresholds: Sequence[float],
-    pair: tuple[str, str] = DEFAULT_PAIR,
-) -> list[SweepCount]:
-    """Kept-gene counts per rule per threshold (any / intersect / combined)."""
-    rows: list[SweepCount] = []
-    for t in thresholds:
-        rows.append(SweepCount(float(t), "any_mask", len(select_by_any_mask(mc, t))))
-        rows.append(SweepCount(float(t), "intersect", len(select_three_mask_intersect(mc, t))))
-        rows.append(SweepCount(float(t), "combined", len(select_combined(mc, t, pair))))
-    return rows
-
-
-def write_sweep_report(rows: Sequence[SweepCount], path: str | Path) -> None:
+def write_sweep_report(
+    mc: MaskCorrelations, thresholds: Sequence[float], pair: tuple[str, str], path: str | Path
+) -> None:
+    """Write the kept-gene count of each rule (any / intersect / combined) at each threshold."""
+    rules = (
+        ("any_mask", lambda t: select_by_any_mask(mc, t)),
+        ("intersect", lambda t: select_three_mask_intersect(mc, t)),
+        ("combined", lambda t: select_combined(mc, t, pair)),
+    )
+    rows = [[repr(float(t)), rule, len(select(t))] for t in thresholds for rule, select in rules]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["threshold", "rule", "kept"])
-        for r in rows:
-            w.writerow([repr(r.threshold), r.rule, r.kept])
+        w.writerows(rows)

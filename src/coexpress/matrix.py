@@ -51,6 +51,10 @@ class ExpressionMatrix:
             )
         if len(self.labels) != len(self.sample_ids):
             raise ValidationError("one site label required per sample")
+        # site labels name output files and directories (gcn/<site>/, atlas/<site>_*)
+        for site in dict.fromkeys(self.labels):
+            if site in ("", ".", "..") or any(c in site for c in "/\\\0"):
+                raise ValidationError(f"site label {site!r} is not a plain file-name component")
         if len(set(self.sample_ids)) != len(self.sample_ids):
             raise ValidationError("duplicate sample IDs")
         if vals.size and not np.all(np.isfinite(vals)):

@@ -28,13 +28,11 @@ from .graph import (
 )
 from .masks import (
     GeneSet,
-    build_masks,
     default_pair,
     mask_correlations,
     save_gene_set,
     select_combined,
     select_three_mask_intersect,
-    sweep_report,
     write_sweep_report,
 )
 from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
@@ -292,13 +290,14 @@ def _check_cohorts(labels: Sequence[str], cohorts: Sequence[str]) -> None:
         )
 
 
-def _cohort_networks(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohorts: Sequence[str],
+def _cohort_networks(m: ExpressionMatrix, genes: Sequence[str], cohorts: Sequence[str],
                      sweep: tuple[float, float, float], seed: int):
     """Yield (cohort, graph, partition, sweep table) per cohort whose network
-    builds, in order; ALL_SAMPLES is every sample. An unknown name or a bad sweep
-    raises before any network is built; a network that fails on the data is
-    skipped with a warning."""
+    builds, in order; ALL_SAMPLES is every sample. An unknown name, a gene not
+    in `m` or a bad sweep raises before any network is built; a network that
+    fails on the data is skipped with a warning."""
     _check_cohorts(m.labels, cohorts)
+    m.gene_index(genes)
     sweep_thresholds(*sweep)
     for cohort in cohorts:
         try:
@@ -349,11 +348,11 @@ def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
     m = st["norm"]
-    mc = mask_correlations(m, build_masks(m.labels))
+    mc = mask_correlations(m)
     pair = cfg.pair or default_pair(m.labels)
     d = out / "select"
     d.mkdir(parents=True, exist_ok=True)
-    write_sweep_report(sweep_report(mc, sweep_thresholds(*cfg.select_sweep), pair), d / "sweep.csv")
+    write_sweep_report(mc, sweep_thresholds(*cfg.select_sweep), pair, d / "sweep.csv")
     primary = select_three_mask_intersect(mc, cfg.t_intersect, name="set_primary")
     refined = select_combined(mc, cfg.t_combined, pair, name="set_refined")
     if len(refined) == 0:

@@ -22,7 +22,7 @@ from coexpress.graph import (
     sweep_thresholds,
     threshold_graph,
 )
-from coexpress.masks import build_masks, mask_correlations, select_combined, select_three_mask_intersect
+from coexpress.masks import mask_correlations, select_combined, select_three_mask_intersect
 from coexpress.matrix import cleanse, filter_sites, load_matrix
 from coexpress.normalize import NormalizationScheme, normalize_matrix, normalize_row
 from coexpress.pipeline import load_config, run_pipeline
@@ -54,7 +54,7 @@ def test_criterion_1_paper_reproduction():
     m = filter_sites(m, ["LN", "Bone", "Liver"])
     m, _ = cleanse(m, ["LN", "Bone", "Liver"])
     mn = normalize_matrix(m, NormalizationScheme("rank"))
-    mc = mask_correlations(mn, build_masks(mn.labels))
+    mc = mask_correlations(mn)
     combined = select_combined(mc, 0.2, pair=("LN", "Bone"), name="combined")
     assert 113 <= len(combined) <= 153, f"|combined| = {len(combined)}, expected 133 +-15%"
 
@@ -146,7 +146,7 @@ def test_criterion_3_barbell_fixture():
 def test_criterion_4_planted_recovery(planted_rank):
     t0 = time.monotonic()
     mn, planted = planted_rank
-    mc = mask_correlations(mn, build_masks(mn.labels))
+    mc = mask_correlations(mn)
 
     combined = select_combined(mc, 0.2, pair=("A", "B"))
     selected = set(combined.gene_ids)

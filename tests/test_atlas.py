@@ -234,6 +234,17 @@ class TestExportAtlas:
         sizes = [int(r[1]) for r in rows[1:-1]]
         assert int(rows[-1][1]) == sum(sizes)
 
+    def test_barbell_summary_row(self, tmp_path):
+        g = GeneGraph(tuple("abcdef"), ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)))
+        p = detect_communities(g, seed=0)
+        networks = {"x": CommunityNetwork(g, p)}
+        tiers = {gene: 0 for gene in g.nodes}
+        export_atlas(build_atlas(networks, tiers, {}, n_tiers=1), networks, tiers, {}, tmp_path)
+        with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, row = list(csv.reader(fh))
+        assert header[:5] == ["cohort", "nodes", "edges", "average_degree", "modularity"]
+        assert row[:5] == ["x", "6", "7", repr(7 / 3), repr(p.q)]
+
     def test_canonical_labels_for_four_tiers(self, tmp_path):
         self._setup(tmp_path, n_tiers=4)
         with open(tmp_path / "x_communities.csv") as fh:

@@ -631,6 +631,33 @@ class TestReservedSiteName:
         assert any("site label 'all' is reserved" in r.getMessage() for r in caplog.records)
 
 
+class TestSiteLabelIsAFileName:
+    """Site labels name output paths (gcn/<site>/, atlas/<site>_*), so a label
+    that is not a plain file-name component is rejected when the matrix loads."""
+
+    @pytest.fixture
+    def escaping(self, dataset):
+        labels = dataset / "labels.tsv"
+        labels.write_text(labels.read_text().replace("\tA\n", "\t../escaped\n"))
+        return dataset
+
+    def test_atlas_exits_1_and_writes_nothing(self, escaping, tmp_path, caplog):
+        out = tmp_path / "atl"
+        assert run("atlas", "--in", escaping, "--nested", escaping / "planted_B.genes",
+                   "--out", out) == 1
+        assert any("site label '../escaped' is not a plain file-name component" in r.getMessage()
+                   for r in caplog.records)
+        assert not out.exists() and not list(tmp_path.glob("escaped*"))
+
+    def test_pipeline_stops_in_ingest(self, escaping, tmp_path):
+        cfg = PipelineConfig(matrix=escaping / "matrix.tsv", labels=escaping / "labels.tsv",
+                             out=tmp_path / "run", k=3, booster=BoosterConfig(n_estimators=4))
+        with pytest.raises(StageError, match="'../escaped' is not a plain") as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "ingest"
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [".partial"]
+
+
 class TestCohortNames:
     """A cohort name that is not a site label fails before any network is built."""
 
@@ -666,6 +693,13 @@ class TestCohortNames:
         assert not out.exists()
         assert any("'Lung' is neither a site label (A, B, C) nor 'all'" in r.getMessage()
                    for r in caplog.records)
+
+    def test_atlas_genes_not_in_matrix_is_one_error(self, dataset, tmp_path, caplog):
+        nope = tmp_path / "nope.genes"
+        nope.write_text("NOPE1\nNOPE2\n")
+        assert run("atlas", "--in", dataset, "--nested", nope, "--out", tmp_path / "atlas") == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname != "INFO"] == [
+            "genes not in matrix: ['NOPE1', 'NOPE2']"]
 
     def test_atlas_bad_sweep_is_one_error_not_skipped_cohorts(self, dataset, tmp_path, caplog):
         assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",

@@ -130,9 +130,8 @@ class TestGroupMean:
         v = np.full((4, 4), 0.5)
         np.fill_diagonal(v, 1.0)
         t = group_mean(_corr_from(v, "abcd"), ["p", "p", "q", "q"])
-        for a in ("p", "q"):
-            for b in ("p", "q"):
-                assert t.cell(a, b) == pytest.approx(0.5)
+        assert t.classes == ("p", "q")
+        assert t.means == pytest.approx(np.full((2, 2), 0.5))
 
     def test_within_group_mean_of_three_pairs(self):
         # pair correlations within the group: 0.8, 0.6, 0.4 -> mean 0.6
@@ -141,14 +140,15 @@ class TestGroupMean:
         v[0, 2] = v[2, 0] = 0.6
         v[1, 2] = v[2, 1] = 0.4
         t = group_mean(_corr_from(v, "abc"), ["g", "g", "g"])
-        assert t.cell("g", "g") == pytest.approx((0.8 + 0.6 + 0.4) / 3)
+        assert t.means[0, 0] == pytest.approx((0.8 + 0.6 + 0.4) / 3)
 
     def test_single_member_class_undefined(self):
         v = np.eye(2)
         v[0, 1] = v[1, 0] = 0.3
         t = group_mean(_corr_from(v, "ab"), ["p", "q"])
-        assert math.isnan(t.cell("p", "p"))
-        assert t.cell("p", "q") == pytest.approx(0.3)
+        assert t.classes == ("p", "q")
+        assert math.isnan(t.means[0, 0])
+        assert t.means[0, 1] == pytest.approx(0.3)
 
     def test_requires_full_coverage(self):
         with pytest.raises(ValidationError):

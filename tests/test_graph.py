@@ -17,14 +17,12 @@ from coexpress.graph import (
     GAIN_TOL,
     MAX_THRESHOLDS,
     GeneGraph,
-    Partition,
     WeightedGeneGraph,
     build_weighted,
     connected_components,
     detect_communities,
     giant_component,
     modularity,
-    network_summary,
     select_threshold,
     subgraph,
     sweep_thresholds,
@@ -746,21 +744,6 @@ class TestSelectThreshold:
 
 
 class TestSummaryAndExports:
-    def test_barbell_summary(self):
-        p = detect_communities(BARBELL, seed=0)
-        s = network_summary(BARBELL, p)
-        assert (s.n_nodes, s.n_edges) == (6, 7)
-        assert s.average_degree == pytest.approx(7 / 3)
-        assert s.modularity == p.q
-
-    def test_empty_graph_zeros(self):
-        s = network_summary(GeneGraph((), ()), Partition((), 0, 0.0))
-        assert (s.n_nodes, s.n_edges, s.average_degree, s.modularity) == (0, 0, 0.0, 0.0)
-
-    def test_triangle_average_degree(self):
-        tri = GeneGraph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))
-        assert network_summary(tri, Partition((0, 0, 0), 1, 0.0)).average_degree == pytest.approx(2.0)
-
     def test_edge_list(self, tmp_path):
         path = tmp_path / "edges.tsv"
         write_edge_list(TRIANGLES, path)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from coexpress.errors import ValidationError
 from coexpress.masks import (
     GeneSet,
     MaskCorrelations,
-    build_masks,
     load_gene_set,
     mask_correlations,
     save_gene_set,
@@ -13,7 +14,7 @@ from coexpress.masks import (
     select_combined,
     select_pair_opposite,
     select_three_mask_intersect,
-    sweep_report,
+    write_sweep_report,
 )
 from coexpress.matrix import ExpressionMatrix
 
@@ -22,18 +23,17 @@ LABELS6 = ("LN", "LN", "LN", "Bone", "Bone", "Liver")
 
 class TestBuildMasks:
     def test_ln_and_bone_indicators(self):
-        masks = {m.site: m for m in build_masks(LABELS6)}
-        np.testing.assert_array_equal(masks["LN"].indicator, [1, 1, 1, 0, 0, 0])
-        np.testing.assert_array_equal(masks["Bone"].indicator, [0, 0, 0, 1, 1, 0])
-
-    def test_masks_sum_to_ones(self):
-        masks = build_masks(LABELS6)
-        total = sum(m.indicator.astype(int) for m in masks)
-        np.testing.assert_array_equal(total, np.ones(6, dtype=int))
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValidationError):
-            build_masks(("LN", "LN"))
+        # mask_correlations builds each site's 0/1 indicator from the labels; a
+        # gene equal to the expected indicator correlates 1.0 with that site only
+        rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]]
+        m = ExpressionMatrix(
+            ("ln", "bone"), tuple(f"s{i}" for i in range(6)), LABELS6, np.array(rows, dtype=float)
+        )
+        mc = mask_correlations(m)
+        np.testing.assert_allclose(mc.site_column("LN")[0], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mc.site_column("Bone")[1], 1.0, rtol=0, atol=1e-12)
+        assert mc.site_column("LN")[1] < 1.0
+        assert mc.site_column("Bone")[0] < 1.0
 
 
 class TestMaskCorrelations:
@@ -46,13 +46,20 @@ class TestMaskCorrelations:
         )
 
     def test_gene_equal_to_indicator(self):
-        m = self._matrix([[1, 1, 1, 0, 0, 0]], ["g"])
-        mc = mask_correlations(m, build_masks(LABELS6))
-        assert mc.site_column("LN")[0] == pytest.approx(1.0)
+        rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1]]
+        mc = mask_correlations(self._matrix(rows, ["ln", "bone", "liver"]))
+        assert mc.sites == ("LN", "Bone", "Liver")  # first appearance in the labels
+        # the dot product of a unit vector with itself can miss 1.0 by a few ulp
+        np.testing.assert_allclose(np.diag(mc.values), 1.0, rtol=0, atol=1e-12)
+
+    def test_single_site_rejected(self):
+        m = ExpressionMatrix(("g",), ("s0", "s1"), ("LN", "LN"), np.array([[0.0, 1.0]]))
+        with pytest.raises(ValidationError, match="at least 2 distinct site classes"):
+            mask_correlations(m)
 
     def test_gene_equal_to_complement(self):
         m = self._matrix([[0, 0, 0, 1, 1, 1]], ["g"])
-        mc = mask_correlations(m, build_masks(LABELS6))
+        mc = mask_correlations(m)
         assert mc.site_column("LN")[0] == pytest.approx(-1.0)
 
     def test_planted_shift_positive_correlation(self):
@@ -61,12 +68,12 @@ class TestMaskCorrelations:
         ind = np.array([1.0] * 30 + [0.0] * 70)
         row = rng.normal(size=100) + 2.0 * ind
         m = ExpressionMatrix(("g",), tuple(f"s{i}" for i in range(100)), labels, row[None, :])
-        mc = mask_correlations(m, build_masks(labels))
+        mc = mask_correlations(m)
         assert mc.site_column("LN")[0] > 0.3
 
     def test_zero_variance_gene_excluded(self):
         m = self._matrix([[1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0]], ["const", "ok"])
-        mc = mask_correlations(m, build_masks(LABELS6))
+        mc = mask_correlations(m)
         assert mc.gene_ids == ("ok",)
         assert mc.excluded == ("const",)
 
@@ -122,7 +129,7 @@ class TestSelectionRules:
 class TestSelectionProperties:
     def _fixture_mc(self, planted_rank):
         m, _ = planted_rank
-        return mask_correlations(m, build_masks(m.labels))
+        return mask_correlations(m)
 
     def test_rule_nesting(self, planted_rank):
         mc = self._fixture_mc(planted_rank)
@@ -152,16 +159,16 @@ class TestSelectionProperties:
         m, _ = planted_rank
         rng = np.random.default_rng(9)
         perm = rng.permutation(m.n_samples)
-        mc = mask_correlations(m, build_masks(m.labels))
+        mc = mask_correlations(m)
         mp = m.select_samples(perm.tolist())
-        mcp = mask_correlations(mp, build_masks(mp.labels))
+        mcp = mask_correlations(mp)
         a = select_combined(mc, 0.2, pair=("A", "B")).gene_ids
         b = select_combined(mcp, 0.2, pair=("A", "B")).gene_ids
         assert set(a) == set(b)
 
     def test_planted_recovery(self, planted_rank):
         m, planted = planted_rank
-        mc = mask_correlations(m, build_masks(m.labels))
+        mc = mask_correlations(m)
         selected = set(select_combined(mc, 0.2, pair=("A", "B")).gene_ids)
         pair_planted = set(planted["A"].gene_ids) | set(planted["B"].gene_ids)
         background = {g for g in m.gene_ids if g.startswith("BG")}
@@ -170,13 +177,18 @@ class TestSelectionProperties:
         assert recall >= 0.9
         assert fpr <= 0.05
 
-    def test_sweep_report_shape(self, planted_rank):
+    def test_sweep_report_shape(self, planted_rank, tmp_path):
         mc = self._fixture_mc(planted_rank)
-        rows = sweep_report(mc, [0.1, 0.2, 0.3], pair=("A", "B"))
+        path = tmp_path / "sweep.csv"
+        write_sweep_report(mc, [0.1, 0.2, 0.3], ("A", "B"), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["threshold", "rule", "kept"]
         assert len(rows) == 9
         by_rule = {}
-        for r in rows:
-            by_rule.setdefault(r.rule, []).append(r.kept)
+        for threshold, rule, kept in rows:
+            by_rule.setdefault(rule, []).append(int(kept))
+        assert list(by_rule) == ["any_mask", "intersect", "combined"]
         for counts in by_rule.values():
             assert counts == sorted(counts, reverse=True)
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,11 @@ class TestLoadMatrix:
         assert back.gene_ids == tiny_matrix.gene_ids
         assert back.labels == tiny_matrix.labels
         np.testing.assert_array_equal(back.values, tiny_matrix.values)
+
+    @pytest.mark.parametrize("site", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_site_label_must_be_a_file_name(self, site):
+        with pytest.raises(ValidationError, match=re.escape(f"site label {site!r} is not a plain")):
+            ExpressionMatrix(("g",), ("s0", "s1"), ("LN", site), np.array([[0.0, 1.0]]))
 
 
 class TestWriteMatrixBytes:

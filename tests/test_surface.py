@@ -1,13 +1,22 @@
-"""Every module-level function and class under src/coexpress/ has a program caller.
+"""Every module-level function and class under src/coexpress/ has a program
+caller, and every class member has a program reader.
 
 A name counts as used when some other code of the package refers to it (its
 own definition and `__init__`'s re-export do not count), or a `perfbench/`
-script or the README does. A name that only tests reach is surface that every
-later change has to keep working; delete it, or list it in `UNCALLED` with the
-reason it stays.
+script or the README does. A class member (a dataclass or named-tuple field, a
+method or a property; dunder methods are skipped) counts as read when an
+attribute access or a keyword argument with its name appears outside its own
+class body in the package or a `perfbench/` script; README words do not count
+for members, as common words such as "cell" would pass. The member scan goes by
+name alone, so a member that shares its name with another class's member
+(`Partition.communities` and `AtlasEntry.communities`) passes when either is
+read, and can hide an unused one. A name that only tests reach is surface that
+every later change has to keep working; delete it, or list it in `UNCALLED` or
+`UNREAD_MEMBERS` with the reason it stays.
 """
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,6 +27,12 @@ UNCALLED = {
     "pearson": "the scalar reference that tests check build_weighted against",
     "ensemble_from_json": "reads the model files that the pipeline and `coexpress train` write",
     "spec_to_json": "writes the generator-spec files that `coexpress synth --spec` reads",
+}
+
+# Class.member -> why it stays without a program reader
+UNREAD_MEMBERS = {
+    f"ClassMetrics.{field}": "the CV report export reads the fields through `_asdict()`"
+    for field in ("precision", "recall", "f1")
 }
 
 
@@ -55,6 +70,39 @@ def uncalled_names(package: Path, callers: list[Path], readme: str) -> list[str]
             and not any(name in refs for key, refs in statements if key != (path, name))]
 
 
+def class_members(cls: ast.ClassDef) -> list[str]:
+    """The fields (annotated class-level names), methods and properties of `cls`."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__"):
+            out.append(node.name)
+    return out
+
+
+def member_uses(tree: ast.AST) -> Counter:
+    """How often each name appears in `tree` as an attribute or a keyword argument."""
+    return Counter(node.attr if isinstance(node, ast.Attribute) else node.arg
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) or isinstance(node, ast.keyword) and node.arg)
+
+
+def unread_members(package: Path, callers: list[Path]) -> list[str]:
+    """Members of the module-level classes of `package` whose name appears as an
+    attribute or a keyword argument only inside their own class body, as
+    `Class.member`."""
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(package.glob("*.py"))]
+    callers_trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in callers]
+    total = sum(map(member_uses, trees + callers_trees), Counter())
+    out = []
+    for cls in (node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)):
+        own = member_uses(cls)
+        out += [f"{cls.name}.{name}" for name in class_members(cls) if total[name] == own[name]]
+    return out
+
+
 def test_every_module_level_name_has_a_program_caller():
     callers = sorted((ROOT / "perfbench").glob("*.py"))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -63,11 +111,22 @@ def test_every_module_level_name_has_a_program_caller():
     assert not missing, f"only tests reach these; delete them or list them in UNCALLED: {missing}"
 
 
+def test_every_class_member_has_a_program_reader():
+    callers = sorted((ROOT / "perfbench").glob("*.py"))
+    missing = [q for q in unread_members(PACKAGE, callers) if q not in UNREAD_MEMBERS]
+    assert not missing, f"only tests read these; delete them or list them in UNREAD_MEMBERS: {missing}"
+
+
 def test_exceptions_still_exist():
-    defined = set()
+    defined, members = set(), set()
     for path in PACKAGE.glob("*.py"):
-        defined.update(module_level_names(ast.parse(path.read_text(encoding="utf-8"))))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(module_level_names(tree))
+        members.update(f"{cls.name}.{name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+                       for name in class_members(cls))
     assert set(UNCALLED) <= defined, f"stale UNCALLED entries: {sorted(set(UNCALLED) - defined)}"
+    assert set(UNREAD_MEMBERS) <= members, \
+        f"stale UNREAD_MEMBERS entries: {sorted(set(UNREAD_MEMBERS) - members)}"
 
 
 def test_scan_counts_other_modules_callers_and_readme(tmp_path):
@@ -81,3 +140,20 @@ def test_scan_counts_other_modules_callers_and_readme(tmp_path):
     caller = tmp_path / "run.py"
     caller.write_text("import pkg.a as m\nm.by_caller()\n")
     assert uncalled_names(pkg, [caller], "call `documented()`") == ["a.unused"]
+
+
+def test_member_scan_counts_reads_outside_the_class_body(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "from typing import NamedTuple\n"
+        "class Row(NamedTuple):\n"
+        "    read: int\n    by_keyword: int\n    by_caller: int\n    own_only: int\n"
+        "    def __len__(self): return self.own_only\n"
+        "    @property\n    def unused(self): return self.own_only\n"
+        "    def used(self): return 0\n"
+        "def f(r): return r.read + r.used()\n"
+        "ROW = Row(0, 0, 0, 0)._replace(by_keyword=1)\n")
+    caller = tmp_path / "run.py"
+    caller.write_text("import pkg.a as m\nm.ROW.by_caller\n")
+    assert unread_members(pkg, [caller]) == ["Row.own_only", "Row.unused"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coexpress.errors import ValidationError
-from coexpress.masks import build_masks, load_gene_set, mask_correlations, select_combined
+from coexpress.masks import load_gene_set, mask_correlations, select_combined
 from coexpress.matrix import load_matrix
 from coexpress.synthetic import (
     BlockSpec,
@@ -49,7 +49,7 @@ class TestGenerate:
             effect_size=0.0, seed=3,
         )
         m, planted, _ = generate(spec)
-        mc = mask_correlations(m, build_masks(m.labels))
+        mc = mask_correlations(m)
         sel = set(select_combined(mc, 0.2, pair=("A", "B")).gene_ids)
         pair_planted = set(planted["A"].gene_ids) | set(planted["B"].gene_ids)
         background = {g for g in m.gene_ids if g.startswith("BG")}
@@ -64,7 +64,7 @@ class TestGenerate:
             effect_size=5.0, seed=4,
         )
         m, planted, _ = generate(spec)
-        mc = mask_correlations(m, build_masks(m.labels))
+        mc = mask_correlations(m)
         bound = point_biserial_bound(5.0, 0.5)
         cols = mc.site_column("A")
         planted_a = [i for i, g in enumerate(mc.gene_ids) if g in set(planted["A"].gene_ids)]
