@@ -1,15 +1,16 @@
 """Cross-network community comparison: tiers, key-gene tracking, colored exports."""
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .graph import GeneGraph, Partition, giant_component, write_graphml
 from .masks import GeneSet
+from .textio import write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -153,28 +154,19 @@ def export_atlas(
     )
 
     for entry in entries:
-        with open(out / f"{entry.cohort}_communities.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["community_rank", "size", *tier_labels, "key_indices"])
-            for row in entry.communities:
-                w.writerow([
-                    row.rank, row.size, *row.tier_counts,
-                    " ".join(str(k) for k in row.key_indices),
-                ])
-            w.writerow(["total", entry.giant_size, *entry.totals, ""])
+        rows = ([row.rank, row.size, *row.tier_counts, " ".join(str(k) for k in row.key_indices)]
+                for row in entry.communities)
+        write_rows(out / f"{entry.cohort}_communities.csv",
+                   ["community_rank", "size", *tier_labels, "key_indices"],
+                   chain(rows, [["total", entry.giant_size, *entry.totals, ""]]))
 
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([
-            "cohort", "nodes", "edges", "average_degree", "modularity",
-            "giant_size", "communities",
-        ])
-        for entry in entries:
-            g, p = networks[entry.cohort]  # an atlas network has nodes and edges
-            w.writerow([
-                entry.cohort, g.n_nodes, g.n_edges, repr(2.0 * g.n_edges / g.n_nodes),
-                repr(p.q), entry.giant_size, len(entry.communities),
-            ])
+    # an atlas network has nodes and edges
+    write_rows(out / "summary.csv",
+               ["cohort", "nodes", "edges", "average_degree", "modularity", "giant_size",
+                "communities"],
+               ([entry.cohort, g.n_nodes, g.n_edges, repr(2.0 * g.n_edges / g.n_nodes),
+                 repr(p.q), entry.giant_size, len(entry.communities)]
+                for entry in entries for g, p in [networks[entry.cohort]]))
 
     size_tier = {g: n_tiers - t for g, t in tiers.items()}  # tier 0 -> largest size
     for target_name, target in networks.items():

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .masks import (
     select_pair_opposite,
     select_three_mask_intersect,
 )
-from .matrix import ExpressionMatrix, load_matrix, read_text
+from .matrix import ExpressionMatrix, load_matrix
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
     ALL_SAMPLES,
@@ -42,6 +41,7 @@ from .pipeline import (
 )
 from .rfe import export_trace, recursive_eliminate
 from .synthetic import generate, spec_from_json, write_dataset
+from .textio import read_text, write_rows, write_text
 from .atlas import CommunityNetwork, tier_genes
 
 logger = logging.getLogger("coexpress")
@@ -192,11 +192,8 @@ def _cmd_corr(args) -> int:
         export_heatmap(c, groups, csv_path=args.csv, svg_path=args.heatmap)
     if args.group_means:
         table = group_mean(c, groups)
-        with open(args.group_means, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["", *table.classes])
-            for cl, row in zip(table.classes, table.means):
-                w.writerow([cl, *(repr(float(v)) for v in row)])
+        write_rows(args.group_means, ["", *table.classes],
+                   ([cl, *(repr(float(v)) for v in row)] for cl, row in zip(table.classes, table.means)))
     return 0
 
 
@@ -237,7 +234,7 @@ def _cmd_train(args) -> int:
     m = _load_bundle(args.indir)
     genes = load_gene_set(args.genes)
     ens = _fit(m, genes, _booster_from_args(args))
-    Path(args.out).write_text(ensemble_to_json(ens), encoding="utf-8")
+    write_text(args.out, ensemble_to_json(ens))
     logger.info("trained on %d genes; final training loss %.5f", len(genes), ens.loss_curve[-1])
     return 0
 

@@ -1,7 +1,6 @@
 """Pearson correlation kernel, all-pairs matrices, group summaries, heatmap export."""
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +10,7 @@ import numpy as np
 
 from .errors import ValidationError, ZeroVarianceError
 from .matrix import ExpressionMatrix
+from .textio import write_rows, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -43,21 +43,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Symmetric correlation matrix over samples or genes.
-
-    `excluded` lists entity IDs dropped for zero variance.
-    """
+    """Symmetric correlation matrix over the samples or genes in `ids`."""
 
     ids: tuple[str, ...]
     values: np.ndarray
-    excluded: tuple[str, ...] = ()
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
         n = len(self.ids)
         if vals.shape != (n, n):
             raise ValidationError("correlation matrix must be square over ids")
@@ -95,7 +90,7 @@ def pairwise(
     """Full symmetric Pearson matrix over samples (columns) or genes (rows).
 
     With axis="samples" and a gene subset, correlations use only the subset's
-    rows. Zero-variance entities are excluded and listed on the result.
+    rows. Zero-variance entities are left out of `ids` and logged.
     """
     if axis not in ("samples", "genes"):
         raise ValidationError("axis must be 'samples' or 'genes'")
@@ -118,7 +113,7 @@ def pairwise(
     kept_ids = tuple(ids[i] for i in np.flatnonzero(ok))
     if len(kept_ids) < 2:
         raise ValidationError("fewer than 2 usable entities after zero-variance exclusion")
-    return CorrelationMatrix(kept_ids, corr, excluded)
+    return CorrelationMatrix(kept_ids, corr)
 
 
 @dataclass(frozen=True)
@@ -203,11 +198,8 @@ def export_heatmap(
     vals = c.values[np.ix_(order, order)]
 
     if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["", *ids])
-            for i, rid in enumerate(ids):
-                w.writerow([rid, *(repr(float(v)) for v in vals[i])])
+        write_rows(csv_path, ["", *ids],
+                   ([rid, *(repr(float(v)) for v in vals[i])] for i, rid in enumerate(ids)))
 
     if svg_path is not None:
         n = len(ids)
@@ -227,4 +219,4 @@ def export_heatmap(
                     f'fill="{_diverging_color(float(vals[i, j]))}"/>'
                 )
         parts.append("</svg>")
-        Path(svg_path).write_text("\n".join(parts), encoding="utf-8")
+        write_text(svg_path, "\n".join(parts))

@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .textio import read_text, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +147,8 @@ def plan_from_json(text: str) -> FoldPlan:
 
 
 def save_plan(plan: FoldPlan, path: str | Path) -> None:
-    Path(path).write_text(plan_to_json(plan), encoding="utf-8")
+    write_text(path, plan_to_json(plan))
 
 
 def load_plan(path: str | Path) -> FoldPlan:
-    return plan_from_json(Path(path).read_text(encoding="utf-8"))
+    return plan_from_json(read_text(path))

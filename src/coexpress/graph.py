@@ -2,7 +2,6 @@
 modularity, and multi-level greedy community detection."""
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import math
@@ -16,6 +15,7 @@ from .correlation import correlation_block
 from .errors import GraphError, ValidationError
 from .masks import GeneSet
 from .matrix import ExpressionMatrix
+from .textio import write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -585,19 +585,14 @@ def select_threshold(
 
 
 def write_sweep(table: Sequence[SweepRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["threshold", "modularity", "edges", "communities"])
-        for r in table:
-            w.writerow([repr(r.threshold), "" if r.modularity is None else repr(r.modularity),
-                        r.n_edges, r.n_communities])
+    write_rows(path, ["threshold", "modularity", "edges", "communities"],
+               ([repr(r.threshold), "" if r.modularity is None else repr(r.modularity),
+                 r.n_edges, r.n_communities] for r in table))
 
 
 def write_edge_list(g: GeneGraph, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("src\tdst\n")
-        for u, v in g.edges.tolist():
-            fh.write(f"{g.nodes[u]}\t{g.nodes[v]}\n")
+    write_rows(path, ["src", "dst"], ((g.nodes[u], g.nodes[v]) for u, v in g.edges.tolist()),
+               delimiter="\t")
 
 
 def _graphml_type(values: list) -> str:

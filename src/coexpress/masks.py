@@ -1,7 +1,6 @@
 """Site-indicator masks, gene-vs-mask correlations, and threshold selection rules."""
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -12,7 +11,8 @@ import numpy as np
 
 from .correlation import _standardize_rows
 from .errors import ValidationError
-from .matrix import ExpressionMatrix, read_text
+from .matrix import ExpressionMatrix
+from .textio import read_text, write_rows, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -23,14 +23,13 @@ DEFAULT_PAIR = ("LN", "Bone")  # the paper's discriminand sites
 class MaskCorrelations:
     """Per-gene Pearson correlation against each site mask.
 
-    values[i, s] is the correlation of gene i with mask s. `excluded` lists
-    genes dropped for zero variance.
+    values[i, s] is the correlation of gene i with mask s. Genes of zero
+    variance have no row.
     """
 
     gene_ids: tuple[str, ...]
     sites: tuple[str, ...]
     values: np.ndarray
-    excluded: tuple[str, ...] = ()
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -38,7 +37,6 @@ class MaskCorrelations:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
         object.__setattr__(self, "sites", tuple(self.sites))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
         if vals.shape != (len(self.gene_ids), len(self.sites)):
             raise ValidationError("values must be genes x sites")
 
@@ -62,11 +60,11 @@ def mask_correlations(m: ExpressionMatrix) -> MaskCorrelations:
     gene_unit, gene_ok = _standardize_rows(m.values)
     mask_unit, _ = _standardize_rows(np.vstack([(labels == s).astype(np.float64) for s in sites]))
     corr = np.clip(gene_unit[gene_ok] @ mask_unit.T, -1.0, 1.0)
-    excluded = tuple(m.gene_ids[i] for i in np.flatnonzero(~gene_ok))
-    if excluded:
-        logger.warning("mask correlations skipped %d zero-variance gene(s)", len(excluded))
+    n_constant = int(np.count_nonzero(~gene_ok))
+    if n_constant:
+        logger.warning("mask correlations skipped %d zero-variance gene(s)", n_constant)
     kept = tuple(m.gene_ids[i] for i in np.flatnonzero(gene_ok))
-    return MaskCorrelations(kept, sites, corr, excluded)
+    return MaskCorrelations(kept, sites, corr)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def save_gene_set(gs: GeneSet, path: str | Path) -> None:
     """Two header lines, `# name: ...` and `# provenance: ...`, then one gene ID per line."""
     lines = [f"# name: {gs.name}", f"# provenance: {gs.provenance}"]
     lines.extend(gs.gene_ids)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_gene_set(path: str | Path) -> GeneSet:
@@ -201,14 +199,15 @@ def select_combined(
 def write_sweep_report(
     mc: MaskCorrelations, thresholds: Sequence[float], pair: tuple[str, str], path: str | Path
 ) -> None:
-    """Write the kept-gene count of each rule (any / intersect / combined) at each threshold."""
+    """Write the kept-gene count of each rule (any / intersect / combined) at each
+    threshold. A bad pair or threshold raises before the file is opened."""
+    _resolve_pair(mc, pair)
+    for t in thresholds:
+        _check_threshold(t)
     rules = (
         ("any_mask", lambda t: select_by_any_mask(mc, t)),
         ("intersect", lambda t: select_three_mask_intersect(mc, t)),
         ("combined", lambda t: select_combined(mc, t, pair)),
     )
-    rows = [[repr(float(t)), rule, len(select(t))] for t in thresholds for rule, select in rules]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["threshold", "rule", "kept"])
-        w.writerows(rows)
+    write_rows(path, ["threshold", "rule", "kept"],
+               ([repr(float(t)), rule, len(select(t))] for t in thresholds for rule, select in rules))

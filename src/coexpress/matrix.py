@@ -12,6 +12,7 @@ import numpy as np
 import orjson
 
 from .errors import ParseError, ValidationError
+from .textio import read_text, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -110,16 +111,6 @@ class GeneStats:
 class CleansingReport:
     removed_all_zero: int
     removed_duplicates: int
-
-
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of `path` (a leading byte-order mark dropped, line ends kept)."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text (byte {raw[exc.start]:#04x})",
-                         line=raw.count(b"\n", 0, exc.start) + 1) from None
 
 
 def load_matrix(matrix_path: str | Path, labels_path: str | Path) -> ExpressionMatrix:
@@ -287,11 +278,7 @@ def write_matrix(m: ExpressionMatrix, matrix_path: str | Path, labels_path: str 
             else:
                 cells = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
                 fh.write(cells.replace(b",", b"\t").decode() + "\n")
-    with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        w.writerow(["sample_id", "site"])
-        for sid, lab in zip(m.sample_ids, m.labels):
-            w.writerow([sid, lab])
+    write_rows(labels_path, ["sample_id", "site"], zip(m.sample_ids, m.labels), delimiter="\t")
 
 
 def truncate_values(values: np.ndarray, decimals: int = TRUNCATION_DECIMALS) -> np.ndarray:
@@ -406,8 +393,6 @@ def gene_stats(m: ExpressionMatrix) -> list[GeneStats]:
 def export_stats(stats: Iterable[GeneStats], path: str | Path) -> None:
     """Write stats CSV in descending order of mean, ties by gene ID."""
     ordered = sorted(stats, key=lambda s: (-s.mean, s.gene_id))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["gene_id", "max", "min", "mean", "median", "sensitivity"])
-        for s in ordered:
-            w.writerow([s.gene_id, repr(s.max), repr(s.min), repr(s.mean), repr(s.median), repr(s.sensitivity)])
+    write_rows(path, ["gene_id", "max", "min", "mean", "median", "sensitivity"],
+               ([s.gene_id, repr(s.max), repr(s.min), repr(s.mean), repr(s.median), repr(s.sensitivity)]
+                for s in ordered))

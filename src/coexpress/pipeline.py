@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import json
+import io
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,6 +38,7 @@ from .masks import (
 from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
 from .normalize import NormalizationScheme, normalize_matrix
 from .rfe import MIN_RFE_GENES, export_trace, recursive_eliminate
+from .textio import read_text, write_json, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -143,13 +144,14 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     Keys left unset (or empty) take their PipelineConfig / BoosterConfig defaults;
     a section or key that is not in the table is an error.
     """
+    if not Path(path).is_file():
+        raise ValidationError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        read = cp.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        # universal newlines, as open() reads text: "\r\n" and a lone "\r" end a line
+        cp.read_file(io.StringIO(read_text(path), newline=None), source=str(path))
+    except configparser.Error as exc:
         raise ValidationError(f"config {path} does not parse: {str(exc).splitlines()[0]}") from None
-    if not read:
-        raise ValidationError(f"config file not found: {path}")
     keys = {**_CONFIG_KEYS, **{("booster", name): (name, type(default))
                                for name, default in hyperparameters(BoosterConfig()).items()}}
     sections = {section for section, _ in keys}
@@ -237,20 +239,13 @@ def _ingest(
     site_order = list(keep_sites) if keep_sites else list(dict.fromkeys(m.labels))
     m, report = cleanse(m, site_order)
     _write_bundle(m, d)
-    (d / "cleansing.json").write_text(
-        json.dumps(
-            {
-                "removed_all_zero": report.removed_all_zero,
-                "removed_duplicates": report.removed_duplicates,
-                "truncation_applied": True,  # cleanse always truncates
-                "n_genes": m.n_genes,
-                "n_samples": m.n_samples,
-            },
-            indent=2,
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
+    write_json(d / "cleansing.json", {
+        "removed_all_zero": report.removed_all_zero,
+        "removed_duplicates": report.removed_duplicates,
+        "truncation_applied": True,  # cleanse always truncates
+        "n_genes": m.n_genes,
+        "n_samples": m.n_samples,
+    })
     export_stats(gene_stats(m), d / "gene_stats.csv")
     return m
 
@@ -281,13 +276,16 @@ def _cohort_network(
 
 
 def _check_cohorts(labels: Sequence[str], cohorts: Sequence[str]) -> None:
-    """Raise unless each cohort is a site label of `labels` or ALL_SAMPLES."""
+    """Raise unless each cohort is a site label of `labels` or ALL_SAMPLES, named once."""
     sites = dict.fromkeys(labels)
     unknown = [c for c in cohorts if c != ALL_SAMPLES and c not in sites]
     if unknown:
         raise ValidationError(
             f"cohort {unknown[0]!r} is neither a site label ({', '.join(sites)}) nor {ALL_SAMPLES!r}"
         )
+    repeated = [c for i, c in enumerate(cohorts) if c in cohorts[:i]]
+    if repeated:
+        raise ValidationError(f"cohort {repeated[0]!r} is listed more than once")
 
 
 def _cohort_networks(m: ExpressionMatrix, genes: Sequence[str], cohorts: Sequence[str],
@@ -315,14 +313,8 @@ def _export_network(d: Path, g, p, table) -> None:
     write_sweep(table, d / "sweep.csv")
     write_edge_list(g, d / "edges.tsv")
     write_graphml(g, d / "graph.graphml", {"community": membership})
-    (d / "partition.json").write_text(
-        json.dumps(
-            {"threshold": g.threshold, "modularity": p.q, "communities": p.n_communities,
-             "membership": membership},
-            indent=2, sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
+    write_json(d / "partition.json", {"threshold": g.threshold, "modularity": p.q,
+                                      "communities": p.n_communities, "membership": membership})
 
 
 def _atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
@@ -409,9 +401,7 @@ def _stage_rfe_balanced(cfg: PipelineConfig, st: dict, out: Path) -> None:
     ranked = sorted(range(len(key)), key=lambda i: (-imp[i], key.gene_ids[i]))
     st["key_set"] = key
     st["key_index"] = {key.gene_ids[i]: rank for rank, i in enumerate(ranked)}
-    (out / "rfe_balanced" / "key_gene_indices.json").write_text(
-        json.dumps(st["key_index"], indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(out / "rfe_balanced" / "key_gene_indices.json", st["key_index"])
 
 
 def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
@@ -419,8 +409,8 @@ def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
     ens = _fit(st["norm"], key, _booster_cfg(cfg))
     d = out / "model"
     d.mkdir(parents=True, exist_ok=True)
-    (d / "model.json").write_text(ensemble_to_json(ens), encoding="utf-8")
-    (d / "features.json").write_text(json.dumps(list(key.gene_ids), indent=2), encoding="utf-8")
+    write_text(d / "model.json", ensemble_to_json(ens))
+    write_json(d / "features.json", list(key.gene_ids))
 
 
 def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
@@ -486,7 +476,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         try:
             fn(cfg, state, out)
         except Exception as exc:
-            marker.write_text(f"failed at stage: {name}\n{exc}\n", encoding="utf-8")
+            write_text(marker, f"failed at stage: {name}\n{exc}\n")
             raise StageError(name, exc) from exc
     if marker.exists():
         marker.unlink()
@@ -506,5 +496,5 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         "outputs": outputs,
     }
     path = out / "MANIFEST.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(path, manifest)
     return path

@@ -1,8 +1,6 @@
 """Cross-validated recursive elimination of tail-importance genes, plus metrics."""
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +13,7 @@ from .errors import ValidationError
 from .folds import FoldPlan, cv_split, stratified_folds
 from .masks import GeneSet, save_gene_set
 from .matrix import ExpressionMatrix
+from .textio import write_json, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -232,12 +231,9 @@ def export_trace(trace: EliminationTrace, out_dir: str | Path, best: GeneSet) ->
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = len(trace.steps[0].genes)
-    with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "dropped", "surviving", "accuracy", "is_best"])
-        for i, s in enumerate(trace.steps):
-            w.writerow([i, start - len(s.genes), len(s.genes), repr(s.report.accuracy),
-                        int(i == trace.best_index)])
+    write_rows(out / "trace.csv", ["step", "dropped", "surviving", "accuracy", "is_best"],
+               ([i, start - len(s.genes), len(s.genes), repr(s.report.accuracy),
+                 int(i == trace.best_index)] for i, s in enumerate(trace.steps)))
     payload = {
         "seed": trace.seed,
         "best_step": trace.best_index,
@@ -247,12 +243,11 @@ def export_trace(trace: EliminationTrace, out_dir: str | Path, best: GeneSet) ->
             for s in trace.steps
         ],
     }
-    (out / "gene_sets.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    write_json(out / "gene_sets.json", payload, sort_keys=False)  # key order pinned
     report = trace.best.report
     summary = {"accuracy": report.accuracy, "fold_count": report.fold_count,
                "repeat_count": report.repeat_count, "classes": list(report.classes),
                "confusion": report.confusion.tolist(),
                "per_class": {cl: mts._asdict() for cl, mts in report.per_class.items()}}
-    (out / "cv_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
-                                        encoding="utf-8")
+    write_json(out / "cv_report.json", summary)
     save_gene_set(best, out / "best.genes")

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .masks import GeneSet, save_gene_set
 from .matrix import ExpressionMatrix, write_matrix
+from .textio import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -172,7 +173,4 @@ def write_dataset(
     write_matrix(m, out / "matrix.tsv", out / "labels.tsv")
     for cl, gs in planted.items():
         save_gene_set(gs, out / f"planted_{cl}.genes")
-    (out / "blocks.json").write_text(
-        json.dumps({k: list(v) for k, v in blocks.items()}, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
+    write_json(out / "blocks.json", {k: list(v) for k, v in blocks.items()})

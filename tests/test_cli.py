@@ -560,6 +560,19 @@ class TestOutsideFiles:
         ini.write_text("matrix = m.tsv\nlabels = l.tsv\n")
         self._fails_with(caplog, ("pipeline", "--config", ini), "flat.ini", "no section headers")
 
+    def test_latin1_config(self, tmp_path, caplog):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes(b"[input]\nmatrix = m.tsv\nlabels = G\xe8nes.tsv\n")
+        self._fails_with(caplog, ("pipeline", "--config", ini), "latin1.ini", "line 3",
+                         "is not UTF-8 text")
+
+    def test_config_with_a_byte_order_mark_loads(self, pipeline_config):
+        tmp_path, write_cfg = pipeline_config
+        ini = write_cfg("run")
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + ini.read_bytes())
+        assert load_config(bom) == load_config(ini)
+
     def test_truncated_spec(self, tmp_path, caplog):
         spec = tmp_path / "spec.json"
         spec.write_text(spec_to_json(SMALL_SPEC)[:40])
@@ -659,11 +672,43 @@ class TestSiteLabelIsAFileName:
 
 
 class TestCohortNames:
-    """A cohort name that is not a site label fails before any network is built."""
+    """A cohort name that is not a site label, or is listed twice, fails before
+    any network is built."""
 
     def _config(self, data, out, **kw):
         return PipelineConfig(matrix=data / "matrix.tsv", labels=data / "labels.tsv", out=out,
                               k=3, booster=BoosterConfig(n_estimators=4), **kw)
+
+    @pytest.fixture
+    def ln_dataset(self, tmp_path):
+        m, planted, blocks = generate(SMALL_SPEC)
+        data = tmp_path / "ln"
+        write_dataset(replace(m, labels=tuple("LN" if lab == "A" else lab for lab in m.labels)),
+                      planted, blocks, data)
+        return data
+
+    def test_atlas_repeated_cohort_exits_1(self, ln_dataset, tmp_path, caplog, monkeypatch):
+        built = []
+        build_weighted = pipeline.build_weighted
+
+        def recording(m, genes, cohort):
+            built.append(cohort)
+            return build_weighted(m, genes, cohort)
+
+        monkeypatch.setattr(pipeline, "build_weighted", recording)
+        out = tmp_path / "atlas"
+        assert run("atlas", "--in", ln_dataset, "--nested", ln_dataset / "planted_A.genes",
+                   "--cohorts", "LN,LN", "--out", out) == 1
+        assert built == []
+        assert not out.exists()
+        assert any("cohort 'LN' is listed more than once" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_pipeline_repeated_cohort_stops_in_ingest(self, ln_dataset, tmp_path):
+        with pytest.raises(StageError, match="'LN' is listed more than once") as exc:
+            run_pipeline(self._config(ln_dataset, tmp_path / "run", cohorts=("LN", "LN")))
+        assert exc.value.stage == "ingest"
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [".partial", "ingest"]
 
     def test_pipeline_unknown_cohort_stops_before_rfe(self, dataset, tmp_path):
         with pytest.raises(StageError, match="'Lung' is neither a site label") as exc:

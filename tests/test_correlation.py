@@ -96,7 +96,7 @@ class TestPairwise:
         want = pearson_oracle(tiny_matrix.values[:2, 0], tiny_matrix.values[:2, 1])
         assert c.values[0, 1] == pytest.approx(want, abs=1e-12)
 
-    def test_zero_variance_entity_excluded_and_listed(self):
+    def test_zero_variance_entity_excluded_and_listed(self, caplog):
         m = ExpressionMatrix(
             ("g1", "g2", "g3"),
             ("s1", "s2", "s3"),
@@ -105,7 +105,8 @@ class TestPairwise:
         )
         c = pairwise(m, axis="genes")
         assert c.ids == ("g1", "g3")
-        assert c.excluded == ("g2",)
+        assert tuple(g for g in m.gene_ids if g not in c.ids) == ("g2",)
+        assert any(r.getMessage().endswith(": g2") for r in caplog.records)
 
     def test_entity_permutation_invariance(self, tiny_matrix):
         c = pairwise(tiny_matrix, axis="samples")

@@ -140,6 +140,12 @@ class TestSerialization:
         save_plan(plan, tmp_path / "plan.json")
         assert load_plan(tmp_path / "plan.json") == plan
 
+    def test_plan_file_with_a_byte_order_mark_loads(self, tmp_path):
+        plan = stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=3, replication={"B": 1})
+        path = tmp_path / "plan.json"
+        path.write_bytes(b"\xef\xbb\xbf" + plan_to_json(plan).encode("utf-8"))
+        assert load_plan(path) == plan
+
     def test_mismatched_expanded_rejected_on_load(self):
         plan = stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=0, replication={"B": 1})
         moved = json.loads(plan_to_json(plan))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import heapq
 import logging
@@ -750,6 +751,14 @@ class TestSummaryAndExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "src\tdst"
         assert "a\tb" in lines and "d\te" in lines
+
+    def test_edge_list_quotes_ids_like_the_matrix_file(self, tmp_path):
+        g = GeneGraph(("a\tb", 'd"q', "plain"), ((0, 1), (1, 2)))
+        path = tmp_path / "edges.tsv"
+        write_edge_list(g, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh, delimiter="\t"))
+        assert rows == [["src", "dst"], ["a\tb", 'd"q'], ['d"q', "plain"]]
 
     def test_graphml_parses_with_attributes(self, tmp_path):
         path = tmp_path / "g.graphml"

@@ -75,7 +75,7 @@ class TestMaskCorrelations:
         m = self._matrix([[1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0]], ["const", "ok"])
         mc = mask_correlations(m)
         assert mc.gene_ids == ("ok",)
-        assert mc.excluded == ("const",)
+        assert tuple(g for g in m.gene_ids if g not in mc.gene_ids) == ("const",)
 
 
 def _mc(rows, sites=("LN", "Bone", "Liver")):

@@ -1,5 +1,6 @@
 """Every module-level function and class under src/coexpress/ has a program
-caller, and every class member has a program reader.
+caller, every class member has a program reader, and only the text layer
+(`textio.py`) writes files.
 
 A name counts as used when some other code of the package refers to it (its
 own definition and `__init__`'s re-export do not count), or a `perfbench/`
@@ -7,12 +8,19 @@ script or the README does. A class member (a dataclass or named-tuple field, a
 method or a property; dunder methods are skipped) counts as read when an
 attribute access or a keyword argument with its name appears outside its own
 class body in the package or a `perfbench/` script; README words do not count
-for members, as common words such as "cell" would pass. The member scan goes by
-name alone, so a member that shares its name with another class's member
-(`Partition.communities` and `AtlasEntry.communities`) passes when either is
-read, and can hide an unused one. A name that only tests reach is surface that
-every later change has to keep working; delete it, or list it in `UNCALLED` or
-`UNREAD_MEMBERS` with the reason it stays.
+for members, as common words such as "cell" would pass. A read inside the body
+of a class that defines a member of that name counts for no class, so
+`self.excluded` in one class does not keep another class's `excluded`. Other
+reads go by name alone, so a member that shares its name with another class's
+member (`Partition.communities` and `AtlasEntry.communities`) passes when either
+is read outside those classes, and can hide an unused one. A name that only
+tests reach is surface that every later change has to keep working; delete it,
+or list it in `UNCALLED` or `UNREAD_MEMBERS` with the reason it stays.
+
+The text layer owns the encoding, line ends, quoting and JSON layout of every
+file: outside `textio.py` no function opens a file for writing, calls
+`.write_text`, `.write_bytes` or `csv.writer`, except those in `OWN_WRITERS`,
+and `read_text` and the writers are defined nowhere else.
 """
 import ast
 import re
@@ -34,6 +42,17 @@ UNREAD_MEMBERS = {
     f"ClassMetrics.{field}": "the CV report export reads the fields through `_asdict()`"
     for field in ("precision", "recall", "f1")
 }
+
+
+# module.function -> why it writes its file without the text layer
+OWN_WRITERS = {
+    "matrix.write_matrix": "writes each row's numbers as orjson bytes after the csv-quoted gene ID",
+    "graph.write_graphml": "writes XML, where a character UTF-8 cannot hold becomes a character "
+                           "reference (errors='xmlcharrefreplace')",
+}
+
+TEXT_LAYER = "textio"
+TEXT_FUNCTIONS = ("read_text", "write_text", "write_rows", "write_json")
 
 
 def module_level_names(tree: ast.Module) -> list[str]:
@@ -90,17 +109,60 @@ def member_uses(tree: ast.AST) -> Counter:
 
 def unread_members(package: Path, callers: list[Path]) -> list[str]:
     """Members of the module-level classes of `package` whose name appears as an
-    attribute or a keyword argument only inside their own class body, as
-    `Class.member`."""
+    attribute or a keyword argument only inside the bodies of classes that
+    define a member of that name, as `Class.member`."""
     trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
              for p in sorted(package.glob("*.py"))]
     callers_trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in callers]
     total = sum(map(member_uses, trees + callers_trees), Counter())
+    classes = [node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)]
+    inside = Counter()
+    for cls in classes:
+        uses = member_uses(cls)
+        inside.update({name: uses[name] for name in set(class_members(cls))})
+    return [f"{cls.name}.{name}" for cls in classes for name in class_members(cls)
+            if total[name] == inside[name]]
+
+
+def writes_file(call: ast.Call) -> bool:
+    """Whether `call` writes a file: `open(path, mode)` or `path.open(mode)` with
+    a mode that is not a read-only literal, `.write_text`, `.write_bytes` or
+    `csv.writer`."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and (f.attr in ("write_text", "write_bytes") or
+                                         f.attr == "writer" and getattr(f.value, "id", "") == "csv"):
+        return True
+    if isinstance(f, ast.Name) and f.id == "open":
+        mode = call.args[1:2]
+    elif isinstance(f, ast.Attribute) and f.attr == "open":
+        mode = call.args[:1]
+    else:
+        return False
+    mode = [kw.value for kw in call.keywords if kw.arg == "mode"] or mode
+    return bool(mode) and not (isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)
+                               and not set(mode[0].value) & set("wax+"))
+
+
+def file_writers(package: Path) -> list[str]:
+    """Each top-level definition outside the text layer that writes a file, as
+    `module.name`."""
     out = []
-    for cls in (node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)):
-        own = member_uses(cls)
-        out += [f"{cls.name}.{name}" for name in class_members(cls) if total[name] == own[name]]
+    for path in sorted(package.glob("*.py")):
+        if path.stem != TEXT_LAYER:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            out += [f"{path.stem}.{getattr(stmt, 'name', '<module>')}" for stmt in tree.body
+                    if any(isinstance(n, ast.Call) and writes_file(n) for n in ast.walk(stmt))]
     return out
+
+
+def definers(package: Path, names: tuple[str, ...]) -> dict[str, list[str]]:
+    """The modules that define a function of each of `names`, at any depth."""
+    found: dict[str, list[str]] = {name: [] for name in names}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in found:
+                found[node.name].append(path.stem)
+    return found
 
 
 def test_every_module_level_name_has_a_program_caller():
@@ -117,6 +179,15 @@ def test_every_class_member_has_a_program_reader():
     assert not missing, f"only tests read these; delete them or list them in UNREAD_MEMBERS: {missing}"
 
 
+def test_only_the_text_layer_writes_files():
+    extra = [q for q in file_writers(PACKAGE) if q not in OWN_WRITERS]
+    assert not extra, f"write through coexpress.textio, or list in OWN_WRITERS with a reason: {extra}"
+
+
+def test_text_functions_are_defined_once_in_the_text_layer():
+    assert definers(PACKAGE, TEXT_FUNCTIONS) == {name: [TEXT_LAYER] for name in TEXT_FUNCTIONS}
+
+
 def test_exceptions_still_exist():
     defined, members = set(), set()
     for path in PACKAGE.glob("*.py"):
@@ -127,6 +198,8 @@ def test_exceptions_still_exist():
     assert set(UNCALLED) <= defined, f"stale UNCALLED entries: {sorted(set(UNCALLED) - defined)}"
     assert set(UNREAD_MEMBERS) <= members, \
         f"stale UNREAD_MEMBERS entries: {sorted(set(UNREAD_MEMBERS) - members)}"
+    writers = set(file_writers(PACKAGE))
+    assert set(OWN_WRITERS) <= writers, f"stale OWN_WRITERS entries: {sorted(set(OWN_WRITERS) - writers)}"
 
 
 def test_scan_counts_other_modules_callers_and_readme(tmp_path):
@@ -153,7 +226,31 @@ def test_member_scan_counts_reads_outside_the_class_body(tmp_path):
         "    @property\n    def unused(self): return self.own_only\n"
         "    def used(self): return 0\n"
         "def f(r): return r.read + r.used()\n"
-        "ROW = Row(0, 0, 0, 0)._replace(by_keyword=1)\n")
+        "ROW = Row(0, 0, 0, 0)._replace(by_keyword=1)\n"
+        "class Left:\n    shared: int\n    def __len__(self): return self.shared\n"
+        "class Right:\n    shared: int\n    def __len__(self): return self.shared\n")
     caller = tmp_path / "run.py"
     caller.write_text("import pkg.a as m\nm.ROW.by_caller\n")
+    assert unread_members(pkg, [caller]) == ["Row.own_only", "Row.unused",
+                                             "Left.shared", "Right.shared"]
+    caller.write_text("import pkg.a as m\nm.ROW.by_caller\nm.Left(0).shared\n")
     assert unread_members(pkg, [caller]) == ["Row.own_only", "Row.unused"]
+
+
+def test_write_scan_finds_each_kind_of_write(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "textio.py").write_text("def write_text(path, text):\n    open(path, 'w').write(text)\n")
+    (pkg / "a.py").write_text(
+        "import csv\nfrom pathlib import Path\n"
+        "def reads(p):\n"
+        "    return open(p).read(), open(p, 'rb').read(), open(p, mode='r').read(), Path(p).open()\n"
+        "def by_open(p): open(p, 'a')\n"
+        "def by_mode_name(p, mode): open(p, mode=mode)\n"
+        "def by_path_open(p): Path(p).open('w')\n"
+        "def by_write_text(p): Path(p).write_text('')\n"
+        "def by_write_bytes(p): Path(p).write_bytes(b'')\n"
+        "class Writer:\n    def save(self, fh): csv.writer(fh)\n")
+    assert file_writers(pkg) == ["a.by_open", "a.by_mode_name", "a.by_path_open",
+                                 "a.by_write_text", "a.by_write_bytes", "a.Writer"]
+    assert definers(pkg, ("write_text", "read_text")) == {"write_text": ["textio"], "read_text": []}
