@@ -60,11 +60,11 @@ class CorrelationMatrix:
 
 def _standardize_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center and L2-normalize rows; returns (unit rows, nonconstant mask)."""
-    centered = block - block.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
+    unit = block - block.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
     ok = norms > 0.0
-    unit = np.zeros_like(centered)
-    unit[ok] = centered[ok] / norms[ok, None]
+    # a row of zero norm is all zeros already; dividing it by 1 keeps it so
+    np.divide(unit, np.where(ok, norms, 1.0)[:, None], out=unit)
     return unit, ok
 
 
@@ -75,7 +75,7 @@ def correlation_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clamped into [-1, 1] with an exact unit diagonal.
     """
     unit, ok = _standardize_rows(block)
-    kept = unit[ok]
+    kept = unit if ok.all() else unit[ok]
     corr = kept @ kept.T
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .textio import read_text, write_text
 
 logger = logging.getLogger(__name__)
@@ -128,18 +128,40 @@ def plan_to_json(plan: FoldPlan) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def plan_from_json(text: str) -> FoldPlan:
+# plan file key -> its parse
+_PLAN_KEYS = {
+    "k": int,
+    "labels": tuple,
+    "assignment": lambda v: tuple(int(x) for x in v),
+    "replication": lambda v: {str(k): int(f) for k, f in v.items()},
+    "seed": int,
+    "expanded": lambda v: tuple((int(i), int(f)) for i, f in v),
+}
+
+
+def plan_from_json(text: str, source: str = "plan") -> FoldPlan:
     """Read a plan written by `plan_to_json`. The file's `expanded` list must
-    equal the one its assignment and replication derive."""
-    d = json.loads(text)
-    plan = FoldPlan(
-        k=int(d["k"]),
-        labels=tuple(d["labels"]),
-        assignment=tuple(int(x) for x in d["assignment"]),
-        replication={str(k): int(v) for k, v in d["replication"].items()},
-        seed=int(d["seed"]),
-    )
-    if tuple((int(i), int(f)) for i, f in d["expanded"]) != plan.expanded:
+    equal the one its assignment and replication derive. Text that is not a
+    JSON object, or a missing or malformed key, raises ParseError naming
+    `source`."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source} is not JSON: {exc.msg} (column {exc.colno})",
+                         line=exc.lineno) from None
+    if not isinstance(d, dict):
+        raise ParseError(f"{source} is not a JSON object")
+    fields = {}
+    for key, parse in _PLAN_KEYS.items():
+        if key not in d:
+            raise ParseError(f"{source} has no key {key!r}")
+        try:
+            fields[key] = parse(d[key])
+        except (AttributeError, OverflowError, TypeError, ValueError):
+            raise ParseError(f"{source} key {key!r} is malformed: {json.dumps(d[key])}") from None
+    expanded = fields.pop("expanded")
+    plan = FoldPlan(**fields)
+    if expanded != plan.expanded:
         raise ValidationError(
             "plan file's expanded list does not match its assignment and replication"
         )
@@ -151,4 +173,4 @@ def save_plan(plan: FoldPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> FoldPlan:
-    return plan_from_json(read_text(path))
+    return plan_from_json(read_text(path), str(path))

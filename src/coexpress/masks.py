@@ -59,7 +59,8 @@ def mask_correlations(m: ExpressionMatrix) -> MaskCorrelations:
     labels = np.asarray(m.labels, dtype=object)
     gene_unit, gene_ok = _standardize_rows(m.values)
     mask_unit, _ = _standardize_rows(np.vstack([(labels == s).astype(np.float64) for s in sites]))
-    corr = np.clip(gene_unit[gene_ok] @ mask_unit.T, -1.0, 1.0)
+    corr = (gene_unit if gene_ok.all() else gene_unit[gene_ok]) @ mask_unit.T
+    np.clip(corr, -1.0, 1.0, out=corr)
     n_constant = int(np.count_nonzero(~gene_ok))
     if n_constant:
         logger.warning("mask correlations skipped %d zero-variance gene(s)", n_constant)

@@ -5,14 +5,15 @@ import csv
 import io
 import logging
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
 
-from .errors import ParseError, ValidationError
-from .textio import read_text, write_rows
+from .errors import CoexpressError, ParseError, ValidationError
+from .textio import csv_writer, read_text, text_lines, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +122,9 @@ def load_matrix(matrix_path: str | Path, labels_path: str | Path) -> ExpressionM
     by commas in a `.csv` file and by tabs otherwise. The label
     file maps sample_id -> site, one pair per line (an optional
     ``sample_id<TAB>site`` header line is skipped). Decimal separator is
-    always the dot, independent of locale.
+    always the dot, independent of locale. The matrix file is read a line at
+    a time; a byte in it that is not UTF-8 is the error raised, even after a
+    malformed line.
     """
     matrix_path = Path(matrix_path)
     labels_path = Path(labels_path)
@@ -131,9 +134,13 @@ def load_matrix(matrix_path: str | Path, labels_path: str | Path) -> ExpressionM
         raise ValidationError(f"label file not found: {labels_path}")
     delim = "," if matrix_path.suffix.lower() == ".csv" else "\t"
 
-    text = read_text(matrix_path)
-    sample_ids, gene_ids, values = (_read_plain(text, delim)
-                                    or _read_csv(io.StringIO(text, newline=""), delim))
+    try:
+        sample_ids, gene_ids, values = (_read_plain(matrix_path, delim)
+                                        or _read_csv(text_lines(matrix_path), delim))
+    except CoexpressError:
+        for _ in text_lines(matrix_path):  # a byte that is not UTF-8 is the fault reported
+            pass
+        raise
 
     label_map = _read_labels(labels_path)
     missing = [s for s in sample_ids if s not in label_map]
@@ -150,8 +157,13 @@ def load_matrix(matrix_path: str | Path, labels_path: str | Path) -> ExpressionM
 _NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _read_plain(text: str, delim: str) -> tuple[list[str], list[str], np.ndarray] | None:
-    """`_read_csv`'s result for plain text, with the values parsed in one numpy call.
+class _NotPlain(ValueError):
+    """A line that `_read_plain` leaves to the csv parser."""
+
+
+def _read_plain(path: Path, delim: str) -> tuple[list[str], list[str], np.ndarray] | None:
+    """`_read_csv`'s result for a plain file, in one pass that feeds numpy's parser
+    a line at a time, so no copy of the file's text is held whole.
 
     Plain text holds none of `_NOT_PLAIN`, and every line that is not blank
     has a delimiter, so a line splits as the csv parser splits it. numpy's C
@@ -160,25 +172,37 @@ def _read_plain(text: str, delim: str) -> tuple[list[str], list[str], np.ndarray
     Returns None for anything else and for anything the csv parser rejects,
     so that it raises its own error.
     """
-    if any(c in text for c in _NOT_PLAIN):
-        return None
-    lines = text.split("\n")
-    sample_ids = [c.strip() for c in lines[0].split(delim)[1:]]
+    lines = text_lines(path)
+    header = next(lines, "")
+    sample_ids = [c.strip() for c in header.split(delim)[1:]]
     n_cols = len(sample_ids)
-    if not n_cols or len(set(sample_ids)) != n_cols:
+    if any(c in header for c in _NOT_PLAIN) or not n_cols or len(set(sample_ids)) != n_cols:
         return None
-    rows = [ln for ln in lines[1:] if delim in ln or ln.strip()]
-    if not rows or any(ln.count(delim) != n_cols for ln in rows):
-        return None
+    gene_ids: list[str] = []
+
+    def data_rows() -> Iterator[str]:
+        for ln in lines:
+            n_delims = ln.count(delim)
+            if not n_delims and not ln.strip():
+                continue
+            if n_delims != n_cols or any(c in ln for c in _NOT_PLAIN):
+                raise _NotPlain
+            gene_ids.append(ln.partition(delim)[0].strip())
+            yield ln
+
+    rows = data_rows()
     try:
+        first = next(rows, None)
+        if first is None:  # no data rows: the csv parser says so
+            return None
         # comments=None: a gene ID may start with "#"
-        values = np.loadtxt(rows, delimiter=delim, comments=None, dtype=np.float64,
-                            ndmin=2, usecols=range(1, n_cols + 1))
-    except ValueError:
+        values = np.loadtxt(chain((first,), rows), delimiter=delim, comments=None,
+                            dtype=np.float64, ndmin=2, usecols=range(1, n_cols + 1))
+    except ValueError:  # _NotPlain, or a cell numpy rejects
         return None
-    if values.shape != (len(rows), n_cols) or not np.all(np.isfinite(values)):
+    if values.shape != (len(gene_ids), n_cols) or not np.all(np.isfinite(values)):
         return None
-    return sample_ids, [ln.partition(delim)[0].strip() for ln in rows], values
+    return sample_ids, gene_ids, values
 
 
 def _read_csv(fh: Iterable[str], delim: str) -> tuple[list[str], list[str], np.ndarray]:
@@ -264,11 +288,10 @@ def write_matrix(m: ExpressionMatrix, matrix_path: str | Path, labels_path: str 
     """Serialize in the same TSV layout load_matrix reads; each cell is repr() of its value."""
     matrix_path, labels_path = Path(matrix_path), Path(labels_path)
     with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        w.writerow(["gene_id", *m.sample_ids])
+        csv_writer(fh, "\t").writerow(["gene_id", *m.sample_ids])
         # Only the gene ID goes through csv quoting: a float's repr never needs it.
         # Written as a row of (ID, "") it comes out quoted as in the full row, plus a tab.
-        id_cell = csv.writer(fh, delimiter="\t", lineterminator="")
+        id_cell = csv_writer(fh, "\t", end="")
         id_row = ("",) if m.n_samples else ()
         # one row at a time: a whole-matrix dumps or tolist() would hold every cell at once
         for gid, row, exp_form in zip(m.gene_ids, m.values, _exponent_rows(m.values)):

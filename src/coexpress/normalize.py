@@ -110,12 +110,12 @@ def normalize_matrix(m: ExpressionMatrix, scheme: NormalizationScheme) -> Expres
     Degenerate (constant) rows are dropped and logged; IDs, sample order, and
     labels are unchanged. Raises if every row is degenerate.
     """
-    out_rows: list[np.ndarray] = []
+    out = np.empty_like(m.values)  # kept rows fill it from the top
     kept: list[str] = []
     dropped: list[str] = []
     for i, gid in enumerate(m.gene_ids):
         try:
-            out_rows.append(normalize_row(m.values[i], scheme))
+            out[len(kept)] = normalize_row(m.values[i], scheme)
         except DegenerateRowError:
             dropped.append(gid)
             continue
@@ -127,4 +127,4 @@ def normalize_matrix(m: ExpressionMatrix, scheme: NormalizationScheme) -> Expres
             "%s normalization dropped %d degenerate gene(s): %s",
             scheme.variant, len(dropped), ", ".join(dropped[:10]) + ("..." if len(dropped) > 10 else ""),
         )
-    return replace(m, gene_ids=tuple(kept), values=np.vstack(out_rows))
+    return replace(m, gene_ids=tuple(kept), values=out[:len(kept)])

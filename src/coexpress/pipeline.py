@@ -335,7 +335,7 @@ def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
     scheme = NormalizationScheme(cfg.scheme, cfg.epsilon)
-    st["norm"] = _normalize(st["clean"], scheme, out / "normalize")
+    st["norm"] = _normalize(st.pop("clean"), scheme, out / "normalize")  # no later stage reads it
 
 
 def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:

@@ -1,11 +1,12 @@
 import json
 import logging
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from coexpress.errors import ValidationError
+from coexpress.errors import ParseError, ValidationError
 from coexpress.folds import (
     cv_split,
     load_plan,
@@ -145,6 +146,27 @@ class TestSerialization:
         path = tmp_path / "plan.json"
         path.write_bytes(b"\xef\xbb\xbf" + plan_to_json(plan).encode("utf-8"))
         assert load_plan(path) == plan
+
+    @pytest.mark.parametrize("text, needle", [
+        ("{}", "has no key 'k'"),
+        ("[]", "is not a JSON object"),
+        ('{"k": 2, "labels": ["A", "B"], "assignment": [0, 1], "replication": [], "seed": 0,'
+         ' "expanded": [[0, 0], [1, 1]]}', "key 'replication' is malformed: []"),
+        ('{"k": 2, "labels": ["A", "B"], "assignment": [0, 1], "replication": {}, "seed": 0,'
+         ' "expanded": [[0]]}', "key 'expanded' is malformed: [[0]]"),
+    ], ids=["empty", "list", "replication_as_list", "short_expanded_pair"])
+    def test_malformed_plan_file_names_the_file_and_key(self, tmp_path, text, needle):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path} {needle}")):
+            load_plan(path)
+
+    def test_truncated_plan_file_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(plan_to_json(stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=0))[:40])
+        needle = f"line 5: {path} is not JSON: Expecting value (column 7)"
+        with pytest.raises(ParseError, match=re.escape(needle)):
+            load_plan(path)
 
     def test_mismatched_expanded_rejected_on_load(self):
         plan = stratified_folds(["A"] * 4 + ["B"] * 4, 2, seed=0, replication={"B": 1})

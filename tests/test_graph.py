@@ -760,6 +760,15 @@ class TestSummaryAndExports:
             rows = list(csv.reader(fh, delimiter="\t"))
         assert rows == [["src", "dst"], ["a\tb", 'd"q'], ['d"q', "plain"]]
 
+    def test_edge_list_quotes_ids_holding_a_carriage_return(self, tmp_path):
+        g = GeneGraph(("a\rb", "c\r\nd", "plain"), ((0, 1), (1, 2)))
+        path = tmp_path / "edges.tsv"
+        write_edge_list(g, path)
+        assert path.read_bytes().startswith(b'src\tdst\n"a\rb"\t"c\r\nd"\n')
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh, delimiter="\t"))
+        assert rows == [["src", "dst"], ["a\rb", "c\r\nd"], ["c\r\nd", "plain"]]
+
     def test_graphml_parses_with_attributes(self, tmp_path):
         path = tmp_path / "g.graphml"
         p = detect_communities(TRIANGLES, seed=0)

@@ -93,6 +93,31 @@ class TestLoadMatrix:
             assert m.sample_ids == ("s1", "s2") and m.gene_ids == ("g1",)
             np.testing.assert_array_equal(m.values, [[1.0, 2.0]])
 
+    def test_ids_holding_line_ends_round_trip(self, tmp_path):
+        m = ExpressionMatrix(("a\rb", "c\nd", "e\r\nf", "g"), ("s1", "s2"), ("LN", "Bone"),
+                             np.arange(8.0).reshape(4, 2))
+        write_matrix(m, tmp_path / "m.tsv", tmp_path / "l.tsv")
+        lines = (tmp_path / "m.tsv").read_bytes().split(b"\n")
+        assert lines[1] == b'"a\rb"\t0.0\t1.0' and lines[-2] == b"g\t6.0\t7.0"
+        back = load_matrix(tmp_path / "m.tsv", tmp_path / "l.tsv")
+        assert back.gene_ids == m.gene_ids
+        np.testing.assert_array_equal(back.values, m.values)
+
+    def test_non_utf8_byte_after_a_byte_order_mark_is_named(self, tmp_path):
+        mp, lp = _write(tmp_path, "", LABELS_2)
+        mp.write_bytes(b"\xef\xbb\xbfgene_id\ts1\ts2\ng1\t1\t2\ng\xff2\t3\t4\n")
+        needle = f"line 3: {mp} is not UTF-8 text (byte 0xff)"
+        with pytest.raises(ParseError, match=re.escape(needle)):
+            load_matrix(mp, lp)
+
+    def test_non_utf8_byte_is_reported_before_an_earlier_fault(self, tmp_path):
+        mp, lp = _write(tmp_path, "", LABELS_2)
+        for head in (b"gene_id\ts1\ts2\ng1\t1\n", b'gene_id\ts1\ts2\n"g1\t1\n'):
+            mp.write_bytes(head + b"g2\t3\t4\ng3\t5\t\xe96\n")
+            needle = f"line 4: {mp} is not UTF-8 text (byte 0xe9)"
+            with pytest.raises(ParseError, match=re.escape(needle)):
+                load_matrix(mp, lp)
+
     def test_roundtrip(self, tmp_path, tiny_matrix):
         write_matrix(tiny_matrix, tmp_path / "m.tsv", tmp_path / "l.tsv")
         back = load_matrix(tmp_path / "m.tsv", tmp_path / "l.tsv")
@@ -196,6 +221,9 @@ PARITY_CASES = {
     "empty id": (HEAD + "\t1\t2\n", True),
     "padded id": (HEAD + " g1 \t1\t2\n", True),
     "crlf": (HEAD.replace("\n", "\r\n") + "g1\t1\t2\r\ng2\t3\t4\r\n", False),
+    "cr": (HEAD.replace("\n", "\r") + "g1\t1\t2\rg2\t3\t4\r", False),
+    "quoted cr id": (HEAD + '"g\r1"\t1\t2\ng2\t3\t4\n', False),
+    "stray cr in a cell": (HEAD + "g1\t1\r\t2\n", False),
     "blank lines": (HEAD + "\ng1\t1\t2\n\n\ng2\t3\t4", True),
     "whitespace lines": (HEAD + "  \ng1\t1\t2\n\xa0\n\x0c\n", True),
     "tab-only line": (HEAD + "g1\t1\t2\n\t\n", False),
@@ -217,16 +245,17 @@ class TestReaderParity:
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_same_result_as_csv_parser(self, tmp_path, case):
         text, bulk = PARITY_CASES[case]
-        assert (_read_plain(text, "\t") is not None) is bulk
         mp, lp = tmp_path / "m.tsv", tmp_path / "labels.tsv"
         mp.write_text(text, encoding="utf-8", newline="")
         lp.write_text(LABELS_2)
+        assert (_read_plain(mp, "\t") is not None) is bulk
         reference = _outcome(lambda: _read_csv(io.StringIO(text, newline=""), "\t"))
         assert _outcome(lambda: _loaded(mp, lp)) == reference
 
-    def test_csv_delimiter(self):
+    def test_csv_delimiter(self, tmp_path):
         text = "gene_id,s1,s2\n#g1, 1.5 ,\t2\ng2,3,4\n"
-        fast = _read_plain(text, ",")
+        (tmp_path / "m.csv").write_text(text)
+        fast = _read_plain(tmp_path / "m.csv", ",")
         assert fast is not None
         assert _outcome(lambda: fast) == _outcome(lambda: _read_csv(io.StringIO(text), ","))
         assert fast[1] == ["#g1", "g2"]

@@ -1,14 +1,19 @@
-"""Property tests of matrix text I/O against a per-cell repr writer, and of cleanse."""
+"""Property tests of matrix text I/O against a per-cell repr writer and the csv
+parser over the whole text, and of cleanse."""
+import codecs
 import csv
+import io
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from coexpress.errors import ValidationError  # noqa: E402
-from coexpress.matrix import ExpressionMatrix, _read_plain, cleanse, load_matrix, write_matrix  # noqa: E402
+from coexpress.errors import ParseError, ValidationError  # noqa: E402
+from coexpress.matrix import (  # noqa: E402
+    ExpressionMatrix, _read_csv, _read_plain, cleanse, load_matrix, write_matrix,
+)
 
 SITES = ("LN", "Bone", "Liver")
 MIN_NORMAL = 2.2250738585072014e-308
@@ -69,7 +74,75 @@ def test_write_matrix_is_repr_per_cell_and_reads_back_bit_for_bit(tmp_path_facto
     np.testing.assert_array_equal(back.values.view(np.uint64), m.values.view(np.uint64))
     # a file with no quoted gene ID is read in bulk
     quoted = any('"' in g or "\t" in g for g in m.gene_ids)
-    assert (_read_plain((d / "m.tsv").read_text(), "\t") is None) is quoted
+    assert (_read_plain(d / "m.tsv", "\t") is None) is quoted
+
+
+def _outcome(read):
+    """(sample IDs, gene IDs, value bits) of a reader, or its exception type and message."""
+    try:
+        sample_ids, gene_ids, values = read()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return list(sample_ids), list(gene_ids), values.shape, values.tobytes()
+
+
+def _whole_text_outcome(path):
+    """The reference: decode the whole file, then the csv parser over all of its text."""
+    raw = path.read_bytes()
+    bom = 3 if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = raw[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = bom + exc.start
+        line = raw.count(b"\n", 0, at) + 1
+        return ParseError, f"line {line}: {path} is not UTF-8 text (byte {raw[at]:#04x})"
+    return _outcome(lambda: _read_csv(io.StringIO(text, newline=""), "\t"))
+
+
+def _loaded(path, labels):
+    m = load_matrix(path, labels)
+    return m.sample_ids, m.gene_ids, m.values
+
+
+bad_cells = st.sampled_from(("", " 1.5 ", "x", "1_0", "inf", "1e999"))
+blank_lines = st.sampled_from(("", " ", "\t", "\xa0", "\x0c"))
+
+
+@st.composite
+def matrix_files(draw):
+    """Matrix file bytes: a header over s1..sN, then data rows mixed with blank and
+    whitespace-only lines, maybe after a byte-order mark. Half of the files are
+    plain ("\\n" ends; IDs of "g", "#", "1" and spaces; repr cells). The other half
+    also draw quoted IDs, IDs holding a CR, CR and CRLF ends, bad cells and rows
+    of the wrong length. One file in four gets a byte that is not UTF-8."""
+    odd = draw(st.booleans())
+    ends = st.sampled_from(("\n", "\r\n", "\r")) if odd else st.just("\n")
+    cells = st.one_of(plain_cells.map(repr), bad_cells) if odd else plain_cells.map(repr)
+    n = draw(st.integers(1, 3))
+    lines = ["\t".join(["gene_id", *(f"s{j}" for j in range(1, n + 1))]) + draw(ends)]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):
+            gid = draw(st.text('g#1 "\r' if odd else "g#1 ", max_size=4))
+            if '"' in gid and draw(st.booleans()):
+                gid = '"' + gid.replace('"', '""') + '"'
+            width = draw(st.sampled_from((n - 1, n, n + 1))) if odd else n
+            lines.append("\t".join([gid, *(draw(cells) for _ in range(width))]) + draw(ends))
+        else:
+            lines.append(draw(blank_lines) + draw(ends))
+    raw = "".join(lines).encode("utf-8")
+    if not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from((b"\xff", b"\xe9", b"\xc3"))) + raw[at:]
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + raw
+
+
+@settings(max_examples=300)
+@given(matrix_files())
+def test_streamed_reader_equals_the_csv_parser_over_the_whole_text(tmp_path_factory, raw):
+    d = tmp_path_factory.mktemp("rd")
+    (d / "m.tsv").write_bytes(raw)
+    (d / "l.tsv").write_text("s1\tLN\ns2\tBone\ns3\tLiver\n")
+    assert _outcome(lambda: _loaded(d / "m.tsv", d / "l.tsv")) == _whole_text_outcome(d / "m.tsv")
 
 
 # every finite double, plus cells that truncate to zero and ones where the 6-place snap gives out

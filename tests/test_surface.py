@@ -20,7 +20,8 @@ or list it in `UNCALLED` or `UNREAD_MEMBERS` with the reason it stays.
 The text layer owns the encoding, line ends, quoting and JSON layout of every
 file: outside `textio.py` no function opens a file for writing, calls
 `.write_text`, `.write_bytes` or `csv.writer`, except those in `OWN_WRITERS`,
-and `read_text` and the writers are defined nowhere else.
+and the readers (`read_text`, `text_lines`) and the writers (`write_text`,
+`write_rows`, `write_json`, `csv_writer`) are defined nowhere else.
 """
 import ast
 import re
@@ -52,7 +53,7 @@ OWN_WRITERS = {
 }
 
 TEXT_LAYER = "textio"
-TEXT_FUNCTIONS = ("read_text", "write_text", "write_rows", "write_json")
+TEXT_FUNCTIONS = ("read_text", "text_lines", "write_text", "write_rows", "write_json", "csv_writer")
 
 
 def module_level_names(tree: ast.Module) -> list[str]:
