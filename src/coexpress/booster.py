@@ -439,18 +439,14 @@ def _tree(
 def _softmax(margins: np.ndarray) -> np.ndarray:
     """Class probabilities of (classes, samples) margins, in the same layout."""
     e = np.exp(margins - margins.max(axis=0))
-    # Each sample's sum is numpy's sum over a row of the (samples, classes)
-    # layout. Below 8 classes that sum adds the classes in order, as the
-    # column sum does; from 8 on it is pairwise, so it needs the transpose.
-    e /= e.sum(axis=0) if len(e) < 8 else np.ascontiguousarray(e.T).sum(axis=1)
-    return e
+    # each sample's sum runs over a row of the (samples, classes) layout
+    return e / np.ascontiguousarray(e.T).sum(axis=1)
 
 
 def _log_loss(P: np.ndarray, at: np.ndarray) -> float:
     """Mean cross-entropy of the (classes, samples) probabilities P at the flat
     positions `at` of the true classes."""
-    logs = np.log(np.maximum(P.ravel().take(at), 1e-300))
-    return -float(np.add.reduce(logs)) / logs.size
+    return float(-np.log(np.maximum(P.ravel().take(at), 1e-300)).mean())
 
 
 def _logit(p: float) -> float:

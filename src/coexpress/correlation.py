@@ -63,8 +63,9 @@ def _standardize_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit = block - block.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
     ok = norms > 0.0
-    # a row of zero norm is all zeros already; dividing it by 1 keeps it so
     np.divide(unit, np.where(ok, norms, 1.0)[:, None], out=unit)
+    # a row whose tiny centred values square to a zero norm is zeroed too
+    unit[~ok] = 0.0
     return unit, ok
 
 

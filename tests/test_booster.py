@@ -12,9 +12,7 @@ from coexpress.booster import (
     BoosterConfig,
     RegressionTree,
     _level_splits,
-    _log_loss,
     _logit,
-    _softmax,
     ensemble_from_json,
     ensemble_to_json,
     predict,
@@ -314,30 +312,6 @@ class TestGoldenModels:
         yi = np.array([ens.classes.index(lab) for lab in y])
         p = proba[np.arange(len(y)), yi]
         assert float(-np.mean(np.log(np.maximum(p, 1e-300)))) == ens.loss_curve[-1]
-
-
-class TestSoftmaxSums:
-    """`_softmax` divides by numpy's sum over each row of the (samples, classes)
-    layout, and `_log_loss` is numpy's mean, bit for bit, at every class count."""
-
-    @pytest.mark.parametrize("n_classes", range(2, 13))
-    def test_bits_equal_the_row_sum_form(self, n_classes):
-        rng = np.random.default_rng(n_classes)
-        n = 300
-        margins = rng.normal(scale=3.0, size=(n_classes, n))
-        e = np.exp(margins - margins.max(axis=0))
-        want = e / np.ascontiguousarray(e.T).sum(axis=1)
-        P = _softmax(margins)
-        assert P.tobytes() == want.tobytes()
-        at = rng.integers(0, n_classes, size=n) * n + np.arange(n)
-        assert _log_loss(P, at) == float(-np.log(np.maximum(P.ravel().take(at), 1e-300)).mean())
-
-    @pytest.mark.parametrize("n_classes", (8, 12))
-    def test_the_column_sum_differs_from_8_classes_on(self, n_classes):
-        # why the path for 8 classes and more keeps the transposed row sum
-        margins = np.random.default_rng(n_classes).normal(scale=3.0, size=(n_classes, 300))
-        e = np.exp(margins - margins.max(axis=0))
-        assert e.sum(axis=0).tobytes() != np.ascontiguousarray(e.T).sum(axis=1).tobytes()
 
 
 def reference_split(xt, g, h, G, H, lam, mcw):

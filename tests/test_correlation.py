@@ -122,6 +122,16 @@ class TestPairwise:
         assert c.values.min() >= -1.0 and c.values.max() <= 1.0
 
 
+    def test_row_whose_squares_underflow_is_left_out_as_zeros(self):
+        # centred values of +-5e-171 square to 0.0, so the row has zero norm
+        # though it is not constant; it is reported as constant and zeroed
+        block = np.array([[0.0, 1e-170], [1.0, 3.0], [0.0, 0.0]])
+        unit, ok = correlation._standardize_rows(block)
+        assert ok.tolist() == [False, True, False]
+        assert unit[0].tolist() == [0.0, 0.0] and unit[2].tolist() == [0.0, 0.0]
+        assert unit[1].tolist() == pytest.approx([-2 ** -0.5, 2 ** -0.5])
+
+
 def _corr_from(values, ids):
     return CorrelationMatrix(tuple(ids), np.asarray(values, dtype=float))
 
