@@ -3,8 +3,10 @@ modularity, and multi-level greedy community detection."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -64,15 +66,16 @@ class GeneGraph:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValidationError("edges must be index pairs")
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        # column-wise: a min or max along axis 1 of an (E, 2) array is many times slower
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         if np.any(lo == hi):
             raise ValidationError("self-loops are not allowed")
         if lo.size and (lo.min() < 0 or hi.max() >= n):
             raise ValidationError("edge endpoint out of range")
         key = lo * n + hi
         if np.any(key[1:] <= key[:-1]):
-            key = np.unique(key)  # sorted, duplicates collapsed
-        pairs = np.column_stack(np.divmod(key, max(n, 1)))
+            lo, hi = np.divmod(np.unique(key), max(n, 1))  # sorted, duplicates collapsed
+        pairs = np.column_stack((lo, hi))
         pairs.flags.writeable = False
         object.__setattr__(self, "edges", pairs)
 
@@ -152,11 +155,62 @@ def build_weighted(
     return WeightedGeneGraph(tuple(kept), w)
 
 
+class _Sweep:
+    """One threshold sweep's scan of a weight matrix.
+
+    The matrix is scanned once, at the sweep's lowest threshold `floor`, into
+    the (u, v)-sorted pairs with weight >= floor (int32 indices) and their
+    weights. Each threshold's graph keeps the pairs with weight >= t, the
+    test `threshold_graph` has always applied to the whole matrix, so its
+    edges are the same array. Louvain's level-0 lists of the floor's pairs
+    are built once, at the sweep's first community detection.
+    """
+
+    def __init__(self, wg: WeightedGeneGraph, floor: float):
+        # row-major nonzero of the strict upper triangle lists (u, v) in sorted order
+        pairs = np.argwhere(np.triu(wg.weights >= floor, k=1)).astype(np.int32)
+        self.wg = wg
+        self.floor = floor
+        self.pairs = pairs
+        self.weight = wg.weights[pairs[:, 0], pairs[:, 1]]
+        self.last: tuple[GeneGraph, float] | None = None  # the last graph built and its t
+        self._level0: _Level0 | None = None
+
+    def graph(self, t: float) -> GeneGraph:
+        self.last = None
+        g = GeneGraph(self.wg.genes, self.pairs.compress(self.weight >= t, axis=0),
+                      threshold=float(t))
+        self.last = (g, t)
+        return g
+
+    def level0(self, g: GeneGraph) -> tuple[_Level0, float] | None:
+        """The floor's level-0 lists and the t to filter them at, for the graph
+        this sweep built last; None for any other graph."""
+        if self.last is None or self.last[0] is not g:
+            return None
+        if self._level0 is None:
+            self._level0 = _Level0(self.wg.genes, self.pairs, self.weight)
+        return self._level0, self.last[1]
+
+
+# The sweep in progress in this thread or task, set by `select_threshold` for
+# the length of one call and reset when it returns or raises. The sweep calls
+# the public `threshold_graph(wg, t)` and `detect_communities(g, seed)`, looked
+# up on the module (perfbench/tracer.py wraps them there), so the scan reaches
+# them here rather than through their signatures.
+_SWEEP: ContextVar[_Sweep | None] = ContextVar("coexpress_graph_sweep", default=None)
+
+
 def threshold_graph(wg: WeightedGeneGraph, t: float) -> GeneGraph:
-    """Unweighted graph keeping edges with weight >= t; isolated nodes retained."""
-    # row-major nonzero of the strict upper triangle lists (u, v) in sorted order
-    pairs = np.argwhere(np.triu(wg.weights >= t, k=1))
-    g = GeneGraph(wg.genes, pairs, threshold=float(t))
+    """Unweighted graph keeping edges with weight >= t; isolated nodes retained.
+
+    Inside `select_threshold` the graph is cut from the sweep's one scan;
+    otherwise the call is a one-threshold sweep of its own.
+    """
+    sweep = _SWEEP.get()
+    if sweep is None or sweep.wg is not wg or not t >= sweep.floor:
+        sweep = _Sweep(wg, t)
+    g = sweep.graph(t)
     if logger.isEnabledFor(logging.DEBUG):
         iso = g.isolated_nodes()
         if iso:
@@ -228,8 +282,14 @@ def modularity(g: GeneGraph, p: Partition | Sequence[int]) -> float:
     return float(np.sum(intra / m - (degree / (2.0 * m)) ** 2))
 
 
+# Every level-0 edge weighs 1. One endless iterator serves as every node's
+# weight list: `_one_level` zips it after the neighbor list, so zip stops at
+# the neighbor list's end and never exhausts it.
+_UNIT_WEIGHT = itertools.repeat(1)
+
+
 def _one_level(
-    nbrs: list[list[int]], wts: list[list[int]], k: list[int], m: float, order: list[int]
+    nbrs: list[list[int]], wts: list, k: list[int], m: float, order: list[int]
 ) -> tuple[list[int], list[dict[int, int] | None], bool]:
     """Local-move phase: greedily reassign nodes while any move raises Q.
 
@@ -313,14 +373,37 @@ def _one_level(
     return comm, neigh_w, moves > 0
 
 
-def _neighbor_lists(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-node neighbor and weight lists of directed edges sorted by src."""
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
-    nb, ws = dst.tolist(), w.tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    return [nb[a:b] for a, b in spans], [ws[a:b] for a, b in spans]
+def _split(values: list, counts: np.ndarray) -> list[list]:
+    """`values` cut into consecutive runs of counts[0], counts[1], ... items."""
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class _Level0:
+    """A graph's nodes in canonical order (by gene ID; equal IDs keep index
+    order) and both directions of each of its (u, v)-sorted pairs in that
+    space, stably sorted by source: for each source, its forward entries,
+    then its reverse ones, each in pair order. Each entry carries its pair's
+    weight, if the pairs have weights, so the entries of the pairs with
+    weight >= t are a stable filter of these."""
+
+    def __init__(self, nodes: tuple[str, ...], pairs: np.ndarray, weight: np.ndarray | None = None):
+        n = len(nodes)
+        self.canon = sorted(range(n), key=nodes.__getitem__)
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[self.canon] = np.arange(n)
+        ends = self.rank[pairs]
+        src, dst = np.concatenate((ends, ends[:, ::-1])).T
+        by_src = np.argsort(src, kind="stable")
+        self.src, self.dst = src[by_src], dst[by_src]
+        self.weight = None if weight is None else np.concatenate((weight, weight))[by_src]
+
+    def entries(self, t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(source, destination) of the entries with weight >= t; all when t is None."""
+        if t is None:
+            return self.src, self.dst
+        kept = self.weight >= t
+        return self.src.compress(kept), self.dst.compress(kept)
 
 
 def _community_lists(
@@ -351,8 +434,9 @@ def _community_lists(
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
     summed = np.bincount(np.cumsum(first) - 1, weights=np.array(w)[between][by_key])
-    key = key[first]
-    return _neighbor_lists(*np.divmod(key, n), summed.astype(np.int64), n)
+    src, dst = np.divmod(key[first], n)
+    counts = np.bincount(src, minlength=n)
+    return _split(dst.tolist(), counts), _split(summed.astype(np.int64).tolist(), counts)
 
 
 # Graphs whose non-isolated core is at most this large are solved by exact
@@ -449,7 +533,11 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
     edge weights, degrees k and community totals tot at every level are sums
     of integers, held exactly as Python ints, and adjacency order is free.
     The one rounded expression is the gain `w_c - k_v * tot_c / (2m)`, always
-    evaluated in that order from those integers.
+    evaluated in that order from those integers. Level 0 still has one fixed
+    adjacency order: node v's neighbors are its pairs (v, u) of `g.edges`,
+    then its pairs (u, v), each in edge order, all in canonical space. For a
+    graph that `select_threshold` built, the lists are a stable filter of
+    the sweep's lowest-threshold lists, which keeps that order.
 
     Each node keeps a map from neighboring community to the weight of its
     edges into it, built at its first visit of the level and updated by
@@ -465,21 +553,20 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
     if g.n_edges == 0:
         raise GraphError("community detection undefined for a zero-edge graph")
     n = g.n_nodes
-    canon = sorted(range(n), key=g.nodes.__getitem__)  # stable: equal IDs keep index order
-    rank = np.empty(n, dtype=np.int64)
-    rank[canon] = np.arange(n)
-
-    deg = g.degrees()
-    core = [v for v in canon if deg[v]]
+    # level 0 in canonical space: both directions of every edge, sorted by source
+    sweep = _SWEEP.get()
+    swept = sweep.level0(g) if sweep is not None else None
+    level0, t = swept or (_Level0(g.nodes, g.edges), None)
+    deg = g.degrees().tolist()
+    core = [v for v in level0.canon if deg[v]]
     if len(core) <= EXACT_NODE_LIMIT:
         return _first_appearance_partition(g, _exact_partition(g, core))
-    # level 0 in canonical space: both directions of every edge, sorted by source
-    ends = rank[g.edges]
-    src, dst = np.concatenate((ends, ends[:, ::-1])).T
-    by_src = np.argsort(src, kind="stable")
-    nbrs, wts = _neighbor_lists(src[by_src], dst[by_src], np.ones(src.size, dtype=np.int64), n)
-    k = np.bincount(src, minlength=n)
-    del ends, src, dst, by_src
+    src, dst = level0.entries(t)
+    k = np.bincount(src, minlength=n)  # degrees in canonical order
+    nbrs = _split(dst.tolist(), k)
+    wts = [_UNIT_WEIGHT] * n
+    rank = level0.rank
+    del swept, level0, src, dst
     m = float(g.n_edges)
     rng = np.random.default_rng(seed)
     membership = np.arange(n)  # canonical node -> node of the current level
@@ -555,30 +642,41 @@ def select_threshold(
     and return the graph/partition of maximum modularity (tie: smallest t).
 
     Candidates whose graph has no edges are recorded with modularity None and
-    skipped by the argmax. With `override` set, the sweep is bypassed and the
-    returned table holds the single override row. The sweep runs serially and
-    keeps only the best graph so far; `threads` has no effect (community
-    detection is pure Python under the GIL, where a thread pool measured slower
-    than one thread).
-    """
-    if override is not None:
-        g = threshold_graph(wg, override)
-        p = detect_communities(g, seed)
-        row = SweepRow(float(override), p.q, g.n_edges, p.n_communities)
-        return g, p, [row]
+    skipped by the argmax. With `override` set (it must be finite), the sweep
+    is that one threshold and the returned table holds the single override
+    row; a zero-edge override graph raises. The sweep runs serially and keeps
+    only the best graph so far; `threads` has no effect (community detection
+    is pure Python under the GIL, where a thread pool measured slower than
+    one thread).
 
+    The weight matrix is scanned once, at the sweep's lowest threshold, into
+    the (u, v)-sorted pairs above it and their weights, and released before
+    the call returns. Each threshold's `threshold_graph` keeps the pairs with
+    weight >= t: the comparisons a full-matrix scan makes, so every graph has
+    the same edges. Its `detect_communities` starts from a stable filter of
+    the lowest threshold's level-0 lists (see `detect_communities`), and
+    filtering keeps both the (u, v) order and the canonical source order, so
+    every partition is the same too.
+    """
+    if override is not None and not math.isfinite(override):
+        raise ValidationError(f"override threshold must be finite, got {override!r}")
+    thresholds = [float(override)] if override is not None else sweep_thresholds(t_min, t_max, step)
     table: list[SweepRow] = []
     best: tuple[GeneGraph, Partition] | None = None
-    for t in sweep_thresholds(t_min, t_max, step):
-        g = threshold_graph(wg, t)
-        if g.n_edges == 0:
-            table.append(SweepRow(t, None, 0, 0))
-        else:
-            p = detect_communities(g, seed)
-            table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
-            if best is None or p.q > best[1].q:
-                best = (g, p)
-        del g  # hold at most the best graph and the one being built
+    token = _SWEEP.set(_Sweep(wg, min(thresholds)))
+    try:
+        for t in thresholds:
+            g = threshold_graph(wg, t)
+            if g.n_edges == 0 and override is None:
+                table.append(SweepRow(t, None, 0, 0))
+            else:
+                p = detect_communities(g, seed)  # raises for a zero-edge override
+                table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
+                if best is None or p.q > best[1].q:
+                    best = (g, p)
+            del g  # hold at most the best graph and the one being built
+    finally:
+        _SWEEP.reset(token)
     if best is None:
         raise GraphError("every candidate threshold produced a zero-edge graph")
     return best[0], best[1], table

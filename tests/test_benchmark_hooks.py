@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coexpress.graph as graph
 import coexpress.rfe as rfe
 from coexpress.booster import BoosterConfig
 from coexpress.folds import stratified_folds
@@ -58,3 +59,32 @@ def test_rfe_step_calls_each_wrapped_name_once_per_fold(monkeypatch):
     rfe.cross_validate_step(m, GeneSet("all", m.gene_ids), plan,
                             BoosterConfig(n_estimators=2), repeats=2)
     assert calls == {"train": 10, "cv_split": 10}
+
+
+def test_sweep_calls_each_wrapped_name_once_per_threshold(monkeypatch):
+    # graph.threshold_graph.calls and .edges, graph.detect_communities.calls and
+    # graph.sweep.kept_ratio count these calls by name
+    calls = {"threshold_graph": [], "detect_communities": 0}
+    threshold_graph, detect_communities = graph.threshold_graph, graph.detect_communities
+
+    def counted_threshold_graph(wg, t):
+        calls["threshold_graph"].append(t)
+        return threshold_graph(wg, t)
+
+    def counted_detect_communities(g, seed=0):
+        calls["detect_communities"] += 1
+        return detect_communities(g, seed)
+
+    monkeypatch.setattr(graph, "threshold_graph", counted_threshold_graph)
+    monkeypatch.setattr(graph, "detect_communities", counted_detect_communities)
+    w = np.triu(np.random.default_rng(0).random((20, 20)), k=1)
+    wg = graph.WeightedGeneGraph(tuple(f"g{i:02d}" for i in range(20)), w + w.T)
+    _, _, table = graph.select_threshold(wg, 0.4, 1.1, 0.02, seed=0)
+    with_edges = sum(r.n_edges > 0 for r in table)
+    assert 0 < with_edges < len(table)
+    assert calls == {"threshold_graph": [r.threshold for r in table],
+                     "detect_communities": with_edges}
+
+    calls["threshold_graph"], calls["detect_communities"] = [], 0
+    graph.select_threshold(wg, override=0.5, seed=0)
+    assert calls == {"threshold_graph": [0.5], "detect_communities": 1}

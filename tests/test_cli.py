@@ -159,6 +159,16 @@ class TestSubcommands:
         assert (out / "edges.tsv").exists()
         assert (out / "graph.graphml").exists()
 
+    def test_gcn_non_finite_override_exits_1(self, dataset, tmp_path, caplog):
+        genes_out = tmp_path / "blocks.genes"
+        blocks = json.loads((dataset / "blocks.json").read_text())
+        genes_out.write_text("\n".join(blocks["block0"]) + "\n")
+        assert run(
+            "gcn", "--in", dataset, "--genes", genes_out, "--cohort", "A",
+            "--override", "nan", "--out", tmp_path / "gcn",
+        ) == 1
+        assert any(r.message == "override threshold must be finite, got nan" for r in caplog.records)
+
     def test_atlas_command(self, dataset, tmp_path):
         blocks = json.loads((dataset / "blocks.json").read_text())
         small = tmp_path / "key.genes"

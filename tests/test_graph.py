@@ -6,12 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
+import coexpress.graph as graph_module
 from coexpress.errors import GraphError, ValidationError
 from coexpress.graph import (
     EXACT_NODE_LIMIT,
@@ -742,6 +744,175 @@ class TestSelectThreshold:
         g1, p1, t1 = select_threshold(wg, 0.4, 0.9, 0.02, seed=0, threads=1)
         g4, p4, t4 = select_threshold(wg, 0.4, 0.9, 0.02, seed=0, threads=4)
         assert np.array_equal(g1.edges, g4.edges) and p1 == p4 and t1 == t4
+
+    @pytest.mark.parametrize("override", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_override_rejected(self, override):
+        with pytest.raises(ValidationError) as info:
+            select_threshold(two_clique_weighted(), override=override, seed=0)
+        assert str(info.value) == f"override threshold must be finite, got {override!r}"
+
+
+SWEEP_WIDE = (0.4, 1.1, 0.02)  # its top thresholds leave no edge
+
+
+def random_weighted(rng, n, grid=None):
+    """Symmetric |r|-like weights over shuffled gene IDs. With `grid`, every
+    weight is a multiple of 1/grid, so many weights equal a sweep threshold."""
+    w = rng.random((n, n))
+    if grid:
+        w = np.round(w * grid) / grid
+    w = np.triu(w, k=1)
+    return WeightedGeneGraph(shuffled_names(rng, n), w + w.T)
+
+
+def reference_graph(wg, t):
+    """Each threshold's graph from its own scan of the whole matrix."""
+    return GeneGraph(wg.genes, np.argwhere(np.triu(wg.weights >= t, k=1)), threshold=float(t))
+
+
+def partition_bits(p):
+    return p.membership, p.n_communities, p.q.hex()
+
+
+def row_bits(r):
+    return r.threshold, None if r.modularity is None else r.modularity.hex(), r.n_edges, r.n_communities
+
+
+def reference_sweep(wg, thresholds, seed):
+    """select_threshold rebuilt from reference graphs: (best graph, its partition,
+    table, every graph with edges and its partition)."""
+    table, each, best = [], [], None
+    for t in thresholds:
+        g = reference_graph(wg, t)
+        if g.n_edges == 0:
+            table.append((t, None, 0, 0))
+            continue
+        p = detect_communities(g, seed)
+        table.append((t, p.q.hex(), g.n_edges, p.n_communities))
+        each.append((g, p))
+        if best is None or p.q > best[1].q:
+            best = (g, p)
+    return best[0], best[1], table, each
+
+
+def record_sweep_calls(monkeypatch):
+    """Every graph the sweep's module-level threshold_graph builds, and every
+    (graph, partition) of its detect_communities calls."""
+    built, detected = [], []
+    threshold_graph_fn = graph_module.threshold_graph
+    detect_fn = graph_module.detect_communities
+
+    def threshold_recorded(wg, t):
+        built.append(threshold_graph_fn(wg, t))
+        return built[-1]
+
+    def detect_recorded(g, seed=0):
+        detected.append((g, detect_fn(g, seed)))
+        return detected[-1][1]
+
+    monkeypatch.setattr(graph_module, "threshold_graph", threshold_recorded)
+    monkeypatch.setattr(graph_module, "detect_communities", detect_recorded)
+    return built, detected
+
+
+def sweep_cases():
+    """Random and coarse-grid weights; the 12-gene cases reach exact enumeration."""
+    rng = np.random.default_rng(16)
+    return [random_weighted(rng, n, grid) for n in (60, 12) for grid in (None, 50)]
+
+
+class TestSweepMatchesRebuildingReference:
+    """One scan per sweep gives each threshold the graph and partition that a
+    scan of the whole matrix at that threshold gives."""
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_table_graphs_partitions_and_q(self, monkeypatch, case, seed):
+        wg = sweep_cases()[case]
+        thresholds = sweep_thresholds(*SWEEP_WIDE)
+        built, detected = record_sweep_calls(monkeypatch)
+        g, p, table = select_threshold(wg, *SWEEP_WIDE, seed=seed)
+        ref_g, ref_p, ref_table, ref_each = reference_sweep(wg, thresholds, seed)
+
+        assert [row_bits(r) for r in table] == ref_table
+        assert [r[1] is None for r in ref_table].count(True) >= 5  # zero-edge thresholds
+        assert [b.threshold for b in built] == thresholds
+        for b, t in zip(built, thresholds):
+            ref = reference_graph(wg, t)
+            assert b.nodes == ref.nodes and b.edges.dtype == ref.edges.dtype
+            assert np.array_equal(b.edges, ref.edges), t
+        assert len(detected) == len(ref_each)
+        for (dg, dp), (rg, rp) in zip(detected, ref_each):
+            assert np.array_equal(dg.edges, rg.edges)
+            assert partition_bits(dp) == partition_bits(rp), dg.threshold
+        assert g.threshold == ref_g.threshold and np.array_equal(g.edges, ref_g.edges)
+        assert partition_bits(p) == partition_bits(ref_p)
+
+    def test_weights_equal_to_thresholds_are_kept(self):
+        wg = sweep_cases()[1]  # 60 genes, coarse grid
+        thresholds = sweep_thresholds(*SWEEP_WIDE)
+        on_threshold = np.isin(np.triu(wg.weights, k=1), thresholds)
+        assert on_threshold.sum() > 100
+        g, _, _ = select_threshold(wg, *SWEEP_WIDE, seed=0)
+        assert on_threshold[tuple(g.edges.T)].any()
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_override(self, case):
+        wg = sweep_cases()[case]
+        for t in (0.4, 0.56, 0.98, 1.0, 1.04):
+            ref = reference_graph(wg, t)
+            if ref.n_edges == 0:
+                with pytest.raises(GraphError, match="community detection undefined"):
+                    select_threshold(wg, override=t, seed=1)
+                continue
+            g, p, table = select_threshold(wg, override=t, seed=1)
+            ref_p = detect_communities(ref, 1)
+            assert np.array_equal(g.edges, ref.edges) and g.threshold == t
+            assert partition_bits(p) == partition_bits(ref_p)
+            assert [row_bits(r) for r in table] == [(t, ref_p.q.hex(), ref.n_edges,
+                                                     ref_p.n_communities)]
+
+    def test_threshold_request_order_does_not_matter(self):
+        rng = np.random.default_rng(5)
+        thresholds = sweep_thresholds(*SWEEP_WIDE)
+        for wg in sweep_cases():
+            for order in (thresholds, thresholds[::-1], rng.permutation(thresholds).tolist()):
+                for t in order:
+                    g = threshold_graph(wg, t)
+                    assert g.threshold == t
+                    assert np.array_equal(g.edges, reference_graph(wg, t).edges), t
+
+    def test_swept_graph_detects_like_a_fresh_copy(self, monkeypatch):
+        for wg in sweep_cases():
+            _, detected = record_sweep_calls(monkeypatch)
+            select_threshold(wg, *SWEEP_WIDE, seed=7)
+            assert detected
+            for g, p in detected:
+                fresh = GeneGraph(g.nodes, g.edges.copy())
+                assert partition_bits(p) == partition_bits(detect_communities(fresh, 7))
+
+    def test_scan_is_released_on_return_and_on_error(self):
+        wg = sweep_cases()[0]
+        select_threshold(wg, *SWEEP_WIDE, seed=0)
+        assert graph_module._SWEEP.get() is None
+        with pytest.raises(GraphError):
+            select_threshold(wg, 1.02, 1.1, 0.02, seed=0)
+        assert graph_module._SWEEP.get() is None
+
+    def test_concurrent_sweeps_match_serial(self):
+        cases = sweep_cases() * 2
+        serial = [select_threshold(wg, *SWEEP_WIDE, seed=2) for wg in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(select_threshold, wg, *SWEEP_WIDE, seed=2) for wg in cases]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (g1, p1, t1), (g2, p2, t2) in zip(serial, threaded):
+            assert np.array_equal(g1.edges, g2.edges)
+            assert partition_bits(p1) == partition_bits(p2) and t1 == t2
 
 
 class TestSummaryAndExports:
