@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -594,31 +594,40 @@ def ensemble_to_json(e: BoostedEnsemble) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+_TREE_KEYS = ("feature", "threshold", "left", "right", "weight", "gain")
+
+# key -> parser, in BoostedEnsemble field order
+_MODEL_KEYS = {
+    "classes": tuple,
+    "config": lambda v: BoosterConfig(**v),
+    "trees": lambda v: tuple(tuple(RegressionTree(*(tuple(t[key]) for key in _TREE_KEYS))
+                                   for t in round_trees) for round_trees in v),
+    "n_features": int,
+    "importance": lambda v: np.array(v, dtype=np.float64),
+    "importance_weight": lambda v: np.array(v, dtype=np.float64),
+    "loss_curve": tuple,
+}
+
+
 def ensemble_from_json(text: str) -> BoostedEnsemble:
-    d = json.loads(text)
+    """Read a model written by `ensemble_to_json`. Text that is not a JSON
+    object, or a missing or malformed key, raises ParseError naming the fault;
+    another schema version raises ValidationError."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"model is not JSON: {exc.msg} (column {exc.colno})",
+                         line=exc.lineno) from None
+    if not isinstance(d, dict):
+        raise ParseError("model is not a JSON object")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported model schema version {d.get('schema_version')!r}")
-    cfg = BoosterConfig(**d["config"])
-    trees = tuple(
-        tuple(
-            RegressionTree(
-                tuple(t["feature"]),
-                tuple(t["threshold"]),
-                tuple(t["left"]),
-                tuple(t["right"]),
-                tuple(t["weight"]),
-                tuple(t["gain"]),
-            )
-            for t in round_trees
-        )
-        for round_trees in d["trees"]
-    )
-    return BoostedEnsemble(
-        classes=tuple(d["classes"]),
-        config=cfg,
-        trees=trees,
-        n_features=int(d["n_features"]),
-        importance=np.array(d["importance"]),
-        importance_weight=np.array(d["importance_weight"]),
-        loss_curve=tuple(d["loss_curve"]),
-    )
+    fields = {}
+    for key, parse in _MODEL_KEYS.items():
+        if key not in d:
+            raise ParseError(f"model has no key {key!r}")
+        try:
+            fields[key] = parse(d[key])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"model key {key!r} is malformed: {exc!r}") from None
+    return BoostedEnsemble(**fields)

@@ -10,7 +10,7 @@ from . import __version__
 from .booster import BoosterConfig, ensemble_to_json, hyperparameters
 from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, GraphError, ValidationError
-from .folds import save_plan, stratified_folds
+from .folds import FoldPlan, save_plan, stratified_folds
 from .masks import (
     default_pair,
     load_gene_set,
@@ -27,6 +27,7 @@ from .pipeline import (
     ALL_SAMPLES,
     PipelineConfig,
     _atlas,
+    _check_factors,
     _cohort_network,
     _cohort_networks,
     _csv_list,
@@ -224,9 +225,15 @@ def _cmd_select(args) -> int:
     return 0
 
 
+def _plan_from_args(m: ExpressionMatrix, args) -> FoldPlan:
+    """The fold plan of `--k`, `--seed` and `--factors` over `m`'s samples."""
+    factors = _parse_factors(args.factors)
+    _check_factors(m.labels, factors)
+    return stratified_folds(m.labels, args.k, args.seed, factors)
+
+
 def _cmd_folds(args) -> int:
-    m = _load_bundle(args.indir)
-    save_plan(stratified_folds(m.labels, args.k, args.seed, _parse_factors(args.factors)), args.out)
+    save_plan(_plan_from_args(_load_bundle(args.indir), args), args.out)
     return 0
 
 
@@ -241,7 +248,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_rfe(args) -> int:
     m = _load_bundle(args.indir)
-    plan = stratified_folds(m.labels, args.k, args.seed, _parse_factors(args.factors))
+    plan = _plan_from_args(m, args)
     trace = recursive_eliminate(
         m, load_gene_set(args.genes), plan, _booster_from_args(args),
         drop_per_step=args.drop, repeats=args.repeats,

@@ -2,6 +2,7 @@
 modularity, and multi-level greedy community detection."""
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -162,8 +163,7 @@ class _Sweep:
     the (u, v)-sorted pairs with weight >= floor (int32 indices) and their
     weights. Each threshold's graph keeps the pairs with weight >= t, the
     test `threshold_graph` has always applied to the whole matrix, so its
-    edges are the same array. Louvain's level-0 lists of the floor's pairs
-    are built once, at the sweep's first community detection.
+    edges are the same array.
     """
 
     def __init__(self, wg: WeightedGeneGraph, floor: float):
@@ -173,31 +173,17 @@ class _Sweep:
         self.floor = floor
         self.pairs = pairs
         self.weight = wg.weights[pairs[:, 0], pairs[:, 1]]
-        self.last: tuple[GeneGraph, float] | None = None  # the last graph built and its t
-        self._level0: _Level0 | None = None
 
     def graph(self, t: float) -> GeneGraph:
-        self.last = None
-        g = GeneGraph(self.wg.genes, self.pairs.compress(self.weight >= t, axis=0),
-                      threshold=float(t))
-        self.last = (g, t)
-        return g
-
-    def level0(self, g: GeneGraph) -> tuple[_Level0, float] | None:
-        """The floor's level-0 lists and the t to filter them at, for the graph
-        this sweep built last; None for any other graph."""
-        if self.last is None or self.last[0] is not g:
-            return None
-        if self._level0 is None:
-            self._level0 = _Level0(self.wg.genes, self.pairs, self.weight)
-        return self._level0, self.last[1]
+        return GeneGraph(self.wg.genes, self.pairs.compress(self.weight >= t, axis=0),
+                         threshold=float(t))
 
 
 # The sweep in progress in this thread or task, set by `select_threshold` for
 # the length of one call and reset when it returns or raises. The sweep calls
-# the public `threshold_graph(wg, t)` and `detect_communities(g, seed)`, looked
-# up on the module (perfbench/tracer.py wraps them there), so the scan reaches
-# them here rather than through their signatures.
+# the public `threshold_graph(wg, t)`, looked up on the module
+# (perfbench/tracer.py wraps it there), so the scan reaches it here rather
+# than through its signature.
 _SWEEP: ContextVar[_Sweep | None] = ContextVar("coexpress_graph_sweep", default=None)
 
 
@@ -379,31 +365,30 @@ def _split(values: list, counts: np.ndarray) -> list[list]:
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-class _Level0:
-    """A graph's nodes in canonical order (by gene ID; equal IDs keep index
-    order) and both directions of each of its (u, v)-sorted pairs in that
-    space, stably sorted by source: for each source, its forward entries,
-    then its reverse ones, each in pair order. Each entry carries its pair's
-    weight, if the pairs have weights, so the entries of the pairs with
-    weight >= t are a stable filter of these."""
+@functools.lru_cache(maxsize=1)
+def _canonical_order(nodes: tuple[str, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Node indices sorted by gene ID (equal IDs keep index order), and each
+    node's position in that order (read-only). Every graph of a sweep shares
+    one node tuple, so a sweep sorts it once."""
+    canon = tuple(sorted(range(len(nodes)), key=nodes.__getitem__))
+    rank = np.empty(len(nodes), dtype=np.intp)
+    rank[list(canon)] = np.arange(len(nodes))
+    rank.flags.writeable = False
+    return canon, rank
 
-    def __init__(self, nodes: tuple[str, ...], pairs: np.ndarray, weight: np.ndarray | None = None):
-        n = len(nodes)
-        self.canon = sorted(range(n), key=nodes.__getitem__)
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[self.canon] = np.arange(n)
-        ends = self.rank[pairs]
-        src, dst = np.concatenate((ends, ends[:, ::-1])).T
-        by_src = np.argsort(src, kind="stable")
-        self.src, self.dst = src[by_src], dst[by_src]
-        self.weight = None if weight is None else np.concatenate((weight, weight))[by_src]
 
-    def entries(self, t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(source, destination) of the entries with weight >= t; all when t is None."""
-        if t is None:
-            return self.src, self.dst
-        kept = self.weight >= t
-        return self.src.compress(kept), self.dst.compress(kept)
+def _level0(edges: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level 0 in canonical space, where node v sits at rank[v]: each node's
+    degree, and the destinations of both directions of each (u, v)-sorted
+    edge, stably sorted by source. Each source thus lists its forward
+    entries, then its reverse ones, each in edge order."""
+    u, v = rank[edges[:, 0]], rank[edges[:, 1]]
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    # on integers of 16 bits or fewer numpy's stable sort is a radix sort, and
+    # a stable sort keeps equal keys in order, so the narrow key gives the
+    # permutation of the int64 sort
+    by_src = np.argsort(src.astype(np.min_scalar_type(len(rank))), kind="stable")
+    return np.bincount(src, minlength=len(rank)), dst[by_src]
 
 
 def _community_lists(
@@ -535,9 +520,7 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
     The one rounded expression is the gain `w_c - k_v * tot_c / (2m)`, always
     evaluated in that order from those integers. Level 0 still has one fixed
     adjacency order: node v's neighbors are its pairs (v, u) of `g.edges`,
-    then its pairs (u, v), each in edge order, all in canonical space. For a
-    graph that `select_threshold` built, the lists are a stable filter of
-    the sweep's lowest-threshold lists, which keeps that order.
+    then its pairs (u, v), each in edge order, all in canonical space.
 
     Each node keeps a map from neighboring community to the weight of its
     edges into it, built at its first visit of the level and updated by
@@ -553,20 +536,15 @@ def detect_communities(g: GeneGraph, seed: int = 0) -> Partition:
     if g.n_edges == 0:
         raise GraphError("community detection undefined for a zero-edge graph")
     n = g.n_nodes
-    # level 0 in canonical space: both directions of every edge, sorted by source
-    sweep = _SWEEP.get()
-    swept = sweep.level0(g) if sweep is not None else None
-    level0, t = swept or (_Level0(g.nodes, g.edges), None)
+    canon, rank = _canonical_order(g.nodes)
     deg = g.degrees().tolist()
-    core = [v for v in level0.canon if deg[v]]
+    core = [v for v in canon if deg[v]]
     if len(core) <= EXACT_NODE_LIMIT:
         return _first_appearance_partition(g, _exact_partition(g, core))
-    src, dst = level0.entries(t)
-    k = np.bincount(src, minlength=n)  # degrees in canonical order
+    k, dst = _level0(g.edges, rank)
     nbrs = _split(dst.tolist(), k)
     wts = [_UNIT_WEIGHT] * n
-    rank = level0.rank
-    del swept, level0, src, dst
+    del dst
     m = float(g.n_edges)
     rng = np.random.default_rng(seed)
     membership = np.arange(n)  # canonical node -> node of the current level
@@ -653,10 +631,7 @@ def select_threshold(
     the (u, v)-sorted pairs above it and their weights, and released before
     the call returns. Each threshold's `threshold_graph` keeps the pairs with
     weight >= t: the comparisons a full-matrix scan makes, so every graph has
-    the same edges. Its `detect_communities` starts from a stable filter of
-    the lowest threshold's level-0 lists (see `detect_communities`), and
-    filtering keeps both the (u, v) order and the canonical source order, so
-    every partition is the same too.
+    the same edges, and so the same partition.
     """
     if override is not None and not math.isfinite(override):
         raise ValidationError(f"override threshold must be finite, got {override!r}")

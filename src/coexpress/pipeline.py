@@ -102,9 +102,12 @@ def _parse_factors(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
     for item in _csv_list(text):
         site, _, count = item.partition(":")
-        if not site.strip() or not count.strip().isdecimal():
+        site = site.strip()
+        if not site or not count.strip().isdecimal():
             raise ValidationError(f"expected SITE:N,..., got {text!r}")
-        out[site.strip()] = int(count)
+        if site in out:
+            raise ValidationError(f"site {site!r} is given more than once in {text!r}")
+        out[site] = int(count)
     return out
 
 
@@ -288,6 +291,16 @@ def _check_cohorts(labels: Sequence[str], cohorts: Sequence[str]) -> None:
         raise ValidationError(f"cohort {repeated[0]!r} is listed more than once")
 
 
+def _check_factors(labels: Sequence[str], factors: Mapping[str, int]) -> None:
+    """Raise unless each site of `factors` is a site label of `labels`."""
+    sites = dict.fromkeys(labels)
+    absent = [site for site in factors if site not in sites]
+    if absent:
+        raise ValidationError(
+            f"factor site {absent[0]!r} has no samples (sites: {', '.join(sites)})"
+        )
+
+
 def _cohort_networks(m: ExpressionMatrix, genes: Sequence[str], cohorts: Sequence[str],
                      sweep: tuple[float, float, float], seed: int):
     """Yield (cohort, graph, partition, sweep table) per cohort whose network
@@ -330,7 +343,9 @@ def _atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
 
 def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
     st["clean"] = _ingest(cfg.matrix, cfg.labels, cfg.keep_sites, out / "ingest")
-    _check_cohorts(st["clean"].labels, cfg.cohorts or ())  # fail before the RFE stages run
+    # fail before the RFE stages run
+    _check_cohorts(st["clean"].labels, cfg.cohorts or ())
+    _check_factors(st["clean"].labels, cfg.factors or {})
 
 
 def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:

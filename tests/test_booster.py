@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ from coexpress.booster import (
     train,
     tree_predict,
 )
-from coexpress.errors import ValidationError
+from coexpress.errors import ParseError, ValidationError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -268,6 +270,55 @@ class TestPrediction:
         p2, pr2 = predict(back, Xt)
         assert list(p1) == list(p2)
         np.testing.assert_array_equal(pr1, pr2)
+
+
+@pytest.fixture(scope="module")
+def model_json():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(12, 2))
+    return ensemble_to_json(train(X, ["A", "B"] * 6, BoosterConfig(n_estimators=2)))
+
+
+class TestMalformedModel:
+    """A model file that is not JSON, or lacks or garbles a key, raises
+    ParseError naming the fault, as the plan and spec readers do."""
+
+    @pytest.mark.parametrize("key", ["classes", "config", "trees", "n_features", "importance",
+                                     "importance_weight", "loss_curve"])
+    def test_missing_key_is_named(self, model_json, key):
+        d = json.loads(model_json)
+        del d[key]
+        with pytest.raises(ParseError, match=re.escape(f"model has no key {key!r}")):
+            ensemble_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"schema_version": 1}', "model has no key 'classes'"),
+        ("[]", "model is not a JSON object"),
+        ('{"schema_version": 1, ', "line 1: model is not JSON: Expecting property name"),
+    ], ids=["only_version", "list", "truncated"])
+    def test_malformed_text(self, text, needle):
+        with pytest.raises(ParseError, match=re.escape(needle)):
+            ensemble_from_json(text)
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("config", {"depth": 3}, "unexpected keyword argument 'depth'"),
+        ("config", [], "argument after ** must be a mapping"),
+        ("trees", [[{"feature": [-1]}]], "KeyError('threshold')"),
+        ("n_features", "three", "invalid literal for int()"),
+        ("importance", ["x", 0.5], "could not convert string to float"),
+    ], ids=["config_key", "config_list", "tree_key", "n_features", "importance"])
+    def test_malformed_key_is_named(self, model_json, key, value, needle):
+        d = json.loads(model_json)
+        d[key] = value
+        with pytest.raises(ParseError, match=re.escape(f"model key {key!r} is malformed")) as exc:
+            ensemble_from_json(json.dumps(d))
+        assert needle in str(exc.value)
+
+    def test_other_schema_version_is_a_validation_error(self, model_json):
+        d = json.loads(model_json)
+        d["schema_version"] = 2
+        with pytest.raises(ValidationError, match="unsupported model schema version 2"):
+            ensemble_from_json(json.dumps(d))
 
 
 def _golden_data():

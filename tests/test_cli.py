@@ -413,7 +413,7 @@ class TestDefaultPair:
 
 
 class TestMalformedText:
-    @pytest.mark.parametrize("factors", ["A", "A:x", "A:1,:2"])
+    @pytest.mark.parametrize("factors", ["A", "A:x", "A:1,:2", "A:1,B:2,A:3"])
     def test_bad_factors_exit_1(self, dataset, tmp_path, caplog, factors):
         assert run("folds", "--in", dataset, "--factors", factors,
                    "--out", tmp_path / "plan.json") == 1
@@ -427,7 +427,8 @@ class TestMalformedText:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("section,line", [
-        ("folds", "factors = LN"), ("select", "sweep = a:b:c"), ("gcn", "sweep = 0.4:0.9"),
+        ("folds", "factors = LN"), ("folds", "factors = LN:1,LN:2"), ("select", "sweep = a:b:c"),
+        ("gcn", "sweep = 0.4:0.9"),
     ])
     def test_bad_config_text_exits_1(self, tmp_path, caplog, section, line):
         ini = tmp_path / "bad.ini"
@@ -447,6 +448,35 @@ class TestMalformedText:
             load_config(ini)
         assert run("pipeline", "--config", ini) == 1
         assert any(named in r.message for r in caplog.records)
+
+
+class TestFactorSites:
+    """A factor naming a site twice, or a site without samples, fails before
+    any plan is built."""
+
+    def test_repeated_site_is_named(self, dataset, tmp_path, caplog):
+        assert run("folds", "--in", dataset, "--factors", "A:1,A:2",
+                   "--out", tmp_path / "plan.json") == 1
+        assert any("site 'A' is given more than once" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("command", ["folds", "rfe"])
+    def test_absent_site_exits_1(self, dataset, tmp_path, caplog, command):
+        genes = ["--genes", dataset / "planted_A.genes"] if command == "rfe" else []
+        out = tmp_path / "out"
+        assert run(command, "--in", dataset, *genes, "--factors", "A:1,Lvier:5", "--out", out) == 1
+        assert not out.exists()
+        assert any("factor site 'Lvier' has no samples (sites: A, B, C)" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_config_absent_site_stops_in_ingest(self, pipeline_config, caplog):
+        tmp_path, write_cfg = pipeline_config
+        ini = write_cfg("run")
+        ini.write_text(ini.read_text().replace("[folds]\n", "[folds]\nfactors = A:1,Lvier:5\n"))
+        assert run("pipeline", "--config", ini) == 1
+        assert "ingest" in (tmp_path / "run" / ".partial").read_text()
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [".partial", "ingest"]
+        assert any("stage 'ingest' failed" in r.getMessage()
+                   and "factor site 'Lvier' has no samples" in r.getMessage() for r in caplog.records)
 
 
 class TestOneSitePair:

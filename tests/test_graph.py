@@ -915,6 +915,46 @@ class TestSweepMatchesRebuildingReference:
             assert partition_bits(p1) == partition_bits(p2) and t1 == t2
 
 
+class TestLevel0:
+    """Level 0 sorts its sources on the narrowest integer dtype that holds the
+    node count, and each graph reuses the canonical order of its node tuple."""
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 65_535, 65_536])
+    def test_lists_match_an_int64_stable_sort(self, n):
+        rng = np.random.default_rng(n)
+        # names sort in reverse index order; dense blocks at both ends of the
+        # index range repeat the smallest and largest sources many times
+        nodes = tuple(f"g{n - 1 - i:06d}" for i in range(n))
+        ends = [np.arange(min(n, 40)), np.arange(max(0, n - 40), n)]
+        blocks = [np.argwhere(np.triu(np.ones((len(e), len(e)), bool), 1)) + e[0] for e in ends]
+        spread = rng.integers(0, n, size=(min(3 * n, 20_000), 2))
+        pairs = np.concatenate(blocks + [spread[spread[:, 0] != spread[:, 1]]])
+        g = GeneGraph(nodes, pairs)
+        _, rank = graph_module._canonical_order(g.nodes)
+        src, dst = np.concatenate((rank[g.edges], rank[g.edges][:, ::-1])).astype(np.int64).T
+        by_src = np.argsort(src, kind="stable")
+        degree, got_dst = graph_module._level0(g.edges, rank)
+        got_src = np.repeat(np.arange(n), degree)  # the sources, sorted
+        assert got_src.max() == n - 1
+        assert np.array_equal(got_src, src[by_src])
+        assert np.array_equal(got_dst, dst[by_src])
+
+    def test_canonical_order_memo_matches_a_fresh_sort(self):
+        rng = np.random.default_rng(3)
+        a, b, ties = shuffled_names(rng, 50), shuffled_names(rng, 60), ("b", "a", "b", "a", "c")
+        a_copy, b_copy = tuple(list(a)), tuple(list(b))
+        assert a_copy == a and a_copy is not a and b_copy is not b
+        for nodes in (a, b, a, a_copy, b, b_copy, ties, a, ties):
+            canon, rank = graph_module._canonical_order(nodes)
+            fresh = sorted(range(len(nodes)), key=nodes.__getitem__)
+            assert canon == tuple(fresh)
+            assert np.array_equal(rank, np.argsort(fresh))
+            assert not rank.flags.writeable
+            with pytest.raises(ValueError):
+                rank[0] = 1
+        assert graph_module._canonical_order(ties) is graph_module._canonical_order(ties)
+
+
 class TestSummaryAndExports:
     def test_edge_list(self, tmp_path):
         path = tmp_path / "edges.tsv"

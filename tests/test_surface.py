@@ -22,6 +22,10 @@ file: outside `textio.py` no function opens a file for writing, calls
 `.write_text`, `.write_bytes` or `csv.writer`, except those in `OWN_WRITERS`,
 and the readers (`read_text`, `text_lines`) and the writers (`write_text`,
 `write_rows`, `write_json`, `csv_writer`) are defined nowhere else.
+
+A module-level `ContextVar` is state that a public function's result can
+depend on without its signature showing it: only the functions listed in
+`CONTEXT_READERS` may refer to one.
 """
 import ast
 import re
@@ -50,6 +54,13 @@ OWN_WRITERS = {
     "matrix.write_matrix": "writes each row's numbers as orjson bytes after the csv-quoted gene ID",
     "graph.write_graphml": "writes XML, where a character UTF-8 cannot hold becomes a character "
                            "reference (errors='xmlcharrefreplace')",
+}
+
+# module.ContextVar -> (the functions that may read it, why it is not passed as a parameter)
+CONTEXT_READERS = {
+    "graph._SWEEP": (("graph.threshold_graph", "graph.select_threshold"),
+                     "carries one sweep's matrix scan from `select_threshold` to the "
+                     "module-level `threshold_graph` that perfbench/tracer.py wraps"),
 }
 
 TEXT_LAYER = "textio"
@@ -166,6 +177,31 @@ def definers(package: Path, names: tuple[str, ...]) -> dict[str, list[str]]:
     return found
 
 
+def context_var_readers(package: Path) -> dict[str, set[str]]:
+    """Each module-level `ContextVar` of `package`, as `module.name`, with the
+    top-level statements of the package that refer to its name, as
+    `module.name` (`module.<module>` for a statement that defines no name)."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(package.glob("*.py"))}
+    found: dict[str, str] = {}
+    defining = set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            call = getattr(stmt, "value", None)
+            target = stmt.targets[0] if isinstance(stmt, ast.Assign) else getattr(stmt, "target", None)
+            if (isinstance(call, ast.Call) and isinstance(target, ast.Name)
+                    and "ContextVar" in referenced_names(call.func)):
+                found[target.id] = f"{module}.{target.id}"
+                defining.add(id(stmt))
+    readers: dict[str, set[str]] = {q: set() for q in found.values()}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if id(stmt) not in defining:
+                for name in referenced_names(stmt) & found.keys():
+                    readers[found[name]].add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return readers
+
+
 def test_every_module_level_name_has_a_program_caller():
     callers = sorted((ROOT / "perfbench").glob("*.py"))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -187,6 +223,15 @@ def test_only_the_text_layer_writes_files():
 
 def test_text_functions_are_defined_once_in_the_text_layer():
     assert definers(PACKAGE, TEXT_FUNCTIONS) == {name: [TEXT_LAYER] for name in TEXT_FUNCTIONS}
+
+
+def test_only_listed_functions_read_a_context_var():
+    allowed = {var: set(readers) for var, (readers, _) in CONTEXT_READERS.items()}
+    found = context_var_readers(PACKAGE)
+    extra = {var: sorted(readers - allowed.get(var, set())) for var, readers in found.items()}
+    assert not any(extra.values()), \
+        f"pass the state as a parameter, or list the reader in CONTEXT_READERS with a reason: {extra}"
+    assert found == allowed, f"stale CONTEXT_READERS entries: {allowed} against {found}"
 
 
 def test_exceptions_still_exist():
@@ -236,6 +281,23 @@ def test_member_scan_counts_reads_outside_the_class_body(tmp_path):
                                              "Left.shared", "Right.shared"]
     caller.write_text("import pkg.a as m\nm.ROW.by_caller\nm.Left(0).shared\n")
     assert unread_members(pkg, [caller]) == ["Row.own_only", "Row.unused"]
+
+
+def test_context_var_scan_finds_every_reader(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "import contextvars\nfrom contextvars import ContextVar\n"
+        "_STATE: ContextVar[int] = ContextVar('state', default=0)\n"
+        "OTHER = contextvars.ContextVar('other')\n"
+        "PLAIN = dict()\n"
+        "def getter(): return _STATE.get()\n"
+        "def nested():\n    def inner(): return OTHER.get()\n    return inner\n"
+        "class Holder:\n    def read(self): return _STATE.get()\n"
+        "def unrelated(): return PLAIN\n")
+    (pkg / "b.py").write_text("from . import a\nVALUE = a._STATE.get()\n")
+    assert context_var_readers(pkg) == {"a._STATE": {"a.getter", "a.Holder", "b.<module>"},
+                                        "a.OTHER": {"a.nested"}}
 
 
 def test_write_scan_finds_each_kind_of_write(tmp_path):
