@@ -596,9 +596,17 @@ def ensemble_to_json(e: BoostedEnsemble) -> str:
 
 _TREE_KEYS = ("feature", "threshold", "left", "right", "weight", "gain")
 
+
+def _classes(v) -> tuple[str, ...]:
+    if not (isinstance(v, list) and len(set(v)) == len(v) >= 2
+            and all(isinstance(c, str) for c in v)):
+        raise ValueError("not a list of at least 2 distinct strings")
+    return tuple(v)
+
+
 # key -> parser, in BoostedEnsemble field order
 _MODEL_KEYS = {
-    "classes": tuple,
+    "classes": _classes,
     "config": lambda v: BoosterConfig(**v),
     "trees": lambda v: tuple(tuple(RegressionTree(*(tuple(t[key]) for key in _TREE_KEYS))
                                    for t in round_trees) for round_trees in v),
@@ -611,8 +619,10 @@ _MODEL_KEYS = {
 
 def ensemble_from_json(text: str) -> BoostedEnsemble:
     """Read a model written by `ensemble_to_json`. Text that is not a JSON
-    object, or a missing or malformed key, raises ParseError naming the fault;
-    another schema version raises ValidationError."""
+    object, a missing or malformed key, or keys that disagree so that
+    `predict` could not run (see `_model_fault`) raise ParseError naming the
+    key, and the round, tree and node where one applies; another schema
+    version raises ValidationError."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -630,4 +640,43 @@ def ensemble_from_json(text: str) -> BoostedEnsemble:
             fields[key] = parse(d[key])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"model key {key!r} is malformed: {exc!r}") from None
-    return BoostedEnsemble(**fields)
+    e = BoostedEnsemble(**fields)
+    fault = _model_fault(e)
+    if fault:
+        raise ParseError("model key {!r} is malformed: {}".format(*fault))
+    return e
+
+
+def _model_fault(e: BoostedEnsemble) -> tuple[str, str] | None:
+    """The first key of a loaded model that disagrees with the others or
+    cannot be walked by `predict`, with what is wrong, or None.
+
+    Each round holds one tree per class, and a tree's six lists have one
+    entry per node, at least one. A leaf (feature -1) has no children (-1);
+    any other node splits on a feature in [0, n_features) and has both
+    children inside the tree and after itself, as the preorder that
+    `ensemble_to_json` writes puts them, so no walk can loop.
+    """
+    for key in ("importance", "importance_weight"):
+        if getattr(e, key).shape != (e.n_features,):
+            return key, f"{getattr(e, key).size} entries for {e.n_features} features"
+    if len(e.loss_curve) != len(e.trees) + 1:
+        return "loss_curve", f"{len(e.loss_curve)} entries for {len(e.trees)} rounds"
+    for r, round_trees in enumerate(e.trees):
+        if len(round_trees) != len(e.classes):
+            return "trees", f"round {r} holds {len(round_trees)} trees for {len(e.classes)} classes"
+        for c, tree in enumerate(round_trees):
+            n = len(tree.feature)
+            if n == 0 or any(len(getattr(tree, k)) != n for k in _TREE_KEYS):
+                return "trees", (f"round {r}, tree {c}: list lengths "
+                                 f"{[len(getattr(tree, k)) for k in _TREE_KEYS]} differ or are 0")
+            for i, (f, lo, hi, t, w) in enumerate(zip(tree.feature, tree.left, tree.right,
+                                                      tree.threshold, tree.weight)):
+                if not (all(type(x) is int for x in (f, lo, hi))
+                        and all(type(x) in (int, float) for x in (t, w))):
+                    return "trees", f"round {r}, tree {c}, node {i}: an entry is not a number"
+                if f == -1 and lo == hi == -1 or 0 <= f < e.n_features and i < lo < n and i < hi < n:
+                    continue
+                return "trees", (f"round {r}, tree {c}, node {i}: feature {f} with children "
+                                 f"({lo}, {hi}) in a tree of {n} nodes over {e.n_features} features")
+    return None

@@ -7,7 +7,6 @@ import heapq
 import itertools
 import logging
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -179,24 +178,18 @@ class _Sweep:
                          threshold=float(t))
 
 
-# The sweep in progress in this thread or task, set by `select_threshold` for
-# the length of one call and reset when it returns or raises. The sweep calls
-# the public `threshold_graph(wg, t)`, looked up on the module
-# (perfbench/tracer.py wraps it there), so the scan reaches it here rather
-# than through its signature.
-_SWEEP: ContextVar[_Sweep | None] = ContextVar("coexpress_graph_sweep", default=None)
-
-
-def threshold_graph(wg: WeightedGeneGraph, t: float) -> GeneGraph:
+def threshold_graph(wg: WeightedGeneGraph, t: float, *, scan: _Sweep | None = None) -> GeneGraph:
     """Unweighted graph keeping edges with weight >= t; isolated nodes retained.
 
-    Inside `select_threshold` the graph is cut from the sweep's one scan;
-    otherwise the call is a one-threshold sweep of its own.
+    `select_threshold` passes its sweep's one scan as `scan`. The graph is cut
+    from it only when it is a scan of `wg` at or below `t`; otherwise `wg` is
+    scanned at `t`. Both give the same edges. A non-finite `t` raises.
     """
-    sweep = _SWEEP.get()
-    if sweep is None or sweep.wg is not wg or not t >= sweep.floor:
-        sweep = _Sweep(wg, t)
-    g = sweep.graph(t)
+    if not math.isfinite(t):
+        raise ValidationError(f"threshold must be finite, got {t!r}")
+    if scan is None or scan.wg is not wg or t < scan.floor:
+        scan = _Sweep(wg, t)
+    g = scan.graph(t)
     if logger.isEnabledFor(logging.DEBUG):
         iso = g.isolated_nodes()
         if iso:
@@ -628,30 +621,28 @@ def select_threshold(
     one thread).
 
     The weight matrix is scanned once, at the sweep's lowest threshold, into
-    the (u, v)-sorted pairs above it and their weights, and released before
-    the call returns. Each threshold's `threshold_graph` keeps the pairs with
-    weight >= t: the comparisons a full-matrix scan makes, so every graph has
-    the same edges, and so the same partition.
+    the (u, v)-sorted pairs above it and their weights. That scan is passed
+    to each threshold's `threshold_graph` as `scan` and dropped when the call
+    returns. Each graph keeps the pairs with weight >= t: the comparisons a
+    full-matrix scan makes, so every graph has the same edges, and so the
+    same partition.
     """
     if override is not None and not math.isfinite(override):
         raise ValidationError(f"override threshold must be finite, got {override!r}")
     thresholds = [float(override)] if override is not None else sweep_thresholds(t_min, t_max, step)
     table: list[SweepRow] = []
     best: tuple[GeneGraph, Partition] | None = None
-    token = _SWEEP.set(_Sweep(wg, min(thresholds)))
-    try:
-        for t in thresholds:
-            g = threshold_graph(wg, t)
-            if g.n_edges == 0 and override is None:
-                table.append(SweepRow(t, None, 0, 0))
-            else:
-                p = detect_communities(g, seed)  # raises for a zero-edge override
-                table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
-                if best is None or p.q > best[1].q:
-                    best = (g, p)
-            del g  # hold at most the best graph and the one being built
-    finally:
-        _SWEEP.reset(token)
+    scan = _Sweep(wg, min(thresholds))
+    for t in thresholds:
+        g = threshold_graph(wg, t, scan=scan)
+        if g.n_edges == 0 and override is None:
+            table.append(SweepRow(t, None, 0, 0))
+        else:
+            p = detect_communities(g, seed)  # raises for a zero-edge override
+            table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
+            if best is None or p.q > best[1].q:
+                best = (g, p)
+        del g  # hold at most the best graph and the one being built
     if best is None:
         raise GraphError("every candidate threshold produced a zero-edge graph")
     return best[0], best[1], table

@@ -67,9 +67,9 @@ def test_sweep_calls_each_wrapped_name_once_per_threshold(monkeypatch):
     calls = {"threshold_graph": [], "detect_communities": 0}
     threshold_graph, detect_communities = graph.threshold_graph, graph.detect_communities
 
-    def counted_threshold_graph(wg, t):
+    def counted_threshold_graph(wg, t, **kwargs):
         calls["threshold_graph"].append(t)
-        return threshold_graph(wg, t)
+        return threshold_graph(wg, t, **kwargs)
 
     def counted_detect_communities(g, seed=0):
         calls["detect_communities"] += 1

@@ -280,8 +280,9 @@ def model_json():
 
 
 class TestMalformedModel:
-    """A model file that is not JSON, or lacks or garbles a key, raises
-    ParseError naming the fault, as the plan and spec readers do."""
+    """A model file that is not JSON, lacks or garbles a key, or holds keys
+    that disagree raises ParseError naming the fault, as the plan and spec
+    readers do."""
 
     @pytest.mark.parametrize("key", ["classes", "config", "trees", "n_features", "importance",
                                      "importance_weight", "loss_curve"])
@@ -313,6 +314,77 @@ class TestMalformedModel:
         with pytest.raises(ParseError, match=re.escape(f"model key {key!r} is malformed")) as exc:
             ensemble_from_json(json.dumps(d))
         assert needle in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["ABC", ["A", "A", "C"], ["A"], ["A", 2]],
+                             ids=["string", "repeated", "one", "not_string"])
+    def test_classes_must_be_distinct_strings(self, model_json, value):
+        d = json.loads(model_json)
+        d["classes"] = value
+        with pytest.raises(ParseError, match=re.escape(
+                "model key 'classes' is malformed: ValueError('not a list of at least 2 distinct")):
+            ensemble_from_json(json.dumps(d))
+
+    # (key, edit of the model dict, the rest of the message)
+    KEYS_THAT_DISAGREE = {
+        "round_short_of_a_class": (
+            "trees", lambda d: d.update(classes=["A", "B", "C"]),
+            "round 0 holds 2 trees for 3 classes"),
+        "list_lengths_differ": (
+            "trees", lambda d: d["trees"][1][0]["gain"].pop(),
+            "round 1, tree 0: list lengths [3, 3, 3, 3, 3, 2] differ or are 0"),
+        "no_nodes": (
+            "trees", lambda d: d["trees"][0][1].update({key: [] for key in d["trees"][0][1]}),
+            "round 0, tree 1: list lengths [0, 0, 0, 0, 0, 0] differ or are 0"),
+        "leaf_with_child": (
+            "trees", lambda d: d["trees"][1][1]["right"].__setitem__(2, 1),
+            "round 1, tree 1, node 2: feature -1 with children (-1, 1)"),
+        "cyclic_child": (
+            "trees", lambda d: d["trees"][0][0]["left"].__setitem__(0, 0),
+            "round 0, tree 0, node 0: feature 0 with children (0, 2)"),
+        "child_outside_tree": (
+            "trees", lambda d: d["trees"][0][0]["left"].__setitem__(0, 99),
+            "round 0, tree 0, node 0: feature 0 with children (99, 2) in a tree of 3 nodes"),
+        "feature_out_of_range": (
+            "trees", lambda d: d["trees"][1][0]["feature"].__setitem__(0, 7),
+            "round 1, tree 0, node 0: feature 7 with children (1, 2) in a tree of 3 nodes "
+            "over 2 features"),
+        "negative_feature": (
+            "trees", lambda d: d["trees"][1][0]["feature"].__setitem__(0, -2),
+            "round 1, tree 0, node 0: feature -2"),
+        "index_not_integer": (
+            "trees", lambda d: d["trees"][0][0]["right"].__setitem__(0, 2.0),
+            "round 0, tree 0, node 0: an entry is not a number"),
+        "threshold_not_number": (
+            "trees", lambda d: d["trees"][0][0]["threshold"].__setitem__(0, "0.5"),
+            "round 0, tree 0, node 0: an entry is not a number"),
+        "importance_length": (
+            "importance", lambda d: d["importance"].append(0.0), "3 entries for 2 features"),
+        "importance_weight_length": (
+            "importance_weight", lambda d: d["importance_weight"].pop(),
+            "1 entries for 2 features"),
+        "loss_curve_length": (
+            "loss_curve", lambda d: d["loss_curve"].pop(), "2 entries for 2 rounds"),
+    }
+
+    @pytest.mark.parametrize("case", KEYS_THAT_DISAGREE)
+    def test_keys_that_disagree_are_named(self, model_json, case):
+        key, edit, needle = self.KEYS_THAT_DISAGREE[case]
+        d = json.loads(model_json)
+        edit(d)
+        # no predict call: the cyclic tree would never finish
+        with pytest.raises(ParseError, match=re.escape(f"model key {key!r} is malformed: {needle}")):
+            ensemble_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_trained_model_loads(self, seed):
+        rng = np.random.default_rng(seed)
+        n_classes, n_features = 2 + seed % 3, 1 + seed
+        X = rng.normal(size=(40, n_features))
+        y = [f"c{i % n_classes}" for i in range(40)]
+        cfg = BoosterConfig(n_estimators=8, max_depth=1 + seed % 4, subsample=0.7, colsample=0.8,
+                            seed=seed)
+        e = train(X, y, cfg)
+        assert ensemble_to_json(ensemble_from_json(ensemble_to_json(e))) == ensemble_to_json(e)
 
     def test_other_schema_version_is_a_validation_error(self, model_json):
         d = json.loads(model_json)

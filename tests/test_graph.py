@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import heapq
 import logging
@@ -6,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -239,6 +241,11 @@ class TestThresholdGraph:
         with caplog.at_level(logging.DEBUG, logger="coexpress.graph"):
             threshold_graph(self._wg(), 0.6)
         assert "threshold 0.6 leaves 1 isolated node(s)" in caplog.text
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, t):
+        with pytest.raises(ValidationError, match=f"threshold must be finite, got {t!r}"):
+            threshold_graph(self._wg(), t)
 
     def test_monotone_edge_sets(self):
         rng = np.random.default_rng(1)
@@ -802,8 +809,8 @@ def record_sweep_calls(monkeypatch):
     threshold_graph_fn = graph_module.threshold_graph
     detect_fn = graph_module.detect_communities
 
-    def threshold_recorded(wg, t):
-        built.append(threshold_graph_fn(wg, t))
+    def threshold_recorded(wg, t, **kwargs):
+        built.append(threshold_graph_fn(wg, t, **kwargs))
         return built[-1]
 
     def detect_recorded(g, seed=0):
@@ -891,13 +898,34 @@ class TestSweepMatchesRebuildingReference:
                 fresh = GeneGraph(g.nodes, g.edges.copy())
                 assert partition_bits(p) == partition_bits(detect_communities(fresh, 7))
 
-    def test_scan_is_released_on_return_and_on_error(self):
+    def test_scan_is_freed_on_return_and_once_an_error_is_handled(self, monkeypatch):
+        scans = []
+
+        class RecordedSweep(graph_module._Sweep):
+            def __init__(self, wg, floor):
+                super().__init__(wg, floor)
+                scans.append(weakref.ref(self))
+
+        monkeypatch.setattr(graph_module, "_Sweep", RecordedSweep)
         wg = sweep_cases()[0]
         select_threshold(wg, *SWEEP_WIDE, seed=0)
-        assert graph_module._SWEEP.get() is None
+        assert len(scans) == 1
+        gc.collect()
+        assert scans[0]() is None
         with pytest.raises(GraphError):
             select_threshold(wg, 1.02, 1.1, 0.02, seed=0)
-        assert graph_module._SWEEP.get() is None
+        assert len(scans) == 2
+        gc.collect()
+        assert scans[1]() is None
+
+    def test_scan_of_another_graph_or_above_t_is_not_used(self):
+        wg, other = sweep_cases()[:2]
+        for t in (0.4, 0.56, 0.9):
+            fresh = threshold_graph(wg, t).edges
+            for scan in (graph_module._Sweep(other, 0.4), graph_module._Sweep(wg, t + 0.02)):
+                g = threshold_graph(wg, t, scan=scan)
+                assert g.nodes == wg.genes and g.edges.dtype == fresh.dtype
+                assert np.array_equal(g.edges, fresh), t
 
     def test_concurrent_sweeps_match_serial(self):
         cases = sweep_cases() * 2
