@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .textio import array, number, read_json, whole
 
 logger = logging.getLogger(__name__)
 
@@ -567,6 +568,9 @@ def predict(e: BoostedEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, proba
 
 
+_TREE_KEYS = ("feature", "threshold", "left", "right", "weight", "gain")
+
+
 def ensemble_to_json(e: BoostedEnsemble) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -576,25 +580,15 @@ def ensemble_to_json(e: BoostedEnsemble) -> str:
         "importance": list(map(float, e.importance)),
         "importance_weight": list(map(float, e.importance_weight)),
         "loss_curve": list(e.loss_curve),
-        "trees": [
-            [
-                {
-                    "feature": list(t.feature),
-                    "threshold": list(t.threshold),
-                    "left": list(t.left),
-                    "right": list(t.right),
-                    "weight": list(t.weight),
-                    "gain": list(t.gain),
-                }
-                for t in round_trees
-            ]
-            for round_trees in e.trees
-        ],
+        "trees": [[{key: list(getattr(t, key)) for key in _TREE_KEYS} for t in round_trees]
+                  for round_trees in e.trees],
     }
     return json.dumps(payload, sort_keys=True)
 
 
-_TREE_KEYS = ("feature", "threshold", "left", "right", "weight", "gain")
+def _schema_version(v) -> None:
+    if v != SCHEMA_VERSION:
+        raise ValidationError(f"unsupported model schema version {v!r}")
 
 
 def _classes(v) -> tuple[str, ...]:
@@ -604,42 +598,32 @@ def _classes(v) -> tuple[str, ...]:
     return tuple(v)
 
 
-# key -> parser, in BoostedEnsemble field order
+def _json_tree(t) -> RegressionTree:
+    return RegressionTree(*(array(t[key]) for key in _TREE_KEYS))
+
+
+# key -> parser: the version first, so it is checked before any other key,
+# then BoostedEnsemble's fields in order
 _MODEL_KEYS = {
+    "schema_version": _schema_version,
     "classes": _classes,
     "config": lambda v: BoosterConfig(**v),
-    "trees": lambda v: tuple(tuple(RegressionTree(*(tuple(t[key]) for key in _TREE_KEYS))
-                                   for t in round_trees) for round_trees in v),
-    "n_features": int,
-    "importance": lambda v: np.array(v, dtype=np.float64),
-    "importance_weight": lambda v: np.array(v, dtype=np.float64),
-    "loss_curve": tuple,
+    "trees": lambda v: array(v, lambda round_trees: array(round_trees, _json_tree)),
+    "n_features": whole,
+    "importance": lambda v: np.array(array(v, number), dtype=np.float64),
+    "importance_weight": lambda v: np.array(array(v, number), dtype=np.float64),
+    "loss_curve": lambda v: array(v, number),
 }
 
 
 def ensemble_from_json(text: str) -> BoostedEnsemble:
-    """Read a model written by `ensemble_to_json`. Text that is not a JSON
-    object, a missing or malformed key, or keys that disagree so that
-    `predict` could not run (see `_model_fault`) raise ParseError naming the
-    key, and the round, tree and node where one applies; another schema
-    version raises ValidationError."""
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"model is not JSON: {exc.msg} (column {exc.colno})",
-                         line=exc.lineno) from None
-    if not isinstance(d, dict):
-        raise ParseError("model is not a JSON object")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported model schema version {d.get('schema_version')!r}")
-    fields = {}
-    for key, parse in _MODEL_KEYS.items():
-        if key not in d:
-            raise ParseError(f"model has no key {key!r}")
-        try:
-            fields[key] = parse(d[key])
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ParseError(f"model key {key!r} is malformed: {exc!r}") from None
+    """Read a model written by `ensemble_to_json` (every key required;
+    ParseErrors name `model`). Another schema version raises ValidationError
+    before any other key is checked. Keys that disagree so that `predict`
+    could not run (see `_model_fault`) raise ParseError naming the key, and
+    the round, tree and node where one applies."""
+    fields = read_json(text, "model", _MODEL_KEYS)
+    del fields["schema_version"]
     e = BoostedEnsemble(**fields)
     fault = _model_fault(e)
     if fault:

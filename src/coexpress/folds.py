@@ -1,16 +1,15 @@
 """Stratified fold construction and within-fold oversampling with replica co-location."""
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .textio import read_text, write_text
+from .errors import ValidationError
+from .textio import array, json_text, mapping, read_json, read_text, row, whole, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -117,48 +116,25 @@ def cv_split(plan: FoldPlan, validation_fold: int) -> tuple[np.ndarray, np.ndarr
 
 
 def plan_to_json(plan: FoldPlan) -> str:
-    payload = {
-        "k": plan.k,
-        "seed": plan.seed,
-        "labels": list(plan.labels),
-        "assignment": list(plan.assignment),
-        "replication": dict(sorted(plan.replication.items())),
-        "expanded": [list(e) for e in plan.expanded],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json_text({**asdict(plan), "expanded": plan.expanded})
 
 
 # plan file key -> its parse
 _PLAN_KEYS = {
-    "k": int,
-    "labels": tuple,
-    "assignment": lambda v: tuple(int(x) for x in v),
-    "replication": lambda v: {str(k): int(f) for k, f in v.items()},
-    "seed": int,
-    "expanded": lambda v: tuple((int(i), int(f)) for i, f in v),
+    "k": whole,
+    "labels": array,
+    "assignment": lambda v: array(v, whole),
+    "replication": lambda v: mapping(v, whole),
+    "seed": whole,
+    "expanded": lambda v: array(v, lambda pair: row(pair, whole, whole)),
 }
 
 
 def plan_from_json(text: str, source: str = "plan") -> FoldPlan:
-    """Read a plan written by `plan_to_json`. The file's `expanded` list must
-    equal the one its assignment and replication derive. Text that is not a
-    JSON object, or a missing or malformed key, raises ParseError naming
-    `source`."""
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source} is not JSON: {exc.msg} (column {exc.colno})",
-                         line=exc.lineno) from None
-    if not isinstance(d, dict):
-        raise ParseError(f"{source} is not a JSON object")
-    fields = {}
-    for key, parse in _PLAN_KEYS.items():
-        if key not in d:
-            raise ParseError(f"{source} has no key {key!r}")
-        try:
-            fields[key] = parse(d[key])
-        except (AttributeError, OverflowError, TypeError, ValueError):
-            raise ParseError(f"{source} key {key!r} is malformed: {json.dumps(d[key])}") from None
+    """Read a plan written by `plan_to_json` (every key required; ParseErrors
+    name `source`). The file's `expanded` list must equal the one its
+    assignment and replication derive."""
+    fields = read_json(text, source, _PLAN_KEYS)
     expanded = fields.pop("expanded")
     plan = FoldPlan(**fields)
     if expanded != plan.expanded:

@@ -1,18 +1,17 @@
 """Planted-signal synthetic expression data, the testing oracle for the pipeline."""
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .masks import GeneSet, save_gene_set
 from .matrix import ExpressionMatrix, write_matrix
-from .textio import write_json
+from .textio import array, json_text, mapping, number, read_json, row, whole, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -117,48 +116,24 @@ def generate(spec: SynthSpec) -> tuple[ExpressionMatrix, dict[str, GeneSet], dic
 
 
 def spec_to_json(spec: SynthSpec) -> str:
-    return json.dumps(
-        {
-            "samples_per_class": dict(spec.samples_per_class),
-            "background_genes": spec.background_genes,
-            "planted_per_class": spec.planted_per_class,
-            "effect_size": spec.effect_size,
-            "noise_sigma": spec.noise_sigma,
-            "blocks": [[b.n_genes, b.loading] for b in spec.blocks],
-            "seed": spec.seed,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return json_text({**asdict(spec), "blocks": [[b.n_genes, b.loading] for b in spec.blocks]})
 
 
 _SPEC_KEYS = {
-    "samples_per_class": lambda v: {str(k): int(n) for k, n in v.items()},
-    "background_genes": int,
-    "planted_per_class": int,
-    "effect_size": float,
-    "noise_sigma": float,
-    "blocks": lambda v: tuple(BlockSpec(int(n), float(l)) for n, l in v),
-    "seed": int,
+    "samples_per_class": lambda v: mapping(v, whole),
+    "background_genes": whole,
+    "planted_per_class": whole,
+    "effect_size": number,
+    "noise_sigma": number,
+    "blocks": lambda v: array(v, lambda b: BlockSpec(*row(b, whole, number))),
+    "seed": whole,
 }
 
 
 def spec_from_json(text: str) -> SynthSpec:
-    """A spec from JSON; keys other than `samples_per_class` take the SynthSpec defaults."""
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"spec is not JSON: {exc.msg} (column {exc.colno})", line=exc.lineno) from None
-    if not isinstance(d, dict) or "samples_per_class" not in d:
-        raise ParseError("spec must be a JSON object with the key 'samples_per_class'")
-    fields = {}
-    for key, parse in _SPEC_KEYS.items():
-        if key in d:
-            try:
-                fields[key] = parse(d[key])
-            except (AttributeError, OverflowError, TypeError, ValueError):
-                raise ParseError(f"spec key {key!r} is malformed: {json.dumps(d[key])}") from None
-    return SynthSpec(**fields)
+    """A spec from JSON (ParseErrors name `spec`); keys other than
+    `samples_per_class` may be absent and take the SynthSpec defaults."""
+    return SynthSpec(**read_json(text, "spec", _SPEC_KEYS, required=("samples_per_class",)))
 
 
 def write_dataset(

@@ -12,7 +12,7 @@ import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ParseError
 
@@ -72,5 +72,70 @@ def write_rows(path: str | Path, header: Sequence[object], rows: Iterable[Sequen
         w.writerows(rows)
 
 
+def json_text(obj: object, sort_keys: bool = True) -> str:
+    return json.dumps(obj, indent=2, sort_keys=sort_keys)
+
+
 def write_json(path: str | Path, obj: object, sort_keys: bool = True) -> None:
-    write_text(path, json.dumps(obj, indent=2, sort_keys=sort_keys))
+    write_text(path, json_text(obj, sort_keys))
+
+
+def read_json(text: str, source: str, keys: Mapping[str, Callable[[Any], Any]],
+              required: Collection[str] | None = None) -> dict[str, Any]:
+    """The JSON object `text`, each key parsed by its entry in `keys`, in table
+    order; keys outside `required` (default: all) may be absent. Text that is
+    not JSON or not an object, a missing, malformed (a parse raised a
+    ValueError, TypeError or the like) or unknown key raises ParseError naming
+    `source`; other errors a parse raises, such as ValidationError, pass."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source} is not JSON: {exc.msg} (column {exc.colno})",
+                         line=exc.lineno) from None
+    if not isinstance(d, dict):
+        raise ParseError(f"{source} is not a JSON object")
+    fields = {}
+    for key, parse in keys.items():
+        if key in d:
+            try:
+                fields[key] = parse(d[key])
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ParseError(f"{source} key {key!r} is malformed: {exc!r}") from None
+        elif required is None or key in required:
+            raise ParseError(f"{source} has no key {key!r}")
+    unknown = sorted(d.keys() - keys.keys())
+    if unknown:
+        raise ParseError(f"{source} has an unknown key {unknown[0]!r}")
+    return fields
+
+
+def _expect(v: Any, types: tuple[type, ...], kind: str) -> Any:
+    """`v` if its type is one of `types` (exactly: a boolean is not an int)."""
+    if type(v) not in types:
+        shown = {list: "an array", dict: "an object"}.get(type(v)) or json.dumps(v)
+        raise TypeError(f"expected {kind}, got {shown}")
+    return v
+
+
+# JSON value parsers for read_json's key tables
+def whole(v: Any) -> int:
+    return _expect(v, (int,), "an integer")
+
+
+def number(v: Any) -> float:
+    return float(_expect(v, (int, float), "a number"))
+
+
+def array(v: Any, parse: Callable[[Any], Any] = lambda x: x) -> tuple:
+    return tuple(map(parse, _expect(v, (list,), "an array")))
+
+
+def row(v: Any, *parses: Callable[[Any], Any]) -> tuple:
+    """An array of one entry per parse, each read by its own."""
+    if len(_expect(v, (list,), "an array")) != len(parses):
+        raise ValueError(f"expected {len(parses)} entries, got {len(v)}")
+    return tuple(parse(x) for parse, x in zip(parses, v))
+
+
+def mapping(v: Any, parse: Callable[[Any], Any]) -> dict[str, Any]:
+    return {k: parse(x) for k, x in _expect(v, (dict,), "an object").items()}

@@ -620,10 +620,22 @@ class TestOutsideFiles:
                          "spec is not JSON")
 
     @pytest.mark.parametrize("text, needle", [
-        ("{}", "spec must be a JSON object with the key 'samples_per_class'"),
-        ("[]", "spec must be a JSON object"),
-        ('{"samples_per_class": [1, 2]}', "spec key 'samples_per_class' is malformed"),
-    ], ids=["empty", "list", "counts_as_list"])
+        ("{}", "spec has no key 'samples_per_class'"),
+        ("[]", "spec is not a JSON object"),
+        ('{"samples_per_class": [1, 2]}',
+         "spec key 'samples_per_class' is malformed: TypeError('expected an object, got an array')"),
+        ('{"samples_per_class": {"A": 3, "B": 3}, "background_gene": 5}',
+         "spec has an unknown key 'background_gene'"),
+        ('{"samples_per_class": {"A": 3, "B": 3}, "background_genes": 10.9}',
+         "spec key 'background_genes' is malformed: TypeError('expected an integer, got 10.9')"),
+        ('{"samples_per_class": {"A": 3, "B": 3}, "seed": true}',
+         "spec key 'seed' is malformed: TypeError('expected an integer, got true')"),
+        ('{"samples_per_class": {"A": 3, "B": 3}, "effect_size": "3"}',
+         "spec key 'effect_size' is malformed: TypeError('expected a number, got \"3\"')"),
+        ('{"samples_per_class": {"A": 3, "B": 3}, "blocks": [[4.5, 0.5]]}',
+         "spec key 'blocks' is malformed: TypeError('expected an integer, got 4.5')"),
+    ], ids=["empty", "list", "counts_as_list", "typo_key", "fractional_count", "boolean_seed",
+            "string_effect_size", "fractional_block_size"])
     def test_malformed_spec(self, tmp_path, caplog, text, needle):
         spec = tmp_path / "spec.json"
         spec.write_text(text)

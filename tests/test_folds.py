@@ -132,6 +132,12 @@ class TestCvSplit:
             cv_split(plan, 5)
 
 
+def plan_text(**edit):
+    """A valid two-sample plan file's text with the keys of `edit` set."""
+    return json.dumps({"k": 2, "labels": ["A", "B"], "assignment": [0, 1], "replication": {},
+                       "seed": 0, "expanded": [[0, 0], [1, 1]], **edit})
+
+
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
         labels = ["A"] * 6 + ["B"] * 4
@@ -150,11 +156,19 @@ class TestSerialization:
     @pytest.mark.parametrize("text, needle", [
         ("{}", "has no key 'k'"),
         ("[]", "is not a JSON object"),
-        ('{"k": 2, "labels": ["A", "B"], "assignment": [0, 1], "replication": [], "seed": 0,'
-         ' "expanded": [[0, 0], [1, 1]]}', "key 'replication' is malformed: []"),
-        ('{"k": 2, "labels": ["A", "B"], "assignment": [0, 1], "replication": {}, "seed": 0,'
-         ' "expanded": [[0]]}', "key 'expanded' is malformed: [[0]]"),
-    ], ids=["empty", "list", "replication_as_list", "short_expanded_pair"])
+        (plan_text(replication=[]),
+         "key 'replication' is malformed: TypeError('expected an object, got an array')"),
+        (plan_text(expanded=[[0]]),
+         "key 'expanded' is malformed: ValueError('expected 2 entries, got 1')"),
+        (plan_text(k=2.7), "key 'k' is malformed: TypeError('expected an integer, got 2.7')"),
+        (plan_text(seed=True), "key 'seed' is malformed: TypeError('expected an integer, got true')"),
+        (plan_text(assignment=["0", 1]),
+         "key 'assignment' is malformed: TypeError('expected an integer, got \"0\"')"),
+        (plan_text(labels="AB"),
+         "key 'labels' is malformed: TypeError('expected an array, got \"AB\"')"),
+        (plan_text(folds=2), "has an unknown key 'folds'"),
+    ], ids=["empty", "list", "replication_as_list", "short_expanded_pair", "fractional_k",
+            "boolean_seed", "string_assignment", "labels_as_string", "stray_key"])
     def test_malformed_plan_file_names_the_file_and_key(self, tmp_path, text, needle):
         path = tmp_path / "plan.json"
         path.write_text(text)

@@ -21,7 +21,10 @@ The text layer owns the encoding, line ends, quoting and JSON layout of every
 file: outside `textio.py` no function opens a file for writing, calls
 `.write_text`, `.write_bytes` or `csv.writer`, except those in `OWN_WRITERS`,
 and the readers (`read_text`, `text_lines`) and the writers (`write_text`,
-`write_rows`, `write_json`, `csv_writer`) are defined nowhere else.
+`write_rows`, `write_json`, `csv_writer`) are defined nowhere else. It also
+owns the JSON parse and layout: outside `textio.py` no function refers to
+`json.loads`, `json.load`, `json.dumps` or `json.dump`, by any import form,
+except those in `OWN_JSON`.
 
 A module-level `ContextVar` is state that a public function's result can
 depend on without its signature showing it, so the package defines none; such
@@ -44,8 +47,10 @@ UNCALLED = {
 
 # Class.member -> why it stays without a program reader
 UNREAD_MEMBERS = {
-    f"ClassMetrics.{field}": "the CV report export reads the fields through `_asdict()`"
-    for field in ("precision", "recall", "f1")
+    **{f"ClassMetrics.{field}": "the CV report export reads the fields through `_asdict()`"
+       for field in ("precision", "recall", "f1")},
+    "FoldPlan.assignment": "`plan_to_json` writes the fields through `asdict()`, and the "
+                           "class's own `_rows` reads it for `expanded` and `cv_split`",
 }
 
 
@@ -55,6 +60,14 @@ OWN_WRITERS = {
     "graph.write_graphml": "writes XML, where a character UTF-8 cannot hold becomes a character "
                            "reference (errors='xmlcharrefreplace')",
 }
+
+# module.function -> why it calls the json module itself
+OWN_JSON = {
+    "booster.ensemble_to_json": "writes the model file as one line with sorted keys, not the "
+                                "indented layout of `textio.json_text`",
+}
+
+JSON_FUNCTIONS = ("loads", "load", "dumps", "dump")
 
 TEXT_LAYER = "textio"
 TEXT_FUNCTIONS = ("read_text", "text_lines", "write_text", "write_rows", "write_json", "csv_writer")
@@ -160,6 +173,33 @@ def file_writers(package: Path) -> list[str]:
     return out
 
 
+def json_users(package: Path) -> list[str]:
+    """Each top-level definition outside the text layer that refers to one of
+    `JSON_FUNCTIONS` of the json module, as `module.name`: an attribute of a
+    name bound by `import json [as x]`, or a name bound by `from json import`."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == TEXT_LAYER:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        modules = {a.asname or a.name for n in imports if isinstance(n, ast.Import)
+                   for a in n.names if a.name == "json"}
+        functions = {a.asname or a.name for n in imports
+                     if isinstance(n, ast.ImportFrom) and n.module == "json"
+                     for a in n.names if a.name in JSON_FUNCTIONS}
+
+        def uses_json(node: ast.AST) -> bool:
+            if isinstance(node, ast.Attribute):
+                return (node.attr in JSON_FUNCTIONS and isinstance(node.value, ast.Name)
+                        and node.value.id in modules)
+            return isinstance(node, ast.Name) and node.id in functions
+
+        out += [f"{path.stem}.{getattr(stmt, 'name', '<module>')}" for stmt in tree.body
+                if any(map(uses_json, ast.walk(stmt)))]
+    return out
+
+
 def definers(package: Path, names: tuple[str, ...]) -> dict[str, list[str]]:
     """The modules that define a function of each of `names`, at any depth."""
     found: dict[str, list[str]] = {name: [] for name in names}
@@ -203,6 +243,11 @@ def test_only_the_text_layer_writes_files():
     assert not extra, f"write through coexpress.textio, or list in OWN_WRITERS with a reason: {extra}"
 
 
+def test_only_the_text_layer_parses_and_lays_out_json():
+    extra = [q for q in json_users(PACKAGE) if q not in OWN_JSON]
+    assert not extra, f"go through coexpress.textio, or list in OWN_JSON with a reason: {extra}"
+
+
 def test_text_functions_are_defined_once_in_the_text_layer():
     assert definers(PACKAGE, TEXT_FUNCTIONS) == {name: [TEXT_LAYER] for name in TEXT_FUNCTIONS}
 
@@ -224,6 +269,8 @@ def test_exceptions_still_exist():
         f"stale UNREAD_MEMBERS entries: {sorted(set(UNREAD_MEMBERS) - members)}"
     writers = set(file_writers(PACKAGE))
     assert set(OWN_WRITERS) <= writers, f"stale OWN_WRITERS entries: {sorted(set(OWN_WRITERS) - writers)}"
+    users = set(json_users(PACKAGE))
+    assert set(OWN_JSON) <= users, f"stale OWN_JSON entries: {sorted(set(OWN_JSON) - users)}"
 
 
 def test_scan_counts_other_modules_callers_and_readme(tmp_path):
@@ -291,3 +338,21 @@ def test_write_scan_finds_each_kind_of_write(tmp_path):
     assert file_writers(pkg) == ["a.by_open", "a.by_mode_name", "a.by_path_open",
                                  "a.by_write_text", "a.by_write_bytes", "a.Writer"]
     assert definers(pkg, ("write_text", "read_text")) == {"write_text": ["textio"], "read_text": []}
+
+
+def test_json_scan_finds_each_form(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "textio.py").write_text("import json\ndef read_json(text): return json.loads(text)\n")
+    (pkg / "a.py").write_text(
+        "import json\nimport json as js\nimport orjson\n"
+        "from json import load, dumps as to_text\n"
+        "def by_attribute(text): return json.loads(text)\n"
+        "def by_alias(obj, fh): js.dump(obj, fh)\n"
+        "def by_from_import(fh): return load(fh)\n"
+        "def by_from_alias(obj): return to_text(obj)\n"
+        "PARSE = json.loads\n"
+        "class Model:\n    def save(self): return json.dumps(self.__dict__)\n"
+        "def others(obj, fh): return orjson.dumps(obj), json.JSONDecodeError, fh.load()\n")
+    assert json_users(pkg) == ["a.by_attribute", "a.by_alias", "a.by_from_import",
+                               "a.by_from_alias", "a.<module>", "a.Model"]
