@@ -57,7 +57,6 @@ from .matrix import (
     GeneStats,
     cleanse,
     export_stats,
-    filter_sites,
     gene_stats,
     load_matrix,
     write_matrix,

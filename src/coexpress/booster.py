@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .textio import array, number, read_json, whole
+from .textio import array, number, read_json, read_object, whole
 
 logger = logging.getLogger(__name__)
 
@@ -602,12 +602,16 @@ def _json_tree(t) -> RegressionTree:
     return RegressionTree(*(array(t[key]) for key in _TREE_KEYS))
 
 
+# each BoosterConfig field, read by the type of its default
+_CONFIG_KEYS = {name: whole if type(default) is int else number
+                for name, default in asdict(BoosterConfig()).items()}
+
 # key -> parser: the version first, so it is checked before any other key,
 # then BoostedEnsemble's fields in order
 _MODEL_KEYS = {
     "schema_version": _schema_version,
     "classes": _classes,
-    "config": lambda v: BoosterConfig(**v),
+    "config": lambda v: BoosterConfig(**read_object(v, "model config", _CONFIG_KEYS)),
     "trees": lambda v: array(v, lambda round_trees: array(round_trees, _json_tree)),
     "n_features": whole,
     "importance": lambda v: np.array(array(v, number), dtype=np.float64),
@@ -617,8 +621,9 @@ _MODEL_KEYS = {
 
 
 def ensemble_from_json(text: str) -> BoostedEnsemble:
-    """Read a model written by `ensemble_to_json` (every key required;
-    ParseErrors name `model`). Another schema version raises ValidationError
+    """Read a model written by `ensemble_to_json` (every key required, and
+    every field of its config; ParseErrors name `model`, or `model config`
+    for a config field). Another schema version raises ValidationError
     before any other key is checked. Keys that disagree so that `predict`
     could not run (see `_model_fault`) raise ParseError naming the key, and
     the round, tree and node where one applies."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -111,10 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--rule", choices=("any", "intersect", "combined", "pair", "two-stage"),
                    default="combined")
-    p.add_argument("--threshold", type=float, default=0.2)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.t_combined)
     p.add_argument("--t-intersect", type=float, default=PipelineConfig.t_intersect,
                    help="two-stage intersect threshold")
-    p.add_argument("--t-pair", type=float, default=0.2, help="two-stage pair threshold")
+    p.add_argument("--t-pair", type=float, default=PipelineConfig.t_combined,
+                   help="two-stage pair threshold")
     p.add_argument("--pair", type=_csv_list, default=None,
                    help="discriminand pair, e.g. LN,Bone; default LN,Bone, else the two largest classes")
     p.add_argument("--out", required=True, help="gene-set output file")
@@ -146,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     p.add_argument("--cohort", default=None, help="site class; omit for all samples")
-    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep, help="t_min:t_max:step")
-    p.add_argument("--override", type=float, default=None, help="fixed threshold, bypass sweep")
+    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep,
+                   help="t_min:t_max:step; T:T:1 fixes the threshold at T")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("atlas", parents=[seeded], help="cross-cohort community comparison")
@@ -165,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", parents=[common], help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    p.add_argument("--out", default=None, help="override run.out")
+    p.add_argument("--seed", type=int, default=None, help="replaces run.seed")
+    p.add_argument("--out", default=None, help="replaces run.out")
 
     return parser
 
@@ -261,9 +263,7 @@ def _cmd_rfe(args) -> int:
 
 def _cmd_gcn(args) -> int:
     m = _load_bundle(args.indir)
-    g, p, table = _cohort_network(
-        m, load_gene_set(args.genes), args.cohort, args.sweep, args.seed, args.override
-    )
+    g, p, table = _cohort_network(m, load_gene_set(args.genes), args.cohort, args.sweep, args.seed)
     _export_network(Path(args.out), g, p, table)
     logger.info("threshold %.3g: %d edges, %d communities, Q=%.4f",
                 g.threshold, g.n_edges, p.n_communities, p.q)
@@ -294,9 +294,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    flags = {"seed": args.seed, "out": args.out}
-    cfg = load_config(args.config, {k: str(v) for k, v in flags.items() if v is not None})
-    manifest = run_pipeline(cfg)
+    flags = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
+    manifest = run_pipeline(replace(load_config(args.config), **flags))
     logger.info("pipeline complete; manifest at %s", manifest)
     return 0
 

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .textio import array, json_text, mapping, read_json, read_text, row, whole, write_text
+from .textio import array, json_text, mapping, read_json, read_text, row, string, whole, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ def plan_to_json(plan: FoldPlan) -> str:
 # plan file key -> its parse
 _PLAN_KEYS = {
     "k": whole,
-    "labels": array,
+    "labels": lambda v: array(v, string),
     "assignment": lambda v: array(v, whole),
     "replication": lambda v: mapping(v, whole),
     "seed": whole,

@@ -601,24 +601,17 @@ def sweep_thresholds(t_min: float, t_max: float, step: float) -> list[float]:
 
 
 def select_threshold(
-    wg: WeightedGeneGraph,
-    t_min: float = 0.4,
-    t_max: float = 0.9,
-    step: float = 0.02,
-    override: float | None = None,
-    seed: int = 0,
+    wg: WeightedGeneGraph, t_min: float, t_max: float, step: float, seed: int = 0,
     threads: int = 1,  # no flag or config key sets it; perfbench/workloads.py passes it
 ) -> tuple[GeneGraph, Partition, list[SweepRow]]:
     """Sweep thresholds, detect communities on each full thresholded graph,
     and return the graph/partition of maximum modularity (tie: smallest t).
 
     Candidates whose graph has no edges are recorded with modularity None and
-    skipped by the argmax. With `override` set (it must be finite), the sweep
-    is that one threshold and the returned table holds the single override
-    row; a zero-edge override graph raises. The sweep runs serially and keeps
-    only the best graph so far; `threads` has no effect (community detection
-    is pure Python under the GIL, where a thread pool measured slower than
-    one thread).
+    skipped by the argmax. A fixed threshold T is the sweep (T, T, 1). The
+    sweep runs serially and keeps only the best graph so far; `threads` has
+    no effect (community detection is pure Python under the GIL, where a
+    thread pool measured slower than one thread).
 
     The weight matrix is scanned once, at the sweep's lowest threshold, into
     the (u, v)-sorted pairs above it and their weights. That scan is passed
@@ -627,18 +620,16 @@ def select_threshold(
     full-matrix scan makes, so every graph has the same edges, and so the
     same partition.
     """
-    if override is not None and not math.isfinite(override):
-        raise ValidationError(f"override threshold must be finite, got {override!r}")
-    thresholds = [float(override)] if override is not None else sweep_thresholds(t_min, t_max, step)
+    thresholds = sweep_thresholds(t_min, t_max, step)
     table: list[SweepRow] = []
     best: tuple[GeneGraph, Partition] | None = None
     scan = _Sweep(wg, min(thresholds))
     for t in thresholds:
         g = threshold_graph(wg, t, scan=scan)
-        if g.n_edges == 0 and override is None:
+        if g.n_edges == 0:
             table.append(SweepRow(t, None, 0, 0))
         else:
-            p = detect_communities(g, seed)  # raises for a zero-edge override
+            p = detect_communities(g, seed)
             table.append(SweepRow(t, p.q, g.n_edges, p.n_communities))
             if best is None or p.q > best[1].q:
                 best = (g, p)

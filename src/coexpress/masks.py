@@ -161,8 +161,7 @@ def _resolve_pair(mc: MaskCorrelations, pair: tuple[str, str]) -> tuple[str, str
 
 
 def select_pair_opposite(
-    mc: MaskCorrelations, t: float, pair: tuple[str, str] = DEFAULT_PAIR,
-    name: str = "pair_opposite",
+    mc: MaskCorrelations, t: float, pair: tuple[str, str], name: str = "pair_opposite",
 ) -> GeneSet:
     """Keep genes strongly and oppositely correlated with the two pair masks."""
     _check_threshold(t)
@@ -177,8 +176,7 @@ def select_pair_opposite(
 
 
 def select_combined(
-    mc: MaskCorrelations, t: float = 0.2, pair: tuple[str, str] = DEFAULT_PAIR,
-    name: str = "combined",
+    mc: MaskCorrelations, t: float, pair: tuple[str, str], name: str = "combined",
 ) -> GeneSet:
     """Combined rule: every |C_site| >= t AND the pair correlations have opposite signs.
 

@@ -88,15 +88,6 @@ class ExpressionMatrix:
         idx = self.gene_index(gene_ids)
         return replace(self, gene_ids=tuple(gene_ids), values=self.values[idx])
 
-    def select_samples(self, columns: Sequence[int]) -> "ExpressionMatrix":
-        cols = np.asarray(columns, dtype=np.intp)
-        return replace(
-            self,
-            sample_ids=tuple(self.sample_ids[j] for j in cols),
-            labels=tuple(self.labels[j] for j in cols),
-            values=self.values[:, cols],
-        )
-
 
 @dataclass(frozen=True)
 class GeneStats:
@@ -330,27 +321,29 @@ def _cut_decimals(x: float, decimals: int) -> float:
     return float(f"{whole}.{frac[:decimals]}")
 
 
-def cleanse(
-    m: ExpressionMatrix, site_order: Sequence[str]
-) -> tuple[ExpressionMatrix, CleansingReport]:
-    """Drop all-zero genes and duplicate gene IDs, group columns by site, truncate values.
+def cleanse(m: ExpressionMatrix,
+            keep_sites: Sequence[str] | None = None) -> tuple[ExpressionMatrix, CleansingReport]:
+    """Keep the samples of `keep_sites`, drop all-zero genes and duplicate gene IDs, truncate values.
 
+    Columns are grouped by site in `keep_sites` order (None: every site, in
+    first-appearance order) and keep their order within a site; a sample of
+    a site not listed is dropped, and a listed site without samples adds none.
     Truncation (3 decimals, toward zero) is applied before the zero-row check
     so that genes whose values vanish at 3-decimal resolution count as
-    all-zero; this makes cleansing idempotent. Duplicate gene IDs keep the
-    first occurrence; a conflict between differing duplicate rows is logged.
-    Column reordering groups samples by `site_order` and is stable within
-    each site.
+    all-zero; this makes cleansing idempotent. Both checks read only the kept
+    columns. Duplicate gene IDs keep the first occurrence; a conflict between
+    differing duplicate rows is logged.
     """
-    site_order = list(site_order)
-    present = set(m.labels)
-    uncovered = sorted(present - set(site_order))
-    if uncovered:
-        raise ValidationError(f"site_order does not cover label {uncovered[0]!r}")
+    sites = list(dict.fromkeys(m.labels) if keep_sites is None else keep_sites)
+    rank = {site: r for r, site in enumerate(sites)}
+    perm = sorted((j for j, lab in enumerate(m.labels) if lab in rank), key=lambda j: rank[m.labels[j]])
+    if len(perm) < m.n_samples:
+        logger.info("dropping %d samples outside sites %s", m.n_samples - len(perm), sites)
 
+    # truncate first: a column selection made before would copy m.values while it is alive
     values = truncate_values(m.values)
 
-    nonzero = ~np.all(values == 0.0, axis=1)
+    nonzero = ~np.all((values == 0.0)[:, perm], axis=1)
     removed_zero = int(np.count_nonzero(~nonzero))
 
     keep_rows: list[int] = []
@@ -360,7 +353,7 @@ def cleanse(
         gid = m.gene_ids[i]
         if gid in seen:
             removed_dup += 1
-            if not np.array_equal(values[seen[gid]], values[i]):
+            if not np.array_equal(values[seen[gid], perm], values[i, perm]):
                 logger.warning(
                     "duplicate gene %r has conflicting values; keeping first occurrence", gid
                 )
@@ -370,9 +363,6 @@ def cleanse(
     if not keep_rows:
         raise ValidationError("cleansing removed every gene")
 
-    rank = {site: r for r, site in enumerate(site_order)}
-    perm = sorted(range(m.n_samples), key=lambda j: rank[m.labels[j]])
-
     cleaned = ExpressionMatrix(
         gene_ids=tuple(m.gene_ids[i] for i in keep_rows),
         sample_ids=tuple(m.sample_ids[j] for j in perm),
@@ -380,19 +370,6 @@ def cleanse(
         values=values[np.ix_(keep_rows, perm)],
     )
     return cleaned, CleansingReport(removed_zero, removed_dup)
-
-
-def filter_sites(m: ExpressionMatrix, keep_sites: Sequence[str]) -> ExpressionMatrix:
-    """Keep only samples whose site is in `keep_sites` (drops minority classes)."""
-    keep = list(keep_sites)
-    absent = [s for s in keep if s not in set(m.labels)]
-    if absent:
-        raise ValidationError(f"site {absent[0]!r} has no samples")
-    cols = [j for j, lab in enumerate(m.labels) if lab in set(keep)]
-    dropped = m.n_samples - len(cols)
-    if dropped:
-        logger.info("dropping %d samples outside sites %s", dropped, keep)
-    return m.select_samples(cols)
 
 
 def gene_stats(m: ExpressionMatrix) -> list[GeneStats]:

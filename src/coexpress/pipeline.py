@@ -35,7 +35,7 @@ from .masks import (
     select_three_mask_intersect,
     write_sweep_report,
 )
-from .matrix import ExpressionMatrix, cleanse, export_stats, filter_sites, gene_stats, load_matrix, write_matrix
+from .matrix import ExpressionMatrix, cleanse, export_stats, gene_stats, load_matrix, write_matrix
 from .normalize import NormalizationScheme, normalize_matrix
 from .rfe import MIN_RFE_GENES, export_trace, recursive_eliminate
 from .textio import read_text, write_json, write_text
@@ -141,8 +141,8 @@ def _read_key(section: str, key: str, parse: Callable[[str], object], text: str)
         raise ValidationError(f"config [{section}] {key} = {text!r} is not {kind}") from None
 
 
-def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> PipelineConfig:
-    """Read the INI-style config; `overrides` (flag values, by key) win over file keys.
+def load_config(path: str | Path) -> PipelineConfig:
+    """Read the INI-style config.
 
     Keys left unset (or empty) take their PipelineConfig / BoosterConfig defaults;
     a section or key that is not in the table is an error.
@@ -168,10 +168,9 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
     if unknown:
         raise ValidationError(f"config {path} has unknown sections or keys: {', '.join(unknown)}")
 
-    overrides = overrides or {}
     kwargs, booster = {}, {}
     for (section, key), (name, parse) in keys.items():
-        text = overrides.get(key, cp.get(section, key, fallback=None))
+        text = cp.get(section, key, fallback=None)
         if text:
             (booster if section == "booster" else kwargs)[name] = _read_key(section, key, parse, text)
     if not {"matrix", "labels", "out"} <= kwargs.keys():
@@ -235,12 +234,12 @@ def _ingest(
     """Load, keep `keep_sites` (all when empty), cleanse; write the bundle,
     cleansing.json and gene_stats.csv into `d`."""
     m = load_matrix(matrix, labels)
-    if keep_sites:
-        m = filter_sites(m, keep_sites)
-    if ALL_SAMPLES in m.labels:
+    absent = [s for s in keep_sites or () if s not in m.labels]
+    if absent:
+        raise ValidationError(f"site {absent[0]!r} has no samples")
+    if ALL_SAMPLES in (keep_sites or m.labels):
         raise ValidationError(f"site label {ALL_SAMPLES!r} is reserved for the all-sample network")
-    site_order = list(keep_sites) if keep_sites else list(dict.fromkeys(m.labels))
-    m, report = cleanse(m, site_order)
+    m, report = cleanse(m, keep_sites or None)
     _write_bundle(m, d)
     write_json(d / "cleansing.json", {
         "removed_all_zero": report.removed_all_zero,
@@ -264,18 +263,12 @@ def _fit(m: ExpressionMatrix, genes: GeneSet, config: BoosterConfig) -> BoostedE
     return train(m.values[m.gene_index(genes.gene_ids)].T, list(m.labels), config)
 
 
-def _cohort_network(
-    m: ExpressionMatrix,
-    genes: GeneSet | Sequence[str],
-    cohort: str | None,
-    sweep: tuple[float, float, float],
-    seed: int,
-    override: float | None = None,
-):
+def _cohort_network(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohort: str | None,
+                    sweep: tuple[float, float, float], seed: int):
     """The |Pearson| network of `genes` over `cohort`'s samples (None = all) at
     the modularity-best threshold of `sweep`: (graph, partition, sweep table)."""
     wg = build_weighted(m, genes, cohort)
-    return select_threshold(wg, *sweep, override=override, seed=seed)
+    return select_threshold(wg, *sweep, seed=seed)
 
 
 def _check_cohorts(labels: Sequence[str], cohorts: Sequence[str]) -> None:
@@ -478,28 +471,26 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute every stage and write MANIFEST.json; returns the manifest path.
 
-    Any stage error aborts the run with the stage name; outputs produced so
-    far are retained and a `.partial` marker naming the failed stage is left
-    at the output root.
+    The output directory must be empty or absent, so that the manifest lists
+    only this run's files. Any stage error aborts the run with the stage
+    name; outputs produced so far are retained and a `.partial` marker naming
+    the failed stage is left at the output root.
     """
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
-    marker = out / ".partial"
+    if next(out.iterdir(), None) is not None:
+        raise ValidationError(f"output directory {out} is not empty")
     state: dict = {}
     for name, fn in STAGES:
         logger.info("pipeline stage: %s", name)
         try:
             fn(cfg, state, out)
         except Exception as exc:
-            write_text(marker, f"failed at stage: {name}\n{exc}\n")
+            write_text(out / ".partial", f"failed at stage: {name}\n{exc}\n")
             raise StageError(name, exc) from exc
-    if marker.exists():
-        marker.unlink()
 
-    outputs = {}
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name not in ("MANIFEST.json", ".partial"):
-            outputs[p.relative_to(out).as_posix()] = _sha256(p)
+    outputs = {p.relative_to(out).as_posix(): _sha256(p)
+               for p in sorted(out.rglob("*")) if p.is_file()}
     manifest = {
         "tool": "coexpress",
         "version": __version__,

@@ -82,16 +82,22 @@ def write_json(path: str | Path, obj: object, sort_keys: bool = True) -> None:
 
 def read_json(text: str, source: str, keys: Mapping[str, Callable[[Any], Any]],
               required: Collection[str] | None = None) -> dict[str, Any]:
-    """The JSON object `text`, each key parsed by its entry in `keys`, in table
-    order; keys outside `required` (default: all) may be absent. Text that is
-    not JSON or not an object, a missing, malformed (a parse raised a
-    ValueError, TypeError or the like) or unknown key raises ParseError naming
-    `source`; other errors a parse raises, such as ValidationError, pass."""
+    """The JSON object `text`, read by `read_object`; text that is not JSON raises ParseError."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source} is not JSON: {exc.msg} (column {exc.colno})",
                          line=exc.lineno) from None
+    return read_object(d, source, keys, required)
+
+
+def read_object(d: Any, source: str, keys: Mapping[str, Callable[[Any], Any]],
+                required: Collection[str] | None = None) -> dict[str, Any]:
+    """The decoded JSON object `d`, each key parsed by its entry in `keys`, in
+    table order; keys outside `required` (default: all) may be absent. A
+    value that is not an object, a missing, malformed (a parse raised a
+    ValueError, TypeError or the like) or unknown key raises ParseError naming
+    `source`; other errors a parse raises, such as ValidationError, pass."""
     if not isinstance(d, dict):
         raise ParseError(f"{source} is not a JSON object")
     fields = {}
@@ -124,6 +130,10 @@ def whole(v: Any) -> int:
 
 def number(v: Any) -> float:
     return float(_expect(v, (int, float), "a number"))
+
+
+def string(v: Any) -> str:
+    return _expect(v, (str,), "a string")
 
 
 def array(v: Any, parse: Callable[[Any], Any] = lambda x: x) -> tuple:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,13 @@ def golden_atlas_input():
     order = np.random.default_rng(7).permutation(m.n_genes)
     ids = [m.gene_ids[i] for i in order]
     return m, [GeneSet(f"tier{n}", tuple(ids[:n])) for n in (5, 13, 34, m.n_genes)]
+
+
+@pytest.fixture(scope="session")
+def take_columns():
+    """A function of (m, cols): `m` with only the samples `cols`, in that order."""
+    return lambda m, cols: replace(m, sample_ids=tuple(m.sample_ids[j] for j in cols),
+                                   labels=tuple(m.labels[j] for j in cols), values=m.values[:, cols])
 
 
 @pytest.fixture

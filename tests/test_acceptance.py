@@ -23,7 +23,7 @@ from coexpress.graph import (
     threshold_graph,
 )
 from coexpress.masks import mask_correlations, select_combined, select_three_mask_intersect
-from coexpress.matrix import cleanse, filter_sites, load_matrix
+from coexpress.matrix import cleanse, load_matrix
 from coexpress.normalize import NormalizationScheme, normalize_matrix, normalize_row
 from coexpress.pipeline import load_config, run_pipeline
 from coexpress.rfe import cross_validate_step, recursive_eliminate
@@ -51,7 +51,6 @@ def test_criterion_1_paper_reproduction():
     t0 = time.monotonic()
     root = DATASET_DIR
     m = load_matrix(os.path.join(root, "matrix.tsv"), os.path.join(root, "labels.tsv"))
-    m = filter_sites(m, ["LN", "Bone", "Liver"])
     m, _ = cleanse(m, ["LN", "Bone", "Liver"])
     mn = normalize_matrix(m, NormalizationScheme("rank"))
     mc = mask_correlations(mn)

@@ -86,5 +86,5 @@ def test_sweep_calls_each_wrapped_name_once_per_threshold(monkeypatch):
                      "detect_communities": with_edges}
 
     calls["threshold_graph"], calls["detect_communities"] = [], 0
-    graph.select_threshold(wg, override=0.5, seed=0)
+    graph.select_threshold(wg, 0.5, 0.5, 1, seed=0)
     assert calls == {"threshold_graph": [0.5], "detect_communities": 1}

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,9 @@ def model_json():
     X = rng.normal(size=(12, 2))
     return ensemble_to_json(train(X, ["A", "B"] * 6, BoosterConfig(n_estimators=2)))
 
+# a model file's `config`; each field is read by the type of its default
+CONFIG = asdict(BoosterConfig())
+
 
 class TestMalformedModel:
     """A model file that is not JSON, lacks, garbles or adds a key, or holds
@@ -303,10 +307,16 @@ class TestMalformedModel:
             ensemble_from_json(text)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("config", {"depth": 3}, "model key 'config' is malformed: TypeError(\"BoosterConfig"
-                                 ".__init__() got an unexpected keyword argument 'depth'\")"),
-        ("config", [], "model key 'config' is malformed: TypeError('coexpress.booster."
-                       "BoosterConfig() argument after ** must be a mapping, not list')"),
+        ("config", {"depth": 3}, "model config has no key 'learning_rate'"),
+        ("config", [], "model config is not a JSON object"),
+        ("config", {**CONFIG, "max_depth": 3.5},
+         "model config key 'max_depth' is malformed: TypeError('expected an integer, got 3.5')"),
+        ("config", {**CONFIG, "seed": 2.0},
+         "model config key 'seed' is malformed: TypeError('expected an integer, got 2.0')"),
+        ("config", {**CONFIG, "learning_rate": True},
+         "model config key 'learning_rate' is malformed: TypeError('expected a number, got true')"),
+        ("config", {k: v for k, v in CONFIG.items() if k != "seed"}, "model config has no key 'seed'"),
+        ("config", {**CONFIG, "depth": 3}, "model config has an unknown key 'depth'"),
         ("trees", [[{"feature": [-1]}]], "model key 'trees' is malformed: KeyError('threshold')"),
         ("n_features", "three",
          "model key 'n_features' is malformed: TypeError('expected an integer, got \"three\"')"),
@@ -319,8 +329,10 @@ class TestMalformedModel:
         ("loss_curve", "abc",
          "model key 'loss_curve' is malformed: TypeError('expected an array, got \"abc\"')"),
         ("n_feature", 2, "model has an unknown key 'n_feature'"),
-    ], ids=["config_key", "config_list", "tree_key", "n_features", "fractional_n_features",
-            "importance", "boolean_importance", "loss_curve_as_string", "stray_key"])
+    ], ids=["config_key", "config_list", "fractional_max_depth", "fractional_seed",
+            "boolean_learning_rate", "config_missing_field", "config_unknown_field", "tree_key",
+            "n_features", "fractional_n_features", "importance", "boolean_importance",
+            "loss_curve_as_string", "stray_key"])
     def test_malformed_key_is_named(self, model_json, key, value, message):
         d = json.loads(model_json)
         d[key] = value

@@ -44,6 +44,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# sha256 over (file name, NUL, bytes) of each file `gcn --cohort A` writes for
+# every SMALL_SPEC gene at the fixed threshold T, pinned on the `--override T`
+# flag that `--sweep T:T:1` replaced
+GOLDEN_FIXED_THRESHOLD = {
+    "0.5": "9579b7ae1ed56ce8279b63c66c3ba9f6345c1bb23142142e64f0aef0bfbc4f07",
+    "0.56": "1c6ac45bd0dcc992e421a1de7bc277339cb6aa5978ee49b9918d6c76f576ee8b",
+}
+
+
 class TestSubcommands:
     def test_synth(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -148,16 +157,21 @@ class TestSubcommands:
         assert (config["subsample"], config["colsample"], config["base_score"]) == (0.5, 0.75, 0.25)
 
     def test_gcn_with_override(self, dataset, tmp_path):
-        genes_out = tmp_path / "blocks.genes"
-        blocks = json.loads((dataset / "blocks.json").read_text())
-        genes_out.write_text("\n".join(blocks["block0"]) + "\n")
-        out = tmp_path / "gcn"
-        assert run(
-            "gcn", "--in", dataset, "--genes", genes_out, "--cohort", "A",
-            "--override", "0.5", "--out", out,
-        ) == 0
-        assert (out / "edges.tsv").exists()
-        assert (out / "graph.graphml").exists()
+        # a fixed threshold T is the sweep T:T:1
+        genes_out = tmp_path / "all.genes"
+        m = load_matrix(dataset / "matrix.tsv", dataset / "labels.tsv")
+        genes_out.write_text("\n".join(m.gene_ids) + "\n")
+        for t, digest in GOLDEN_FIXED_THRESHOLD.items():
+            out = tmp_path / f"gcn{t}"
+            assert run(
+                "gcn", "--in", dataset, "--genes", genes_out, "--cohort", "A",
+                "--sweep", f"{t}:{t}:1", "--out", out,
+            ) == 0
+            assert len((out / "sweep.csv").read_text().splitlines()) == 2
+            h = hashlib.sha256()
+            for p in sorted(out.iterdir()):
+                h.update(p.name.encode() + b"\0" + p.read_bytes())
+            assert h.hexdigest() == digest, t
 
     def test_gcn_non_finite_override_exits_1(self, dataset, tmp_path, caplog):
         genes_out = tmp_path / "blocks.genes"
@@ -165,9 +179,9 @@ class TestSubcommands:
         genes_out.write_text("\n".join(blocks["block0"]) + "\n")
         assert run(
             "gcn", "--in", dataset, "--genes", genes_out, "--cohort", "A",
-            "--override", "nan", "--out", tmp_path / "gcn",
+            "--sweep", "nan:nan:1", "--out", tmp_path / "gcn",
         ) == 1
-        assert any(r.message == "override threshold must be finite, got nan" for r in caplog.records)
+        assert any(r.message == "sweep bounds and step must be finite" for r in caplog.records)
 
     def test_atlas_command(self, dataset, tmp_path):
         blocks = json.loads((dataset / "blocks.json").read_text())
@@ -325,6 +339,11 @@ class TestPipeline:
             assert (out / rel).exists()
         assert not (out / ".partial").exists()
         assert (out / "rfe_raw" / "trace.csv").exists()
+        # a rerun into the used directory stops before the first stage
+        manifest_bytes = (out / "MANIFEST.json").read_bytes()
+        assert run("pipeline", "--config", write_cfg("run1")) == 1
+        assert (out / "MANIFEST.json").read_bytes() == manifest_bytes
+        assert not (out / ".partial").exists()
 
     def test_missing_input_fails_with_stage(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -368,6 +387,33 @@ def assert_same_files(a, b):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestKeepSites:
+    """`ingest --keep-sites` cleanses only the samples of the kept sites."""
+
+    def _ingest(self, tmp_path, rows, keep_sites="LN,Bone"):
+        matrix, labels = tmp_path / "m.tsv", tmp_path / "l.tsv"
+        matrix.write_text("gene_id\tl1\tb1\tu1\n" + "".join(f"{row}\n" for row in rows))
+        labels.write_text("l1\tLN\nb1\tBone\nu1\tLung\n")
+        return run("ingest", "--matrix", matrix, "--labels", labels, "--keep-sites", keep_sites,
+                   "--out", tmp_path / "o")
+
+    def test_gene_nonzero_only_in_a_dropped_site_is_all_zero(self, tmp_path):
+        assert self._ingest(tmp_path, ["g1\t0\t0\t2.5", "g2\t1\t2\t3"]) == 0
+        assert json.loads((tmp_path / "o" / "cleansing.json").read_text())["removed_all_zero"] == 1
+        m = load_matrix(tmp_path / "o" / "matrix.tsv", tmp_path / "o" / "labels.tsv")
+        assert (m.gene_ids, m.sample_ids) == (("g2",), ("l1", "b1"))
+
+    def test_duplicates_differing_only_in_a_dropped_site_do_not_conflict(self, tmp_path, caplog):
+        assert self._ingest(tmp_path, ["g1\t1\t2\t3", "g1\t1\t2\t4"]) == 0
+        assert json.loads((tmp_path / "o" / "cleansing.json").read_text())["removed_duplicates"] == 1
+        assert not any("conflicting values" in r.getMessage() for r in caplog.records)
+
+    def test_site_without_samples_exits_1(self, tmp_path, caplog):
+        assert self._ingest(tmp_path, ["g1\t1\t2\t3"], keep_sites="LN,Liver") == 1
+        assert any("site 'Liver' has no samples" in r.getMessage() for r in caplog.records)
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliMatchesPipeline:
@@ -510,6 +556,7 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ("synth", "--spec", "spec.json", "--out", "o", "--seed", "1"),
         ("ingest", "--matrix", "m.tsv", "--labels", "l.tsv", "--out", "o", "--threads", "2"),
+        ("gcn", "--in", "d", "--genes", "g.genes", "--out", "o", "--override", "0.5"),
     ])
     def test_removed_flag_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -166,9 +166,12 @@ class TestSerialization:
          "key 'assignment' is malformed: TypeError('expected an integer, got \"0\"')"),
         (plan_text(labels="AB"),
          "key 'labels' is malformed: TypeError('expected an array, got \"AB\"')"),
+        (plan_text(labels=[1, 2]),
+         "key 'labels' is malformed: TypeError('expected a string, got 1')"),
         (plan_text(folds=2), "has an unknown key 'folds'"),
     ], ids=["empty", "list", "replication_as_list", "short_expanded_pair", "fractional_k",
-            "boolean_seed", "string_assignment", "labels_as_string", "stray_key"])
+            "boolean_seed", "string_assignment", "labels_as_string", "numeric_labels",
+            "stray_key"])
     def test_malformed_plan_file_names_the_file_and_key(self, tmp_path, text, needle):
         path = tmp_path / "plan.json"
         path.write_text(text)

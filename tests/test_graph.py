@@ -175,9 +175,9 @@ class TestBuildWeighted:
         want = abs(pearson(m.values[0][:4], m.values[3][:4]))
         assert wg.weights[0, 3] == pytest.approx(want, abs=1e-12)
 
-    def test_small_cohort_rejected(self):
+    def test_small_cohort_rejected(self, take_columns):
         m = self._matrix()
-        m2 = m.select_samples([0, 1, 4, 5, 6, 7])
+        m2 = take_columns(m, [0, 1, 4, 5, 6, 7])
         with pytest.raises(ValidationError):
             build_weighted(m2, list(m.gene_ids), cohort="X")
 
@@ -736,8 +736,9 @@ class TestSelectThreshold:
         assert p70.q < 0.5
 
     def test_override_bypasses_sweep(self):
+        # a fixed threshold is the sweep of that one threshold
         wg = two_clique_weighted()
-        g, p, table = select_threshold(wg, 0.4, 0.9, 0.02, override=0.56, seed=0)
+        g, p, table = select_threshold(wg, 0.56, 0.56, 1, seed=0)
         assert np.array_equal(g.edges, threshold_graph(wg, 0.56).edges)
         assert len(table) == 1 and table[0].threshold == 0.56
 
@@ -752,11 +753,11 @@ class TestSelectThreshold:
         g4, p4, t4 = select_threshold(wg, 0.4, 0.9, 0.02, seed=0, threads=4)
         assert np.array_equal(g1.edges, g4.edges) and p1 == p4 and t1 == t4
 
-    @pytest.mark.parametrize("override", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_override_rejected(self, override):
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_override_rejected(self, t):
         with pytest.raises(ValidationError) as info:
-            select_threshold(two_clique_weighted(), override=override, seed=0)
-        assert str(info.value) == f"override threshold must be finite, got {override!r}"
+            select_threshold(two_clique_weighted(), t, t, 1, seed=0)
+        assert str(info.value) == "sweep bounds and step must be finite"
 
 
 SWEEP_WIDE = (0.4, 1.1, 0.02)  # its top thresholds leave no edge
@@ -865,14 +866,15 @@ class TestSweepMatchesRebuildingReference:
 
     @pytest.mark.parametrize("case", range(4))
     def test_override(self, case):
+        # a fixed threshold t is the sweep (t, t, 1)
         wg = sweep_cases()[case]
         for t in (0.4, 0.56, 0.98, 1.0, 1.04):
             ref = reference_graph(wg, t)
             if ref.n_edges == 0:
-                with pytest.raises(GraphError, match="community detection undefined"):
-                    select_threshold(wg, override=t, seed=1)
+                with pytest.raises(GraphError, match="every candidate threshold"):
+                    select_threshold(wg, t, t, 1, seed=1)
                 continue
-            g, p, table = select_threshold(wg, override=t, seed=1)
+            g, p, table = select_threshold(wg, t, t, 1, seed=1)
             ref_p = detect_communities(ref, 1)
             assert np.array_equal(g.edges, ref.edges) and g.threshold == t
             assert partition_bits(p) == partition_bits(ref_p)

@@ -102,19 +102,19 @@ class TestSelectionRules:
             [0.3, 0.25, 0.22],    # dropped: same sign LN/Bone
             [0.3, -0.25, 0.1],    # dropped: Liver below t
         ])
-        kept = select_combined(mc, 0.2)
+        kept = select_combined(mc, 0.2, ("LN", "Bone"))
         assert kept.gene_ids == ("g0",)
 
     def test_combined_sign_clause_strict_on_zero(self):
         mc = _mc([[0.3, 0.0, 0.25]])
         # |C_Bone| = 0 < t anyway; make the magnitude pass but product zero
         mc2 = MaskCorrelations(("g0",), ("LN", "Bone", "Liver"), np.array([[0.3, 0.0, 0.25]]))
-        assert len(select_combined(mc2, 0.2)) == 0
+        assert len(select_combined(mc2, 0.2, ("LN", "Bone"))) == 0
 
     def test_pair_opposite_requires_resolvable_pair(self):
         mc = MaskCorrelations(("g0",), ("A", "B", "C"), np.array([[0.5, -0.5, 0.1]]))
         with pytest.raises(ValidationError):
-            select_pair_opposite(mc, 0.2)
+            select_pair_opposite(mc, 0.2, ("LN", "Bone"))
         kept = select_pair_opposite(mc, 0.2, pair=("A", "B"))
         assert kept.gene_ids == ("g0",)
 
@@ -123,7 +123,7 @@ class TestSelectionRules:
         with pytest.raises(ValidationError):
             select_by_any_mask(mc, 0.0)
         with pytest.raises(ValidationError):
-            select_combined(mc, 1.0)
+            select_combined(mc, 1.0, ("LN", "Bone"))
 
 
 class TestSelectionProperties:
@@ -155,12 +155,12 @@ class TestSelectionProperties:
                     assert cur <= prev[rule]
                 prev[rule] = cur
 
-    def test_joint_sample_permutation_invariance(self, planted_rank):
+    def test_joint_sample_permutation_invariance(self, planted_rank, take_columns):
         m, _ = planted_rank
         rng = np.random.default_rng(9)
         perm = rng.permutation(m.n_samples)
         mc = mask_correlations(m)
-        mp = m.select_samples(perm.tolist())
+        mp = take_columns(m, perm.tolist())
         mcp = mask_correlations(mp)
         a = select_combined(mc, 0.2, pair=("A", "B")).gene_ids
         b = select_combined(mcp, 0.2, pair=("A", "B")).gene_ids

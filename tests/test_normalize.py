@@ -101,11 +101,11 @@ class TestProperties:
         out = normalize_row(row, scheme("logit"))
         assert np.all(np.diff(out[1:-1]) > 0)
 
-    def test_matrix_commutes_with_column_permutation(self, tiny_matrix):
+    def test_matrix_commutes_with_column_permutation(self, tiny_matrix, take_columns):
         sch = scheme("rank")
         perm = [3, 1, 0, 2]
-        a = normalize_matrix(tiny_matrix, sch).select_samples(perm)
-        b = normalize_matrix(tiny_matrix.select_samples(perm), sch)
+        a = take_columns(normalize_matrix(tiny_matrix, sch), perm)
+        b = normalize_matrix(take_columns(tiny_matrix, perm), sch)
         np.testing.assert_allclose(a.values, b.values)
         assert a.sample_ids == b.sample_ids
 

@@ -59,6 +59,15 @@ class TestGoldenPipeline:
         assert hashlib.sha256(golden_manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST
 
 
+class TestOutputDirectory:
+    """The output directory must be empty or absent, so the manifest lists only
+    the run's files (a rerun into a used one: TestPipeline in test_cli.py)."""
+
+    def test_empty_directory_runs_as_an_absent_one(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        assert hashlib.sha256(run_golden(tmp_path).read_bytes()).hexdigest() == GOLDEN_MANIFEST
+
+
 class TestNullData:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pure_noise_fails_in_select(self, tmp_path, seed):
