@@ -26,6 +26,9 @@ order, so the order is fixed, and a speed-up that changes it changes models:
 
 `np.exp` and `np.log` in `_softmax` and `_log_loss` still use numpy's SIMD
 kernels, whose last bits can differ between CPUs.
+
+`tests/test_environments.py` is the table of environments the contract holds
+under: each row must reproduce the golden models and pipeline bit for bit.
 """
 from __future__ import annotations
 

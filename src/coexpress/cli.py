@@ -22,13 +22,12 @@ from .masks import (
     select_pair_opposite,
     select_three_mask_intersect,
 )
-from .matrix import ExpressionMatrix, load_matrix
+from .matrix import ExpressionMatrix, check_pair, check_sites, load_matrix
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
     ALL_SAMPLES,
     PipelineConfig,
     _atlas,
-    _check_factors,
     _cohort_network,
     _cohort_networks,
     _csv_list,
@@ -203,7 +202,7 @@ def _cmd_corr(args) -> int:
 def _cmd_select(args) -> int:
     m = _load_bundle(args.indir)
     mc = mask_correlations(m)
-    pair = args.pair or default_pair(m.labels)
+    pair = check_pair(m.labels, args.pair) if args.pair else default_pair(m.labels)
     name = Path(args.out).stem
     if args.rule == "any":
         gs = select_by_any_mask(mc, args.threshold, name=name)
@@ -230,7 +229,7 @@ def _cmd_select(args) -> int:
 def _plan_from_args(m: ExpressionMatrix, args) -> FoldPlan:
     """The fold plan of `--k`, `--seed` and `--factors` over `m`'s samples."""
     factors = _parse_factors(args.factors)
-    _check_factors(m.labels, factors)
+    check_sites(m.labels, factors, "factors")
     return stratified_folds(m.labels, args.k, args.seed, factors)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .correlation import _standardize_rows
 from .errors import ValidationError
-from .matrix import ExpressionMatrix
+from .matrix import ExpressionMatrix, check_pair
 from .textio import read_text, write_rows, write_text
 
 logger = logging.getLogger(__name__)
@@ -146,26 +146,12 @@ def default_pair(labels: Sequence[str]) -> tuple[str, str]:
     return (a, b)
 
 
-def _resolve_pair(mc: MaskCorrelations, pair: tuple[str, str]) -> tuple[str, str]:
-    if len(pair) != 2:
-        raise ValidationError(
-            f"discriminand pair must name exactly two sites, got {len(pair)}: {','.join(pair)!r}"
-        )
-    a, b = pair
-    for s in (a, b):
-        if s not in mc.sites:
-            raise ValidationError(f"pair site {s!r} has no mask correlations")
-    if a == b:
-        raise ValidationError("discriminand pair must name two distinct sites")
-    return (a, b)
-
-
 def select_pair_opposite(
     mc: MaskCorrelations, t: float, pair: tuple[str, str], name: str = "pair_opposite",
 ) -> GeneSet:
     """Keep genes strongly and oppositely correlated with the two pair masks."""
     _check_threshold(t)
-    a, b = _resolve_pair(mc, pair)
+    a, b = check_pair(mc.sites, pair)
     ca, cb = mc.site_column(a), mc.site_column(b)
     keep = (np.abs(ca) >= t) & (np.abs(cb) >= t) & (ca * cb < 0.0)
     return GeneSet(
@@ -185,7 +171,7 @@ def select_combined(
     opposite-sign clause applies to the configured discriminand pair.
     """
     _check_threshold(t)
-    a, b = _resolve_pair(mc, pair)
+    a, b = check_pair(mc.sites, pair)
     ca, cb = mc.site_column(a), mc.site_column(b)
     keep = np.all(np.abs(mc.values) >= t, axis=1) & (ca * cb < 0.0)
     return GeneSet(
@@ -200,7 +186,7 @@ def write_sweep_report(
 ) -> None:
     """Write the kept-gene count of each rule (any / intersect / combined) at each
     threshold. A bad pair or threshold raises before the file is opened."""
-    _resolve_pair(mc, pair)
+    check_pair(mc.sites, pair)
     for t in thresholds:
         _check_threshold(t)
     rules = (

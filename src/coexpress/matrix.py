@@ -79,14 +79,37 @@ class ExpressionMatrix:
         return np.array([pos[g] for g in gene_ids], dtype=np.intp)
 
     def site_columns(self, site: str) -> np.ndarray:
-        cols = np.array([j for j, lab in enumerate(self.labels) if lab == site], dtype=np.intp)
-        if cols.size == 0:
-            raise ValidationError(f"no samples labelled {site!r}")
-        return cols
+        """Column indices of cohort `site`'s samples, in matrix order."""
+        check_sites(self.labels, (site,), "cohort")
+        return np.array([j for j, lab in enumerate(self.labels) if lab == site], dtype=np.intp)
 
     def select_genes(self, gene_ids: Sequence[str]) -> "ExpressionMatrix":
         idx = self.gene_index(gene_ids)
         return replace(self, gene_ids=tuple(gene_ids), values=self.values[idx])
+
+
+def check_sites(labels: Sequence[str], names: Iterable[str], what: str,
+                also: Sequence[str] = ()) -> None:
+    """Raise unless each of `names` is a site label of `labels` or one of
+    `also`, and none is given twice; `what` names the input in the message."""
+    sites = dict.fromkeys(labels)
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name not in sites and name not in also:
+            others = "".join(f" nor {a!r}" for a in also)
+            raise ValidationError(f"{what}: {name!r} is not a site label ({', '.join(sites)}){others}")
+        if name in names[:i]:
+            raise ValidationError(f"{what}: {name!r} is given more than once")
+
+
+def check_pair(labels: Sequence[str], pair: Sequence[str]) -> tuple[str, str]:
+    """The discriminand pair, raising unless it names two distinct site labels of `labels`."""
+    if len(pair) != 2:
+        raise ValidationError(
+            f"discriminand pair must name exactly two sites, got {len(pair)}: {','.join(pair)!r}"
+        )
+    check_sites(labels, pair, "pair")
+    return (pair[0], pair[1])
 
 
 @dataclass(frozen=True)
@@ -327,7 +350,8 @@ def cleanse(m: ExpressionMatrix,
 
     Columns are grouped by site in `keep_sites` order (None: every site, in
     first-appearance order) and keep their order within a site; a sample of
-    a site not listed is dropped, and a listed site without samples adds none.
+    a site not listed is dropped, a listed site without samples adds none, and
+    a site listed twice raises.
     Truncation (3 decimals, toward zero) is applied before the zero-row check
     so that genes whose values vanish at 3-decimal resolution count as
     all-zero; this makes cleansing idempotent. Both checks read only the kept
@@ -335,6 +359,7 @@ def cleanse(m: ExpressionMatrix,
     differing duplicate rows is logged.
     """
     sites = list(dict.fromkeys(m.labels) if keep_sites is None else keep_sites)
+    check_sites(sites, sites, "keep_sites")  # repeats only: a listed site may have no samples
     rank = {site: r for r, site in enumerate(sites)}
     perm = sorted((j for j, lab in enumerate(m.labels) if lab in rank), key=lambda j: rank[m.labels[j]])
     if len(perm) < m.n_samples:

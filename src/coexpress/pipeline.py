@@ -35,7 +35,16 @@ from .masks import (
     select_three_mask_intersect,
     write_sweep_report,
 )
-from .matrix import ExpressionMatrix, cleanse, export_stats, gene_stats, load_matrix, write_matrix
+from .matrix import (
+    ExpressionMatrix,
+    check_pair,
+    check_sites,
+    cleanse,
+    export_stats,
+    gene_stats,
+    load_matrix,
+    write_matrix,
+)
 from .normalize import NormalizationScheme, normalize_matrix
 from .rfe import MIN_RFE_GENES, export_trace, recursive_eliminate
 from .textio import read_text, write_json, write_text
@@ -99,16 +108,16 @@ def _parse_triplet(text: str) -> tuple[float, float, float]:
 
 
 def _parse_factors(text: str) -> dict[str, int]:
-    out: dict[str, int] = {}
+    items: list[tuple[str, int]] = []
     for item in _csv_list(text):
         site, _, count = item.partition(":")
         site = site.strip()
         if not site or not count.strip().isdecimal():
             raise ValidationError(f"expected SITE:N,..., got {text!r}")
-        if site in out:
-            raise ValidationError(f"site {site!r} is given more than once in {text!r}")
-        out[site] = int(count)
-    return out
+        items.append((site, int(count)))
+    sites = [site for site, _ in items]
+    check_sites(sites, sites, "factors")  # each name is a label of its own list: repeats only
+    return dict(items)
 
 
 # (section, key) -> (PipelineConfig field, parser); [booster] keys are the BoosterConfig fields
@@ -234,9 +243,7 @@ def _ingest(
     """Load, keep `keep_sites` (all when empty), cleanse; write the bundle,
     cleansing.json and gene_stats.csv into `d`."""
     m = load_matrix(matrix, labels)
-    absent = [s for s in keep_sites or () if s not in m.labels]
-    if absent:
-        raise ValidationError(f"site {absent[0]!r} has no samples")
+    check_sites(m.labels, keep_sites or (), "keep_sites")
     if ALL_SAMPLES in (keep_sites or m.labels):
         raise ValidationError(f"site label {ALL_SAMPLES!r} is reserved for the all-sample network")
     m, report = cleanse(m, keep_sites or None)
@@ -271,36 +278,13 @@ def _cohort_network(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohort:
     return select_threshold(wg, *sweep, seed=seed)
 
 
-def _check_cohorts(labels: Sequence[str], cohorts: Sequence[str]) -> None:
-    """Raise unless each cohort is a site label of `labels` or ALL_SAMPLES, named once."""
-    sites = dict.fromkeys(labels)
-    unknown = [c for c in cohorts if c != ALL_SAMPLES and c not in sites]
-    if unknown:
-        raise ValidationError(
-            f"cohort {unknown[0]!r} is neither a site label ({', '.join(sites)}) nor {ALL_SAMPLES!r}"
-        )
-    repeated = [c for i, c in enumerate(cohorts) if c in cohorts[:i]]
-    if repeated:
-        raise ValidationError(f"cohort {repeated[0]!r} is listed more than once")
-
-
-def _check_factors(labels: Sequence[str], factors: Mapping[str, int]) -> None:
-    """Raise unless each site of `factors` is a site label of `labels`."""
-    sites = dict.fromkeys(labels)
-    absent = [site for site in factors if site not in sites]
-    if absent:
-        raise ValidationError(
-            f"factor site {absent[0]!r} has no samples (sites: {', '.join(sites)})"
-        )
-
-
 def _cohort_networks(m: ExpressionMatrix, genes: Sequence[str], cohorts: Sequence[str],
                      sweep: tuple[float, float, float], seed: int):
     """Yield (cohort, graph, partition, sweep table) per cohort whose network
     builds, in order; ALL_SAMPLES is every sample. An unknown name, a gene not
     in `m` or a bad sweep raises before any network is built; a network that
     fails on the data is skipped with a warning."""
-    _check_cohorts(m.labels, cohorts)
+    check_sites(m.labels, cohorts, "cohorts", also=(ALL_SAMPLES,))
     m.gene_index(genes)
     sweep_thresholds(*sweep)
     for cohort in cohorts:
@@ -335,10 +319,12 @@ def _atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
 
 
 def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["clean"] = _ingest(cfg.matrix, cfg.labels, cfg.keep_sites, out / "ingest")
-    # fail before the RFE stages run
-    _check_cohorts(st["clean"].labels, cfg.cohorts or ())
-    _check_factors(st["clean"].labels, cfg.factors or {})
+    m = st["clean"] = _ingest(cfg.matrix, cfg.labels, cfg.keep_sites, out / "ingest")
+    # the other site lists, checked here so that they fail before the RFE stages run
+    check_sites(m.labels, cfg.cohorts or (), "cohorts")
+    check_sites(m.labels, cfg.factors or (), "factors")
+    if cfg.pair:
+        check_pair(m.labels, cfg.pair)
 
 
 def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:

@@ -16,7 +16,7 @@ import pytest
 import coexpress.pipeline as pipeline
 from coexpress.booster import BoosterConfig
 from coexpress.cli import build_parser, main
-from coexpress.errors import StageError, ValidationError
+from coexpress.errors import CoexpressError, StageError, ValidationError
 from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
 from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
 from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
@@ -412,7 +412,8 @@ class TestKeepSites:
 
     def test_site_without_samples_exits_1(self, tmp_path, caplog):
         assert self._ingest(tmp_path, ["g1\t1\t2\t3"], keep_sites="LN,Liver") == 1
-        assert any("site 'Liver' has no samples" in r.getMessage() for r in caplog.records)
+        assert any("keep_sites: 'Liver' is not a site label (LN, Bone, Lung)" in r.getMessage()
+                   for r in caplog.records)
         assert not (tmp_path / "o").exists()
 
 
@@ -459,7 +460,7 @@ class TestDefaultPair:
 
 
 class TestMalformedText:
-    @pytest.mark.parametrize("factors", ["A", "A:x", "A:1,:2", "A:1,B:2,A:3"])
+    @pytest.mark.parametrize("factors", ["A", "A:x", "A:1,:2"])
     def test_bad_factors_exit_1(self, dataset, tmp_path, caplog, factors):
         assert run("folds", "--in", dataset, "--factors", factors,
                    "--out", tmp_path / "plan.json") == 1
@@ -473,7 +474,7 @@ class TestMalformedText:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("section,line", [
-        ("folds", "factors = LN"), ("folds", "factors = LN:1,LN:2"), ("select", "sweep = a:b:c"),
+        ("folds", "factors = LN"), ("select", "sweep = a:b:c"),
         ("gcn", "sweep = 0.4:0.9"),
     ])
     def test_bad_config_text_exits_1(self, tmp_path, caplog, section, line):
@@ -503,7 +504,7 @@ class TestFactorSites:
     def test_repeated_site_is_named(self, dataset, tmp_path, caplog):
         assert run("folds", "--in", dataset, "--factors", "A:1,A:2",
                    "--out", tmp_path / "plan.json") == 1
-        assert any("site 'A' is given more than once" in r.getMessage() for r in caplog.records)
+        assert any("factors: 'A' is given more than once" in r.getMessage() for r in caplog.records)
 
     @pytest.mark.parametrize("command", ["folds", "rfe"])
     def test_absent_site_exits_1(self, dataset, tmp_path, caplog, command):
@@ -511,7 +512,7 @@ class TestFactorSites:
         out = tmp_path / "out"
         assert run(command, "--in", dataset, *genes, "--factors", "A:1,Lvier:5", "--out", out) == 1
         assert not out.exists()
-        assert any("factor site 'Lvier' has no samples (sites: A, B, C)" in r.getMessage()
+        assert any("factors: 'Lvier' is not a site label (A, B, C)" in r.getMessage()
                    for r in caplog.records)
 
     def test_config_absent_site_stops_in_ingest(self, pipeline_config, caplog):
@@ -522,7 +523,7 @@ class TestFactorSites:
         assert "ingest" in (tmp_path / "run" / ".partial").read_text()
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [".partial", "ingest"]
         assert any("stage 'ingest' failed" in r.getMessage()
-                   and "factor site 'Lvier' has no samples" in r.getMessage() for r in caplog.records)
+                   and "factors: 'Lvier' is not a site label" in r.getMessage() for r in caplog.records)
 
 
 class TestOneSitePair:
@@ -536,8 +537,8 @@ class TestOneSitePair:
         cfg = write_cfg("onesite")
         cfg.write_text(cfg.read_text().replace("pair = A,B", "pair = LN"))
         assert run("pipeline", "--config", cfg) == 1
-        assert "select" in (tmp_path / "onesite" / ".partial").read_text()
-        assert any("stage 'select' failed" in r.message and "exactly two sites" in r.message
+        assert "ingest" in (tmp_path / "onesite" / ".partial").read_text()
+        assert any("stage 'ingest' failed" in r.message and "exactly two sites" in r.message
                    for r in caplog.records)
 
 
@@ -770,6 +771,70 @@ class TestSiteLabelIsAFileName:
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [".partial"]
 
 
+# Every list of site names the user gives goes through `matrix.check_sites`,
+# so each fault reads the same: (input, value, message) on the A/B/C data.
+# `gcn --cohort` names one site, which cannot repeat.
+SITE_NAMES = [
+    pytest.param("keep_sites", "A,Lung", "keep_sites: 'Lung' is not a site label (A, B, C)",
+                 id="keep_sites-unknown"),
+    pytest.param("keep_sites", "A,B,A", "keep_sites: 'A' is given more than once",
+                 id="keep_sites-repeated"),
+    pytest.param("cohorts", "A,Lung", "cohorts: 'Lung' is not a site label (A, B, C)",
+                 id="cohorts-unknown"),
+    pytest.param("cohorts", "B,B", "cohorts: 'B' is given more than once", id="cohorts-repeated"),
+    pytest.param("factors", "A:1,Lung:2", "factors: 'Lung' is not a site label (A, B, C)",
+                 id="factors-unknown"),
+    pytest.param("factors", "A:1,B:2,A:3", "factors: 'A' is given more than once",
+                 id="factors-repeated"),
+    pytest.param("pair", "A,Lung", "pair: 'Lung' is not a site label (A, B, C)", id="pair-unknown"),
+    pytest.param("pair", "A,A", "pair: 'A' is given more than once", id="pair-repeated"),
+    pytest.param("cohort", "Lung", "cohort: 'Lung' is not a site label (A, B, C)", id="cohort-unknown"),
+]
+
+CONFIG_SECTION = {"keep_sites": "input", "cohorts": "gcn", "factors": "folds", "pair": "select"}
+
+
+class TestSiteNames:
+    @pytest.mark.parametrize("name,value,message", SITE_NAMES)
+    def test_flag_exits_1_and_writes_nothing(self, dataset, tmp_path, caplog, name, value, message):
+        genes = dataset / "planted_A.genes"
+        argv = {
+            "keep_sites": ["ingest", "--matrix", dataset / "matrix.tsv",
+                           "--labels", dataset / "labels.tsv", "--keep-sites", value],
+            "cohorts": ["atlas", "--in", dataset, "--nested", genes, "--cohorts", value],
+            "factors": ["folds", "--in", dataset, "--factors", value],
+            # `any` reads no pair, yet a given one is checked
+            "pair": ["select", "--in", dataset, "--rule", "any", "--pair", value],
+            "cohort": ["gcn", "--in", dataset, "--genes", genes, "--cohort", value],
+        }[name]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        assert any(message in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,value,message",
+                             [p for p in SITE_NAMES if p.values[0] in CONFIG_SECTION])
+    def test_config_stops_at_ingest(self, pipeline_config, name, value, message):
+        tmp_path, write_cfg = pipeline_config
+        ini = write_cfg("run")
+        section = f"[{CONFIG_SECTION[name]}]\n"
+        text = ini.read_text().replace("pair = A,B\n", "")
+        ini.write_text(text.replace(section, f"{section}{name} = {value}\n"))
+        out = tmp_path / "run"
+        with pytest.raises(CoexpressError) as exc:
+            run_pipeline(load_config(ini))
+        assert message in str(exc.value)
+        if (name, value) == ("factors", "A:1,B:2,A:3"):
+            # a factor dict cannot hold the repeat, so the config reader refuses it
+            assert not out.exists()
+            return
+        assert exc.value.stage == "ingest"
+        assert (out / ".partial").read_text() == f"failed at stage: ingest\n{message}\n"
+        # a bad keep_sites stops before cleansing; no stage after ingest runs
+        written = [".partial"] if name == "keep_sites" else [".partial", "ingest"]
+        assert sorted(p.name for p in out.iterdir()) == written
+
+
 class TestCohortNames:
     """A cohort name that is not a site label, or is listed twice, fails before
     any network is built."""
@@ -800,17 +865,17 @@ class TestCohortNames:
                    "--cohorts", "LN,LN", "--out", out) == 1
         assert built == []
         assert not out.exists()
-        assert any("cohort 'LN' is listed more than once" in r.getMessage()
+        assert any("cohorts: 'LN' is given more than once" in r.getMessage()
                    for r in caplog.records)
 
     def test_pipeline_repeated_cohort_stops_in_ingest(self, ln_dataset, tmp_path):
-        with pytest.raises(StageError, match="'LN' is listed more than once") as exc:
+        with pytest.raises(StageError, match="cohorts: 'LN' is given more than once") as exc:
             run_pipeline(self._config(ln_dataset, tmp_path / "run", cohorts=("LN", "LN")))
         assert exc.value.stage == "ingest"
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [".partial", "ingest"]
 
     def test_pipeline_unknown_cohort_stops_before_rfe(self, dataset, tmp_path):
-        with pytest.raises(StageError, match="'Lung' is neither a site label") as exc:
+        with pytest.raises(StageError, match="cohorts: 'Lung' is not a site label") as exc:
             run_pipeline(self._config(dataset, tmp_path / "run", cohorts=("A", "Lung")))
         assert exc.value.stage == "ingest"
         assert not (tmp_path / "run" / "rfe_raw").exists()
@@ -835,7 +900,7 @@ class TestCohortNames:
         assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
                    "--cohorts", "all,Lung", "--out", out) == 1
         assert not out.exists()
-        assert any("'Lung' is neither a site label (A, B, C) nor 'all'" in r.getMessage()
+        assert any("cohorts: 'Lung' is not a site label (A, B, C) nor 'all'" in r.getMessage()
                    for r in caplog.records)
 
     def test_atlas_genes_not_in_matrix_is_one_error(self, dataset, tmp_path, caplog):

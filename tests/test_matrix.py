@@ -384,3 +384,6 @@ class TestExportAndFilter:
         # a listed site without samples adds none
         kept, _ = cleanse(m, ["Bone", "Liver"])
         assert (kept.sample_ids, kept.labels) == (("s3",), ("Bone",))
+        # a site listed twice has no one place in the column order
+        with pytest.raises(ValidationError, match="keep_sites: 'LN' is given more than once"):
+            cleanse(m, ["LN", "Bone", "LN"])
