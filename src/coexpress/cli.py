@@ -8,10 +8,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .booster import BoosterConfig, ensemble_to_json, hyperparameters
+from .booster import BoosterConfig, hyperparameters
 from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, GraphError, ValidationError
-from .folds import FoldPlan, save_plan, stratified_folds
+from .folds import load_plan
 from .masks import (
     default_pair,
     load_gene_set,
@@ -32,17 +32,18 @@ from .pipeline import (
     _cohort_networks,
     _csv_list,
     _export_network,
-    _fit,
+    _folds,
     _ingest,
+    _model,
     _normalize,
     _parse_factors,
     _parse_triplet,
+    _rfe,
     load_config,
     run_pipeline,
 )
-from .rfe import export_trace, recursive_eliminate
 from .synthetic import generate, spec_from_json, write_dataset
-from .textio import read_text, write_rows, write_text
+from .textio import read_text, write_rows
 from .atlas import CommunityNetwork, tier_genes
 
 logger = logging.getLogger("coexpress")
@@ -120,26 +121,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="discriminand pair, e.g. LN,Bone; default LN,Bone, else the two largest classes")
     p.add_argument("--out", required=True, help="gene-set output file")
 
-    p = sub.add_parser("folds", parents=[seeded], help="build a stratified fold plan")
+    p = sub.add_parser("folds", parents=[seeded], help="build the raw and the balanced fold plan")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--k", type=int, default=PipelineConfig.k)
-    p.add_argument("--factors", default="",
-                   help="extra copies per site, SITE:N,..., e.g. LN:1,Bone:2,Liver:5")
-    p.add_argument("--out", required=True, help="plan JSON path")
+    p.add_argument("--factors", default="", help="balanced plan's extra copies per site, "
+                   "SITE:N,..., e.g. LN:1,Bone:2,Liver:5; empty derives them")
+    p.add_argument("--out", required=True, help="directory for plan_raw.json and plan_balanced.json")
 
     p = sub.add_parser("train", parents=[seeded], help="train the boosted model on a gene set")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     _add_booster_flags(p)
-    p.add_argument("--out", required=True, help="model JSON path")
+    p.add_argument("--out", required=True, help="directory for model.json and features.json")
 
     p = sub.add_parser("rfe", parents=[seeded], help="recursive feature elimination")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--genes", required=True)
-    p.add_argument("--k", type=int, default=PipelineConfig.k)
+    p.add_argument("--genes", required=True, help="start gene-set file")
+    p.add_argument("--plan", required=True, help="fold plan file written by `folds`")
     p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
     p.add_argument("--drop", type=int, default=PipelineConfig.drop_per_step)
-    p.add_argument("--factors", default="")
     _add_booster_flags(p)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -226,37 +226,25 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _plan_from_args(m: ExpressionMatrix, args) -> FoldPlan:
-    """The fold plan of `--k`, `--seed` and `--factors` over `m`'s samples."""
-    factors = _parse_factors(args.factors)
-    check_sites(m.labels, factors, "factors")
-    return stratified_folds(m.labels, args.k, args.seed, factors)
-
-
 def _cmd_folds(args) -> int:
-    save_plan(_plan_from_args(_load_bundle(args.indir), args), args.out)
+    factors = _parse_factors(args.factors) if args.factors else None
+    m = _load_bundle(args.indir)
+    check_sites(m.labels, factors or (), "factors")
+    _folds(m.labels, args.k, args.seed, factors, Path(args.out))
     return 0
 
 
 def _cmd_train(args) -> int:
-    m = _load_bundle(args.indir)
     genes = load_gene_set(args.genes)
-    ens = _fit(m, genes, _booster_from_args(args))
-    write_text(args.out, ensemble_to_json(ens))
+    ens = _model(_load_bundle(args.indir), genes, _booster_from_args(args), Path(args.out))
     logger.info("trained on %d genes; final training loss %.5f", len(genes), ens.loss_curve[-1])
     return 0
 
 
 def _cmd_rfe(args) -> int:
-    m = _load_bundle(args.indir)
-    plan = _plan_from_args(m, args)
-    trace = recursive_eliminate(
-        m, load_gene_set(args.genes), plan, _booster_from_args(args),
-        drop_per_step=args.drop, repeats=args.repeats,
-    )
-    export_trace(trace, args.out, trace.best.genes)
-    logger.info("best step keeps %d genes at accuracy %.4f",
-                len(trace.best.genes), trace.best.report.accuracy)
+    best, _ = _rfe(_load_bundle(args.indir), load_gene_set(args.genes), load_plan(args.plan),
+                   _booster_from_args(args), args.drop, args.repeats, Path(args.out))
+    logger.info("%s", best.provenance)
     return 0
 
 

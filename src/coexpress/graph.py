@@ -589,12 +589,14 @@ def sweep_thresholds(t_min: float, t_max: float, step: float) -> list[float]:
     count = (t_max - t_min) / step + 1
     if count > MAX_THRESHOLDS:
         raise ValidationError(f"a sweep of {count:.0f} thresholds exceeds the limit of {MAX_THRESHOLDS}")
-    out = []
+    # t_min + i * step to 10 decimals, held inside bounds finer than that rounding
+    out: list[float] = []
+    last = round(t_max, 10)
     i = 0
-    while True:
-        t = round(t_min + i * step, 10)
-        if t > t_max + 1e-9:
-            break
+    while (t := round(t_min + i * step, 10)) <= last:
+        t = min(max(t, t_min), t_max)
+        if out and t <= out[-1]:
+            raise ValidationError(f"step {step!r} is too small for thresholds rounded to 10 decimals")
         out.append(t)
         i += 1
     return out

@@ -89,6 +89,10 @@ class PipelineConfig:
                 sweep_thresholds(*sweep)
             except ValidationError as exc:
                 raise ValidationError(f"config {key}: {exc}") from None
+        for key, value, least in (("[folds] k", self.k, 2), ("[rfe] drop_per_step", self.drop_per_step, 1),
+                                  ("[rfe] repeats", self.repeats, 1)):
+            if value < least:
+                raise ValidationError(f"config {key}: must be >= {least}, got {value}")
         if ALL_SAMPLES in (self.cohorts or ()):
             raise ValidationError(f"config [gcn] cohorts: {ALL_SAMPLES!r} is not a site; "
                                   f"the all-sample network is always built")
@@ -265,9 +269,40 @@ def _normalize(m: ExpressionMatrix, scheme: NormalizationScheme, d: Path) -> Exp
     return out
 
 
-def _fit(m: ExpressionMatrix, genes: GeneSet, config: BoosterConfig) -> BoostedEnsemble:
-    """The booster trained on every sample of `m`, over the rows of `genes`."""
-    return train(m.values[m.gene_index(genes.gene_ids)].T, list(m.labels), config)
+def _folds(labels: Sequence[str], k: int, seed: int, factors: Mapping[str, int] | None,
+           d: Path) -> tuple[FoldPlan, FoldPlan]:
+    """The raw plan and the balanced plan (`factors` extra copies per site;
+    None derives them), written into `d` as plan_raw.json and plan_balanced.json."""
+    factors = derive_factors(labels) if factors is None else factors
+    raw = stratified_folds(labels, k, seed)
+    balanced = stratified_folds(labels, k, seed, factors)
+    d.mkdir(parents=True, exist_ok=True)
+    save_plan(raw, d / "plan_raw.json")
+    save_plan(balanced, d / "plan_balanced.json")
+    return raw, balanced
+
+
+def _rfe(m: ExpressionMatrix, start: GeneSet, plan: FoldPlan, config: BoosterConfig,
+         drop: int, repeats: int, d: Path) -> tuple[GeneSet, np.ndarray]:
+    """Recursive elimination from `start`, its trace written into `d`. Returns
+    the best step's genes as the set `set_<d.name>` and their mean CV
+    importance, in set order."""
+    trace = recursive_eliminate(m, start, plan, config, drop_per_step=drop, repeats=repeats)
+    step = trace.best
+    best = GeneSet(f"set_{d.name}", step.genes.gene_ids, provenance=f"{d.name} best step "
+                   f"({len(step.genes)} genes, accuracy {step.report.accuracy:.4f})")
+    export_trace(trace, d, best)
+    return best, step.importance
+
+
+def _model(m: ExpressionMatrix, genes: GeneSet, config: BoosterConfig, d: Path) -> BoostedEnsemble:
+    """The booster trained on every sample of `m` over the rows of `genes`,
+    written into `d` as model.json, with the genes in feature order as features.json."""
+    ens = train(m.values[m.gene_index(genes.gene_ids)].T, list(m.labels), config)
+    d.mkdir(parents=True, exist_ok=True)
+    write_text(d / "model.json", ensemble_to_json(ens))
+    write_json(d / "features.json", list(genes.gene_ids))
+    return ens
 
 
 def _cohort_network(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohort: str | None,
@@ -349,62 +384,34 @@ def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 
 def _stage_folds(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    m = st["norm"]
-    seed = stage_seed(cfg.seed, "folds")
-    factors = cfg.factors if cfg.factors is not None else derive_factors(m.labels)
-    raw = stratified_folds(m.labels, cfg.k, seed)
-    balanced = stratified_folds(m.labels, cfg.k, seed, factors)
-    d = out / "folds"
-    d.mkdir(parents=True, exist_ok=True)
-    save_plan(raw, d / "plan_raw.json")
-    save_plan(balanced, d / "plan_balanced.json")
-    st["plan_raw"], st["plan_balanced"] = raw, balanced
+    st["plan_raw"], st["plan_balanced"] = _folds(
+        st["norm"].labels, cfg.k, stage_seed(cfg.seed, "folds"), cfg.factors, out / "folds")
 
 
 def _booster_cfg(cfg: PipelineConfig) -> BoosterConfig:
     return replace(cfg.booster, seed=stage_seed(cfg.seed, "booster"))
 
 
-def _run_rfe(
-    cfg: PipelineConfig, st: dict, out: Path, stage: str, plan: FoldPlan, start: GeneSet
-) -> tuple[GeneSet, np.ndarray]:
-    """The stage's kept gene set and its genes' mean CV importance, in set order."""
-    trace = recursive_eliminate(
-        st["norm"], start, plan, _booster_cfg(cfg), drop_per_step=cfg.drop_per_step,
-        repeats=cfg.repeats,
-    )
-    best = GeneSet(
-        f"set_{stage}",
-        trace.best.genes.gene_ids,
-        provenance=f"{stage} best step ({len(trace.best.genes)} genes, "
-        f"accuracy {trace.best.report.accuracy:.4f})",
-    )
-    export_trace(trace, out / stage, best)
-    return best, trace.best.importance
-
-
 def _stage_rfe_raw(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["rfe_raw_best"], _ = _run_rfe(cfg, st, out, "rfe_raw", st["plan_raw"], st["refined"])
+    st["rfe_raw_best"], _ = _rfe(st["norm"], st["refined"], st["plan_raw"], _booster_cfg(cfg),
+                                 cfg.drop_per_step, cfg.repeats, out / "rfe_raw")
 
 
 def _stage_rfe_balanced(cfg: PipelineConfig, st: dict, out: Path) -> None:
     # Chain from the raw run's best set when it is large enough: the key set
     # is then nested inside it by construction, which the atlas tiers need.
     start = st["rfe_raw_best"] if len(st["rfe_raw_best"]) > MIN_RFE_GENES + 1 else st["refined"]
-    key, imp = _run_rfe(cfg, st, out, "rfe_balanced", st["plan_balanced"], start)
+    d = out / "rfe_balanced"
+    key, imp = _rfe(st["norm"], start, st["plan_balanced"], _booster_cfg(cfg),
+                    cfg.drop_per_step, cfg.repeats, d)
     ranked = sorted(range(len(key)), key=lambda i: (-imp[i], key.gene_ids[i]))
     st["key_set"] = key
     st["key_index"] = {key.gene_ids[i]: rank for rank, i in enumerate(ranked)}
-    write_json(out / "rfe_balanced" / "key_gene_indices.json", st["key_index"])
+    write_json(d / "key_gene_indices.json", st["key_index"])
 
 
 def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    key = st["key_set"]
-    ens = _fit(st["norm"], key, _booster_cfg(cfg))
-    d = out / "model"
-    d.mkdir(parents=True, exist_ok=True)
-    write_text(d / "model.json", ensemble_to_json(ens))
-    write_json(d / "features.json", list(key.gene_ids))
+    _model(st["norm"], st["key_set"], _booster_cfg(cfg), out / "model")
 
 
 def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 
 import coexpress.pipeline as pipeline
-from coexpress.booster import BoosterConfig
+from coexpress.booster import BoosterConfig, hyperparameters
 from coexpress.cli import build_parser, main
 from coexpress.errors import CoexpressError, StageError, ValidationError
 from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
 from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
 from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
+from coexpress.rfe import MIN_RFE_GENES
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, spec_to_json, write_dataset
 
 SMALL_SPEC = SynthSpec(
@@ -104,11 +106,11 @@ class TestSubcommands:
         assert gm.read_text().startswith(",A,B,C")
 
     def test_folds_with_factors(self, dataset, tmp_path):
-        plan_path = tmp_path / "plan.json"
         assert run(
             "folds", "--in", dataset, "--k", "5", "--seed", "42",
-            "--factors", "A:1,B:2,C:0", "--out", plan_path,
+            "--factors", "A:1,B:2,C:0", "--out", tmp_path / "folds",
         ) == 0
+        plan_path = tmp_path / "folds" / "plan_balanced.json"
         payload = json.loads(plan_path.read_text())
         assert payload["k"] == 5
         assert payload["replication"] == {"A": 1, "B": 2, "C": 0}
@@ -118,8 +120,8 @@ class TestSubcommands:
             "07215a65f20a72b913069144d9de75b017c56fe5a8c6f6cfefd91b7698d1e5d2")
 
     def test_folds_raw_plan_bytes_pinned(self, dataset, tmp_path):
-        plan_path = tmp_path / "plan.json"
-        assert run("folds", "--in", dataset, "--k", "5", "--seed", "42", "--out", plan_path) == 0
+        assert run("folds", "--in", dataset, "--k", "5", "--seed", "42", "--out", tmp_path / "folds") == 0
+        plan_path = tmp_path / "folds" / "plan_raw.json"
         assert hashlib.sha256(plan_path.read_bytes()).hexdigest() == (
             "0ea110ff8511e9d9e877963e35c82659b35b898ec4b628d57e3afb32010d398c")
 
@@ -127,18 +129,21 @@ class TestSubcommands:
         genes_out = tmp_path / "sel.genes"
         run("select", "--in", dataset, "--rule", "intersect", "--threshold", "0.2",
             "--out", genes_out)
-        model = tmp_path / "model.json"
+        model = tmp_path / "model"
         assert run(
             "train", "--in", dataset, "--genes", genes_out,
             "--n-estimators", "8", "--out", model,
         ) == 0
-        payload = json.loads(model.read_text())
+        payload = json.loads((model / "model.json").read_text())
         assert payload["schema_version"] == 1
         assert payload["classes"] == ["A", "B", "C"]
+        assert json.loads((model / "features.json").read_text()) == list(
+            load_gene_set(genes_out).gene_ids)
 
+        assert run("folds", "--in", dataset, "--k", "3", "--seed", "5", "--out", tmp_path / "folds") == 0
         rfe_out = tmp_path / "rfe"
         assert run(
-            "rfe", "--in", dataset, "--genes", genes_out, "--k", "3",
+            "rfe", "--in", dataset, "--genes", genes_out, "--plan", tmp_path / "folds" / "plan_raw.json",
             "--drop", "3", "--n-estimators", "8", "--seed", "5", "--out", rfe_out,
         ) == 0
         assert (rfe_out / "trace.csv").exists()
@@ -148,12 +153,12 @@ class TestSubcommands:
         genes_out = tmp_path / "sel.genes"
         run("select", "--in", dataset, "--rule", "intersect", "--threshold", "0.2",
             "--out", genes_out)
-        model = tmp_path / "model.json"
+        model = tmp_path / "model"
         assert run(
             "train", "--in", dataset, "--genes", genes_out, "--n-estimators", "4",
             "--subsample", "0.5", "--colsample", "0.75", "--base-score", "0.25", "--out", model,
         ) == 0
-        config = json.loads(model.read_text())["config"]
+        config = json.loads((model / "model.json").read_text())["config"]
         assert (config["subsample"], config["colsample"], config["base_score"]) == (0.5, 0.75, 0.25)
 
     def test_gcn_with_override(self, dataset, tmp_path):
@@ -369,24 +374,36 @@ UNEQUAL_SPEC = SynthSpec(
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """A pipeline run with no configured pair on A/B/C labels of unequal sizes."""
+    """A pipeline run with no configured pair on A/B/C labels of unequal sizes.
+    Its booster draws columns, so a booster seeded with the folds' seed (or
+    the reverse) would not give its RFE files."""
     tmp = tmp_path_factory.mktemp("agree")
     m, planted, blocks = generate(UNEQUAL_SPEC)
     write_dataset(m, planted, blocks, tmp / "data")
     cfg = PipelineConfig(
         matrix=tmp / "data" / "matrix.tsv", labels=tmp / "data" / "labels.tsv", out=tmp / "run",
-        keep_sites=("C", "A", "B"), k=3, booster=BoosterConfig(n_estimators=4),
+        keep_sites=("C", "A", "B"), k=3, booster=BoosterConfig(n_estimators=4, colsample=0.5),
         drop_per_step=3, seed=11,
     )
     run_pipeline(cfg)
     return cfg
 
 
-def assert_same_files(a, b):
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
+def assert_same_files(a, b, names=None):
+    """`a` holds the files `names` (default: the files of `b`), each with `b`'s bytes."""
+    names = names or sorted(p.name for p in b.iterdir())
+    assert sorted(p.name for p in a.iterdir()) == names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def stage_seeds(cfg):
+    return json.loads((cfg.out / "MANIFEST.json").read_text())["stage_seeds"]
+
+
+def booster_flags(config):
+    return [x for name, value in hyperparameters(config).items()
+            for x in ("--" + name.replace("_", "-"), value)]
 
 
 class TestKeepSites:
@@ -436,6 +453,36 @@ class TestCliMatchesPipeline:
                    "--seed", stage_seed(cfg.seed, "gcn"), "--out", tmp_path / "all") == 0
         assert (tmp_path / "all" / "partition.json").exists()
         assert_same_files(tmp_path / "all", cfg.out / "gcn" / "all")
+
+    def test_folds(self, pipeline_run, tmp_path):
+        cfg = pipeline_run
+        assert run("folds", "--in", cfg.out / "normalize", "--k", cfg.k,
+                   "--seed", stage_seeds(cfg)["folds"], "--out", tmp_path / "folds") == 0
+        assert_same_files(tmp_path / "folds", cfg.out / "folds")
+
+    @pytest.mark.parametrize("stage,plan", [("rfe_raw", "plan_raw"), ("rfe_balanced", "plan_balanced")])
+    def test_rfe(self, pipeline_run, tmp_path, stage, plan):
+        cfg = pipeline_run
+        assert cfg.booster.colsample < 1
+        start = cfg.out / "select" / "set_refined.genes"
+        raw_best = cfg.out / "rfe_raw" / "best.genes"
+        if stage == "rfe_balanced" and len(load_gene_set(raw_best)) > MIN_RFE_GENES + 1:
+            start = raw_best
+        out = tmp_path / stage
+        assert run("rfe", "--in", cfg.out / "normalize", "--genes", start,
+                   "--plan", cfg.out / "folds" / f"{plan}.json", "--drop", cfg.drop_per_step,
+                   "--repeats", cfg.repeats, *booster_flags(cfg.booster),
+                   "--seed", stage_seeds(cfg)["booster"], "--out", out) == 0
+        # key_gene_indices.json is the balanced stage's own file
+        assert_same_files(out, cfg.out / stage,
+                          ["best.genes", "cv_report.json", "gene_sets.json", "trace.csv"])
+
+    def test_train(self, pipeline_run, tmp_path):
+        cfg = pipeline_run
+        assert run("train", "--in", cfg.out / "normalize",
+                   "--genes", cfg.out / "rfe_balanced" / "best.genes", *booster_flags(cfg.booster),
+                   "--seed", stage_seeds(cfg)["booster"], "--out", tmp_path / "model") == 0
+        assert_same_files(tmp_path / "model", cfg.out / "model")
 
     def test_select_default_pair(self, pipeline_run, tmp_path):
         cfg = pipeline_run
@@ -506,11 +553,10 @@ class TestFactorSites:
                    "--out", tmp_path / "plan.json") == 1
         assert any("factors: 'A' is given more than once" in r.getMessage() for r in caplog.records)
 
-    @pytest.mark.parametrize("command", ["folds", "rfe"])
+    @pytest.mark.parametrize("command", ["folds"])
     def test_absent_site_exits_1(self, dataset, tmp_path, caplog, command):
-        genes = ["--genes", dataset / "planted_A.genes"] if command == "rfe" else []
         out = tmp_path / "out"
-        assert run(command, "--in", dataset, *genes, "--factors", "A:1,Lvier:5", "--out", out) == 1
+        assert run(command, "--in", dataset, "--factors", "A:1,Lvier:5", "--out", out) == 1
         assert not out.exists()
         assert any("factors: 'Lvier' is not a site label (A, B, C)" in r.getMessage()
                    for r in caplog.records)
@@ -558,6 +604,10 @@ class TestFlags:
         ("synth", "--spec", "spec.json", "--out", "o", "--seed", "1"),
         ("ingest", "--matrix", "m.tsv", "--labels", "l.tsv", "--out", "o", "--threads", "2"),
         ("gcn", "--in", "d", "--genes", "g.genes", "--out", "o", "--override", "0.5"),
+        # rfe reads its folds from a `folds` plan file (--plan)
+        ("rfe", "--in", "d", "--genes", "g.genes", "--plan", "p.json", "--out", "o", "--k", "10"),
+        ("rfe", "--in", "d", "--genes", "g.genes", "--plan", "p.json", "--out", "o",
+         "--factors", "A:1"),
     ])
     def test_removed_flag_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -575,11 +625,25 @@ class TestFlags:
         genes = tmp_path / "three.genes"
         genes.write_text("\n".join(load_matrix(dataset / "matrix.tsv",
                                                dataset / "labels.tsv").gene_ids[:3]) + "\n")
+        assert run("folds", "--in", dataset, "--k", "3", "--out", tmp_path / "folds") == 0
         out = tmp_path / "rfe"
-        assert run("rfe", "--in", dataset, "--genes", genes, "--k", "3",
+        assert run("rfe", "--in", dataset, "--genes", genes, "--plan", tmp_path / "folds" / "plan_raw.json",
                    "--n-estimators", "4", "--out", out) == 0
         assert len((out / "trace.csv").read_text().splitlines()) == 2
         assert load_gene_set(out / "best.genes").gene_ids == load_gene_set(genes).gene_ids
+
+    def test_rfe_plan_of_another_matrix_exits_1(self, dataset, tmp_path, caplog):
+        other = tmp_path / "other"
+        m, planted, blocks = generate(UNEQUAL_SPEC)
+        write_dataset(m, planted, blocks, other)
+        assert run("folds", "--in", other, "--k", "3", "--out", tmp_path / "folds") == 0
+        out = tmp_path / "rfe"
+        assert run("rfe", "--in", dataset, "--genes", dataset / "planted_A.genes",
+                   "--plan", tmp_path / "folds" / "plan_raw.json", "--n-estimators", "4",
+                   "--out", out) == 1
+        assert any("fold plan labels do not match the matrix" in r.getMessage()
+                   for r in caplog.records)
+        assert not out.exists()
 
 
 MINIMAL_INI = "[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[run]\nout = o\n"
@@ -927,6 +991,30 @@ def test_bad_sweep_fails_before_the_first_stage(pipeline_config, caplog, section
     assert run("pipeline", "--config", ini) == 1
     assert any(f"config [{section}] sweep:" in r.getMessage() for r in caplog.records)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [("folds", "k", "1"), ("rfe", "drop_per_step", "0"),
+                                               ("rfe", "repeats", "0")])
+def test_bad_count_fails_before_the_first_stage(pipeline_config, caplog, section, key, value):
+    tmp_path, write_cfg = pipeline_config
+    ini = write_cfg("run")
+    text = re.sub(rf"^{key} = .*\n", "", ini.read_text(), flags=re.M)
+    ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert run("pipeline", "--config", ini) == 1
+    assert any(f"config [{section}] {key}: must be >= " in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "run").exists()
+
+
+def test_readme_commands_parse():
+    # every `coexpress ...` line of the README's shell examples, continuation
+    # lines joined, is accepted by the parser, so a removed flag cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("coexpress ")]
+    assert {argv[1] for argv in commands} >= {"folds", "rfe", "train", "gcn", "atlas"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def _cap_memory():

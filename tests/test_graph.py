@@ -707,6 +707,14 @@ class TestSweepThresholds:
         assert len(sweep_thresholds(0.0, 0.9999, 0.0001)) == MAX_THRESHOLDS
         assert len(sweep_thresholds(0.05, 0.6, 0.05)) == 12  # the default select sweep
 
+    def test_thresholds_stay_inside_the_bounds_and_increase(self):
+        # the 1e-9 slack these once had kept 10 thresholds above t_max
+        assert sweep_thresholds(0.4, 0.4000000001, 1e-10) == [0.4, 0.4000000001]
+        assert sweep_thresholds(0.40000000006, 0.40000000006, 1) == [0.40000000006]
+        # a step below the rounding once repeated thresholds (116 of them)
+        with pytest.raises(ValidationError, match="too small for thresholds rounded to 10 decimals"):
+            sweep_thresholds(0.4, 0.4000000001, 1e-11)
+
 
 class TestSelectThreshold:
     def test_sweep_table_has_26_rows(self):

@@ -10,7 +10,7 @@ from coexpress.errors import ValidationError
 from coexpress.folds import stratified_folds
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
-from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _run_rfe
+from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _rfe
 from coexpress.rfe import (
     cross_validate_step,
     export_trace,
@@ -256,7 +256,8 @@ class TestRecursiveEliminate:
         cfg = PipelineConfig(matrix="m.tsv", labels="l.tsv", out=tmp_path, k=5,
                              booster=FAST, drop_per_step=2)
         start = GeneSet("s", m.gene_ids[-n_start:])
-        kept, imp = _run_rfe(cfg, {"norm": m}, tmp_path, "rfe_x", plan, start)
+        kept, imp = _rfe(m, start, plan, _booster_cfg(cfg), cfg.drop_per_step, cfg.repeats,
+                         tmp_path / "rfe_x")
         fresh = cross_validate_step(m, kept, plan, _booster_cfg(cfg), cfg.repeats).importance
         assert np.array_equal(imp, fresh)
         if n_start == MIN_RFE_GENES:
