@@ -10,7 +10,7 @@ from pathlib import Path
 from . import __version__
 from .booster import BoosterConfig, hyperparameters
 from .correlation import export_heatmap, group_mean, pairwise
-from .errors import CoexpressError, GraphError, ValidationError
+from .errors import CoexpressError, ValidationError
 from .folds import load_plan
 from .masks import (
     default_pair,
@@ -25,16 +25,16 @@ from .masks import (
 from .matrix import ExpressionMatrix, check_pair, check_sites, load_matrix
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
-    ALL_SAMPLES,
     PipelineConfig,
     _atlas,
     _cohort_network,
-    _cohort_networks,
     _csv_list,
     _export_network,
     _folds,
     _ingest,
     _model,
+    _nested_sets,
+    _networks,
     _normalize,
     _parse_factors,
     _parse_triplet,
@@ -154,9 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", parents=[seeded], help="cross-cohort community comparison")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--nested", required=True,
-                   help="comma-separated nested gene-set files, smallest first")
+                   help="comma-separated nested gene-set files, smallest first; "
+                   "the networks are built over the last")
     p.add_argument("--cohorts", type=_csv_list, default=None,
-                   help="site classes; 'all' adds the all-sample network")
+                   help="site classes, each over the all-sample network's giant component; "
+                   "default every site")
     p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep, help="t_min:t_max:step")
     p.add_argument("--out", required=True)
 
@@ -260,14 +262,11 @@ def _cmd_gcn(args) -> int:
 def _cmd_atlas(args) -> int:
     m = _load_bundle(args.indir)
     nested = [load_gene_set(f) for f in _csv_list(args.nested)]
-    tiers = tier_genes(nested)
+    tiers = tier_genes(_nested_sets(nested))
     # the smallest nested set is the key set; file order defines indices 0..K-1
     key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
-    cohorts = args.cohorts or [ALL_SAMPLES, *dict.fromkeys(m.labels)]
-    networks = {cohort: CommunityNetwork(g, p) for cohort, g, p, _ in
-                _cohort_networks(m, nested[-1].gene_ids, cohorts, args.sweep, args.seed)}
-    if not networks:
-        raise GraphError("no cohort network remains for the atlas")
+    networks = {name: CommunityNetwork(g, p) for name, g, p, _ in
+                _networks(m, nested[-1], args.cohorts, args.sweep, args.seed)}
     _atlas(tiers, networks, key_index, Path(args.out))
     return 0
 

@@ -88,16 +88,14 @@ class ExpressionMatrix:
         return replace(self, gene_ids=tuple(gene_ids), values=self.values[idx])
 
 
-def check_sites(labels: Sequence[str], names: Iterable[str], what: str,
-                also: Sequence[str] = ()) -> None:
-    """Raise unless each of `names` is a site label of `labels` or one of
-    `also`, and none is given twice; `what` names the input in the message."""
+def check_sites(labels: Sequence[str], names: Iterable[str], what: str) -> None:
+    """Raise unless each of `names` is a site label of `labels`, and none is
+    given twice; `what` names the input in the message."""
     sites = dict.fromkeys(labels)
     names = tuple(names)
     for i, name in enumerate(names):
-        if name not in sites and name not in also:
-            others = "".join(f" nor {a!r}" for a in also)
-            raise ValidationError(f"{what}: {name!r} is not a site label ({', '.join(sites)}){others}")
+        if name not in sites:
+            raise ValidationError(f"{what}: {name!r} is not a site label ({', '.join(sites)})")
         if name in names[:i]:
             raise ValidationError(f"{what}: {name!r} is given more than once")
 

@@ -236,6 +236,11 @@ def _nested_sets(candidates: list[GeneSet]) -> list[GeneSet]:
 # steps shared by the stages and the CLI subcommands
 
 
+def _check_not_reserved(sites: Sequence[str]) -> None:
+    if ALL_SAMPLES in sites:
+        raise ValidationError(f"site label {ALL_SAMPLES!r} is reserved for the all-sample network")
+
+
 def _write_bundle(m: ExpressionMatrix, d: Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
@@ -248,8 +253,7 @@ def _ingest(
     cleansing.json and gene_stats.csv into `d`."""
     m = load_matrix(matrix, labels)
     check_sites(m.labels, keep_sites or (), "keep_sites")
-    if ALL_SAMPLES in (keep_sites or m.labels):
-        raise ValidationError(f"site label {ALL_SAMPLES!r} is reserved for the all-sample network")
+    _check_not_reserved(keep_sites or m.labels)
     m, report = cleanse(m, keep_sites or None)
     _write_bundle(m, d)
     write_json(d / "cleansing.json", {
@@ -313,23 +317,28 @@ def _cohort_network(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohort:
     return select_threshold(wg, *sweep, seed=seed)
 
 
-def _cohort_networks(m: ExpressionMatrix, genes: Sequence[str], cohorts: Sequence[str],
-                     sweep: tuple[float, float, float], seed: int):
-    """Yield (cohort, graph, partition, sweep table) per cohort whose network
-    builds, in order; ALL_SAMPLES is every sample. An unknown name, a gene not
-    in `m` or a bad sweep raises before any network is built; a network that
-    fails on the data is skipped with a warning."""
-    check_sites(m.labels, cohorts, "cohorts", also=(ALL_SAMPLES,))
-    m.gene_index(genes)
+def _networks(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohorts: Sequence[str] | None,
+              sweep: tuple[float, float, float], seed: int):
+    """Yield (name, graph, partition, sweep table): the all-sample network of
+    `genes` as ALL_SAMPLES, then each site of `cohorts` (None = every site
+    label, in order of first appearance) over the genes of the all-sample
+    network's giant component. A repeated or unknown site, a site labelled
+    ALL_SAMPLES or a bad sweep raises before any network is built, and so
+    does a failing all-sample network; a site network that fails on the data
+    is skipped with a warning."""
+    check_sites(m.labels, cohorts or (), "cohorts")
+    _check_not_reserved(m.labels)
     sweep_thresholds(*sweep)
-    for cohort in cohorts:
+    g, p, table = _cohort_network(m, genes, None, sweep, seed)
+    yield ALL_SAMPLES, g, p, table
+    giant_genes = tuple(giant_component(g).nodes)
+    for site in cohorts if cohorts is not None else dict.fromkeys(m.labels):
         try:
-            g, p, table = _cohort_network(m, genes, None if cohort == ALL_SAMPLES else cohort,
-                                          sweep, seed)
+            g, p, table = _cohort_network(m, giant_genes, site, sweep, seed)
         except (GraphError, ValidationError) as exc:
-            logger.warning("cohort %r network skipped: %s", cohort, exc)
+            logger.warning("cohort %r network skipped: %s", site, exc)
             continue
-        yield cohort, g, p, table
+        yield site, g, p, table
 
 
 def _export_network(d: Path, g, p, table) -> None:
@@ -415,21 +424,11 @@ def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 
 def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    m = st["norm"]
-    seed = stage_seed(cfg.seed, "gcn")
-    d = out / "gcn"
-
-    g_all, p_all, table_all = _cohort_network(m, st["primary"], None, cfg.gcn_sweep, seed)
-    _export_network(d / ALL_SAMPLES, g_all, p_all, table_all)
-    networks: dict[str, CommunityNetwork] = {ALL_SAMPLES: CommunityNetwork(g_all, p_all)}
-
-    # Downstream cohorts study only the all-cohort giant component's genes.
-    giant_genes = tuple(giant_component(g_all).nodes)
-    cohorts = cfg.cohorts if cfg.cohorts is not None else tuple(dict.fromkeys(m.labels))
-    for site, g, p, table in _cohort_networks(m, giant_genes, cohorts, cfg.gcn_sweep, seed):
-        _export_network(d / site, g, p, table)
-        networks[site] = CommunityNetwork(g, p)
-    st["networks"] = networks
+    st["networks"] = {}
+    for name, g, p, table in _networks(st["norm"], st["primary"], cfg.cohorts, cfg.gcn_sweep,
+                                       stage_seed(cfg.seed, "gcn")):
+        _export_network(out / "gcn" / name, g, p, table)
+        st["networks"][name] = CommunityNetwork(g, p)
 
 
 def _stage_atlas(cfg: PipelineConfig, st: dict, out: Path) -> None:

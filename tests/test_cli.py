@@ -197,7 +197,7 @@ class TestSubcommands:
         out = tmp_path / "atlas"
         assert run(
             "atlas", "--in", dataset, "--nested", f"{small},{big}",
-            "--cohorts", "all,A", "--sweep", "0.4:0.9:0.05", "--out", out,
+            "--cohorts", "A", "--sweep", "0.4:0.9:0.05", "--out", out,
         ) == 0
         assert (out / "summary.csv").exists()
         assert (out / "all_colored_by_A.graphml").exists()
@@ -207,7 +207,7 @@ class TestSubcommands:
         genes = tmp_path / "all.genes"
         genes.write_text("\n".join(blocks["block0"]) + "\n")
         out = tmp_path / "atlas"
-        assert run("atlas", "--in", dataset, "--nested", genes, "--cohorts", "all",
+        assert run("atlas", "--in", dataset, "--nested", genes,
                    "--sweep", "0.4:0.9:0.05", "--out", out) == 0
         header = (out / "all_communities.csv").read_text().splitlines()[0]
         assert header == "community_rank,size,tier0,key_indices"
@@ -249,10 +249,15 @@ class TestAtlasSkipsFailedCohort:
         assert not (out / "LN_communities.csv").exists()
 
     def test_no_network_left_exits_1(self, tmp_path, caplog):
+        # the site networks are built over the all-sample network's giant
+        # component, so an all-sample network without an edge leaves none
         d = one_empty_cohort(tmp_path / "data")
+        out = tmp_path / "atlas"
         assert run("atlas", "--in", d, "--nested", f"{d / 'n5.genes'},{d / 'n13.genes'}",
-                   "--cohorts", "LN", "--sweep", "0.4:0.9:0.05", "--out", tmp_path / "atlas") == 1
-        assert any("no cohort network remains" in r.message for r in caplog.records)
+                   "--sweep", "0.99:0.99:1", "--out", out) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname != "INFO"] == [
+            "every candidate threshold produced a zero-edge graph"]
+        assert not out.exists()
 
 
 class TestErrors:
@@ -483,6 +488,18 @@ class TestCliMatchesPipeline:
                    "--genes", cfg.out / "rfe_balanced" / "best.genes", *booster_flags(cfg.booster),
                    "--seed", stage_seeds(cfg)["booster"], "--out", tmp_path / "model") == 0
         assert_same_files(tmp_path / "model", cfg.out / "model")
+
+    def test_atlas(self, pipeline_run, tmp_path):
+        cfg = pipeline_run
+        # the key genes listed by their index in key_gene_indices.json give the stage's indices
+        key_index = json.loads((cfg.out / "rfe_balanced" / "key_gene_indices.json").read_text())
+        key = tmp_path / "key.genes"
+        key.write_text("".join(f"{g}\n" for g in sorted(key_index, key=key_index.get)))
+        nested = [key, cfg.out / "rfe_raw" / "best.genes", cfg.out / "select" / "set_refined.genes",
+                  cfg.out / "select" / "set_primary.genes"]
+        assert run("atlas", "--in", cfg.out / "normalize", "--nested", ",".join(map(str, nested)),
+                   "--seed", stage_seeds(cfg)["gcn"], "--out", tmp_path / "atlas") == 0
+        assert_same_files(tmp_path / "atlas", cfg.out / "atlas")
 
     def test_select_default_pair(self, pipeline_run, tmp_path):
         cfg = pipeline_run
@@ -784,7 +801,8 @@ class TestGroupMeansCsv:
 
 
 class TestReservedSiteName:
-    """`all` names the all-sample network, so a site of that name is rejected at ingest."""
+    """`all` names the all-sample network, so a site of that name is rejected at
+    ingest and by `atlas`."""
 
     @pytest.fixture
     def all_site(self, tmp_path):
@@ -806,6 +824,14 @@ class TestReservedSiteName:
         assert run("ingest", "--matrix", all_site / "matrix.tsv", "--labels",
                    all_site / "labels.tsv", "--out", tmp_path / "ingest") == 1
         assert any("site label 'all' is reserved" in r.getMessage() for r in caplog.records)
+
+    def test_atlas_exits_1_and_writes_nothing(self, all_site, tmp_path, caplog):
+        out = tmp_path / "atlas"
+        assert run("atlas", "--in", all_site, "--nested", all_site / "planted_B.genes",
+                   "--out", out) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "site label 'all' is reserved for the all-sample network"]
+        assert not out.exists()
 
 
 class TestSiteLabelIsAFileName:
@@ -961,11 +987,14 @@ class TestCohortNames:
 
         monkeypatch.setattr(pipeline, "build_weighted", no_network)
         out = tmp_path / "atlas"
-        assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
-                   "--cohorts", "all,Lung", "--out", out) == 1
-        assert not out.exists()
-        assert any("cohorts: 'Lung' is not a site label (A, B, C) nor 'all'" in r.getMessage()
-                   for r in caplog.records)
+        # `all` is no cohort: the all-sample network is always built
+        for cohorts, name in (("A,Lung", "Lung"), ("all", "all")):
+            caplog.clear()
+            assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
+                       "--cohorts", cohorts, "--out", out) == 1
+            assert not out.exists()
+            assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+                f"cohorts: {name!r} is not a site label (A, B, C)"]
 
     def test_atlas_genes_not_in_matrix_is_one_error(self, dataset, tmp_path, caplog):
         nope = tmp_path / "nope.genes"
@@ -973,6 +1002,12 @@ class TestCohortNames:
         assert run("atlas", "--in", dataset, "--nested", nope, "--out", tmp_path / "atlas") == 1
         assert [r.getMessage() for r in caplog.records if r.levelname != "INFO"] == [
             "genes not in matrix: ['NOPE1', 'NOPE2']"]
+
+    def test_atlas_no_nested_set_is_one_error(self, dataset, tmp_path, caplog):
+        assert run("atlas", "--in", dataset, "--nested", ",", "--out", tmp_path / "atlas") == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname != "INFO"] == [
+            "need at least 1 gene set"]
+        assert not (tmp_path / "atlas").exists()
 
     def test_atlas_bad_sweep_is_one_error_not_skipped_cohorts(self, dataset, tmp_path, caplog):
         assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
