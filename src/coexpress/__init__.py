@@ -48,7 +48,6 @@ from .masks import (
     save_gene_set,
     select_by_any_mask,
     select_combined,
-    select_pair_opposite,
     select_three_mask_intersect,
 )
 from .matrix import (

@@ -29,23 +29,29 @@ CANONICAL_TIER_LABELS = ("set13", "set34_minus_13", "set133_minus_34", "set559_m
 
 
 def tier_genes(sets: Sequence[GeneSet]) -> dict[str, int]:
-    """Disjoint tier per gene from strictly nested sets (smallest first).
+    """Disjoint tier per gene from the strictly nested chain of `sets` (smallest first).
 
-    tier(g) is the index of the smallest set containing g; genes only in the
-    largest set get the outermost tier, and a single set is one tier. Raises
-    unless each set is a strict subset of the next.
+    The chain starts at the first set; a set equal to the last one kept is
+    merged into it, and a set that does not strictly contain it is dropped
+    with a warning. tier(g) is the index of the smallest kept set containing
+    g; genes only in the largest get the outermost tier, and a single set is
+    one tier.
     """
     if not sets:
         raise ValidationError("need at least 1 gene set")
-    as_sets = [set(s.gene_ids) for s in sets]
-    for a, b in zip(as_sets, as_sets[1:]):
-        if not a < b:
-            raise ValidationError("sets must be strictly nested, smallest first")
+    kept = [sets[0]]
+    for gs in sets[1:]:
+        prev, cur = set(kept[-1].gene_ids), set(gs.gene_ids)
+        if prev < cur:
+            kept.append(gs)
+        elif prev == cur:
+            logger.info("tier set %s equals %s; merged", gs.name, kept[-1].name)
+        else:
+            logger.warning("set %s does not nest over %s; dropped from tiers", gs.name, kept[-1].name)
     out: dict[str, int] = {}
-    for tier, s in enumerate(as_sets):
-        for g in s:
-            if g not in out:
-                out[g] = tier
+    for tier, gs in enumerate(kept):
+        for g in gs.gene_ids:
+            out.setdefault(g, tier)
     return out
 
 

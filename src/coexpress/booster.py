@@ -480,7 +480,7 @@ def train(X: np.ndarray, y: Sequence[str], config: BoosterConfig | None = None) 
     """Fit the boosted multiclass model on samples x features data."""
     config = config or BoosterConfig()
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or 0 in X.shape:
         raise ValidationError("X must be a non-empty samples x features matrix")
     if not np.all(np.isfinite(X)):
         raise ValidationError("X contains NaN/inf")

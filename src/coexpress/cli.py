@@ -12,17 +12,8 @@ from .booster import BoosterConfig, hyperparameters
 from .correlation import export_heatmap, group_mean, pairwise
 from .errors import CoexpressError, ValidationError
 from .folds import load_plan
-from .masks import (
-    default_pair,
-    load_gene_set,
-    mask_correlations,
-    save_gene_set,
-    select_by_any_mask,
-    select_combined,
-    select_pair_opposite,
-    select_three_mask_intersect,
-)
-from .matrix import ExpressionMatrix, check_pair, check_sites, load_matrix
+from .masks import load_gene_set
+from .matrix import ExpressionMatrix, check_sites, load_matrix
 from .normalize import VARIANTS, NormalizationScheme
 from .pipeline import (
     PipelineConfig,
@@ -33,12 +24,12 @@ from .pipeline import (
     _folds,
     _ingest,
     _model,
-    _nested_sets,
     _networks,
     _normalize,
     _parse_factors,
     _parse_triplet,
     _rfe,
+    _select,
     load_config,
     run_pipeline,
 )
@@ -110,16 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", parents=[common], help="mask-based gene selection")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--rule", choices=("any", "intersect", "combined", "pair", "two-stage"),
-                   default="combined")
-    p.add_argument("--threshold", type=float, default=PipelineConfig.t_combined)
+    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.select_sweep,
+                   help="t_min:t_max:step of the rule counts in sweep.csv")
     p.add_argument("--t-intersect", type=float, default=PipelineConfig.t_intersect,
-                   help="two-stage intersect threshold")
-    p.add_argument("--t-pair", type=float, default=PipelineConfig.t_combined,
-                   help="two-stage pair threshold")
+                   help="set_primary.genes: every |C_site| >= T")
+    p.add_argument("--t-combined", type=float, default=PipelineConfig.t_combined,
+                   help="set_refined.genes: every |C_site| >= T, opposite signs on the pair")
     p.add_argument("--pair", type=_csv_list, default=None,
                    help="discriminand pair, e.g. LN,Bone; default LN,Bone, else the two largest classes")
-    p.add_argument("--out", required=True, help="gene-set output file")
+    p.add_argument("--out", required=True,
+                   help="directory for sweep.csv, set_primary.genes and set_refined.genes")
 
     p = sub.add_parser("folds", parents=[seeded], help="build the raw and the balanced fold plan")
     p.add_argument("--in", dest="indir", required=True)
@@ -202,29 +193,9 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    m = _load_bundle(args.indir)
-    mc = mask_correlations(m)
-    pair = check_pair(m.labels, args.pair) if args.pair else default_pair(m.labels)
-    name = Path(args.out).stem
-    if args.rule == "any":
-        gs = select_by_any_mask(mc, args.threshold, name=name)
-    elif args.rule == "intersect":
-        gs = select_three_mask_intersect(mc, args.threshold, name=name)
-    elif args.rule == "pair":
-        gs = select_pair_opposite(mc, args.threshold, pair, name=name)
-    elif args.rule == "two-stage":
-        inter = select_three_mask_intersect(mc, args.t_intersect)
-        strong = select_pair_opposite(mc, args.t_pair, pair)
-        strong_set = set(strong.gene_ids)
-        gs = type(inter)(
-            name,
-            tuple(g for g in inter.gene_ids if g in strong_set),
-            provenance=f"intersect@{args.t_intersect} AND pair-opposite@{args.t_pair}",
-        )
-    else:
-        gs = select_combined(mc, args.threshold, pair, name=name)
-    save_gene_set(gs, args.out)
-    logger.info("rule %s kept %d genes", args.rule, len(gs))
+    primary, refined = _select(_load_bundle(args.indir), args.sweep, args.t_intersect,
+                               args.t_combined, args.pair, Path(args.out))
+    logger.info("kept %d primary and %d refined genes", len(primary), len(refined))
     return 0
 
 
@@ -262,7 +233,7 @@ def _cmd_gcn(args) -> int:
 def _cmd_atlas(args) -> int:
     m = _load_bundle(args.indir)
     nested = [load_gene_set(f) for f in _csv_list(args.nested)]
-    tiers = tier_genes(_nested_sets(nested))
+    tiers = tier_genes(nested)
     # the smallest nested set is the key set; file order defines indices 0..K-1
     key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
     networks = {name: CommunityNetwork(g, p) for name, g, p, _ in

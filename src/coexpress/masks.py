@@ -109,14 +109,14 @@ def load_gene_set(path: str | Path) -> GeneSet:
     return GeneSet(header["name"], tuple(genes), header["provenance"])
 
 
-def _check_threshold(t: float) -> None:
+def check_threshold(t: float) -> None:
     if not 0.0 < t < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {t}")
 
 
 def select_by_any_mask(mc: MaskCorrelations, t: float, name: str = "any_mask") -> GeneSet:
     """Keep genes whose best absolute mask correlation reaches t."""
-    _check_threshold(t)
+    check_threshold(t)
     keep = np.abs(mc.values).max(axis=1) >= t
     return GeneSet(
         name,
@@ -127,7 +127,7 @@ def select_by_any_mask(mc: MaskCorrelations, t: float, name: str = "any_mask") -
 
 def select_three_mask_intersect(mc: MaskCorrelations, t: float, name: str = "mask_intersect") -> GeneSet:
     """Keep genes whose absolute correlation reaches t for EVERY mask."""
-    _check_threshold(t)
+    check_threshold(t)
     keep = np.all(np.abs(mc.values) >= t, axis=1)
     return GeneSet(
         name,
@@ -146,21 +146,6 @@ def default_pair(labels: Sequence[str]) -> tuple[str, str]:
     return (a, b)
 
 
-def select_pair_opposite(
-    mc: MaskCorrelations, t: float, pair: tuple[str, str], name: str = "pair_opposite",
-) -> GeneSet:
-    """Keep genes strongly and oppositely correlated with the two pair masks."""
-    _check_threshold(t)
-    a, b = check_pair(mc.sites, pair)
-    ca, cb = mc.site_column(a), mc.site_column(b)
-    keep = (np.abs(ca) >= t) & (np.abs(cb) >= t) & (ca * cb < 0.0)
-    return GeneSet(
-        name,
-        tuple(g for g, k in zip(mc.gene_ids, keep) if k),
-        provenance=f"|C_{a}| >= {t} and |C_{b}| >= {t} and C_{a}*C_{b} < 0",
-    )
-
-
 def select_combined(
     mc: MaskCorrelations, t: float, pair: tuple[str, str], name: str = "combined",
 ) -> GeneSet:
@@ -170,7 +155,7 @@ def select_combined(
     the canonical three sites the all-mask clause covers every mask and the
     opposite-sign clause applies to the configured discriminand pair.
     """
-    _check_threshold(t)
+    check_threshold(t)
     a, b = check_pair(mc.sites, pair)
     ca, cb = mc.site_column(a), mc.site_column(b)
     keep = np.all(np.abs(mc.values) >= t, axis=1) & (ca * cb < 0.0)
@@ -188,7 +173,7 @@ def write_sweep_report(
     threshold. A bad pair or threshold raises before the file is opened."""
     check_pair(mc.sites, pair)
     for t in thresholds:
-        _check_threshold(t)
+        check_threshold(t)
     rules = (
         ("any_mask", lambda t: select_by_any_mask(mc, t)),
         ("intersect", lambda t: select_three_mask_intersect(mc, t)),

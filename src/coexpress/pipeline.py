@@ -28,6 +28,7 @@ from .graph import (
 )
 from .masks import (
     GeneSet,
+    check_threshold,
     default_pair,
     mask_correlations,
     save_gene_set,
@@ -80,15 +81,23 @@ class PipelineConfig:
         self.matrix = Path(self.matrix)
         self.labels = Path(self.labels)
         self.out = Path(self.out)
+        checks = (
+            ("[normalize] scheme", lambda: NormalizationScheme(self.scheme)),
+            ("[normalize] epsilon", lambda: NormalizationScheme(self.scheme, self.epsilon)),
+            ("[select] sweep", lambda: [check_threshold(t) for t in sweep_thresholds(*self.select_sweep)]),
+            ("[select] t_intersect", lambda: check_threshold(self.t_intersect)),
+            ("[select] t_combined", lambda: check_threshold(self.t_combined)),
+            ("[gcn] sweep", lambda: sweep_thresholds(*self.gcn_sweep)),
+        )
+        for key, check in checks:
+            try:
+                check()
+            except ValidationError as exc:
+                raise ValidationError(f"config {key}: {exc}") from None
         if self.t_combined < self.t_intersect:
             raise ValidationError(
                 "t_combined must be >= t_intersect so the selected sets nest"
             )
-        for key, sweep in (("[select] sweep", self.select_sweep), ("[gcn] sweep", self.gcn_sweep)):
-            try:
-                sweep_thresholds(*sweep)
-            except ValidationError as exc:
-                raise ValidationError(f"config {key}: {exc}") from None
         for key, value, least in (("[folds] k", self.k, 2), ("[rfe] drop_per_step", self.drop_per_step, 1),
                                   ("[rfe] repeats", self.repeats, 1)):
             if value < least:
@@ -214,24 +223,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _nested_sets(candidates: list[GeneSet]) -> list[GeneSet]:
-    """Keep a strictly nested chain, smallest first; drops non-nesting candidates."""
-    kept: list[GeneSet] = []
-    for gs in candidates:
-        if not kept:
-            kept.append(gs)
-            continue
-        prev = set(kept[-1].gene_ids)
-        cur = set(gs.gene_ids)
-        if prev < cur:
-            kept.append(gs)
-        elif prev == cur:
-            logger.info("tier set %s equals %s; merged", gs.name, kept[-1].name)
-        else:
-            logger.warning("set %s does not nest over %s; dropped from tiers", gs.name, kept[-1].name)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # steps shared by the stages and the CLI subcommands
 
@@ -271,6 +262,30 @@ def _normalize(m: ExpressionMatrix, scheme: NormalizationScheme, d: Path) -> Exp
     out = normalize_matrix(m, scheme)
     _write_bundle(out, d)
     return out
+
+
+def _select(m: ExpressionMatrix, sweep: tuple[float, float, float], t_intersect: float,
+            t_combined: float, pair: Sequence[str] | None, d: Path) -> tuple[GeneSet, GeneSet]:
+    """The intersect rule's genes at `t_intersect` (set_primary) and the
+    combined rule's at `t_combined` over `pair` (None = `default_pair` of the
+    labels; set_refined), written into `d` with sweep.csv, each rule's
+    kept-gene count at each threshold of `sweep`. A bad pair, sweep or
+    threshold raises before `d` is made; a combined rule that keeps no gene
+    raises after sweep.csv is written."""
+    pair = check_pair(m.labels, pair) if pair else default_pair(m.labels)
+    thresholds = sweep_thresholds(*sweep)
+    for t in (*thresholds, t_intersect, t_combined):
+        check_threshold(t)
+    mc = mask_correlations(m)
+    d.mkdir(parents=True, exist_ok=True)
+    write_sweep_report(mc, thresholds, pair, d / "sweep.csv")
+    primary = select_three_mask_intersect(mc, t_intersect, name="set_primary")
+    refined = select_combined(mc, t_combined, pair, name="set_refined")
+    if len(refined) == 0:
+        raise ValidationError("combined selection kept no genes")
+    save_gene_set(primary, d / "set_primary.genes")
+    save_gene_set(refined, d / "set_refined.genes")
+    return primary, refined
 
 
 def _folds(labels: Sequence[str], k: int, seed: int, factors: Mapping[str, int] | None,
@@ -377,19 +392,8 @@ def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 
 def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    m = st["norm"]
-    mc = mask_correlations(m)
-    pair = cfg.pair or default_pair(m.labels)
-    d = out / "select"
-    d.mkdir(parents=True, exist_ok=True)
-    write_sweep_report(mc, sweep_thresholds(*cfg.select_sweep), pair, d / "sweep.csv")
-    primary = select_three_mask_intersect(mc, cfg.t_intersect, name="set_primary")
-    refined = select_combined(mc, cfg.t_combined, pair, name="set_refined")
-    if len(refined) == 0:
-        raise ValidationError("combined selection kept no genes")
-    save_gene_set(primary, d / "set_primary.genes")
-    save_gene_set(refined, d / "set_refined.genes")
-    st["primary"], st["refined"] = primary, refined
+    st["primary"], st["refined"] = _select(st["norm"], cfg.select_sweep, cfg.t_intersect,
+                                           cfg.t_combined, cfg.pair, out / "select")
 
 
 def _stage_folds(cfg: PipelineConfig, st: dict, out: Path) -> None:
@@ -432,8 +436,8 @@ def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
 
 
 def _stage_atlas(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    nested = _nested_sets([st["key_set"], st["rfe_raw_best"], st["refined"], st["primary"]])
-    _atlas(tier_genes(nested), st["networks"], st["key_index"], out / "atlas")
+    tiers = tier_genes([st["key_set"], st["rfe_raw_best"], st["refined"], st["primary"]])
+    _atlas(tiers, st["networks"], st["key_index"], out / "atlas")
 
 
 STAGES: tuple[tuple[str, Callable[[PipelineConfig, dict, Path], None]], ...] = (

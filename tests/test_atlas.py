@@ -49,11 +49,16 @@ class TestTierGenes:
         pops = [sum(1 for t in tiers.values() if t == k) for k in range(3)]
         assert pops == [2, 3, 3]
 
-    def test_non_nested_rejected(self):
-        with pytest.raises(ValidationError):
-            tier_genes([gs("a", "x"), gs("b", "y", "z")])
-        with pytest.raises(ValidationError):
-            tier_genes([gs("a", "x"), gs("b", "x")])  # equal, not strict
+    def test_non_nested_dropped_and_equal_merged(self, caplog):
+        caplog.set_level("INFO")
+        tiers = tier_genes([gs("a", "x"), gs("b", "y", "z"), gs("c", "x"), gs("d", "x", "y")])
+        assert tiers == {"x": 0, "y": 1}
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "set b does not nest over a; dropped from tiers"),
+            ("INFO", "tier set c equals a; merged"),
+        ]
+        with pytest.raises(ValidationError, match="need at least 1 gene set"):
+            tier_genes([])
 
 
 def _network(nodes, edges, membership, q=None):

@@ -221,6 +221,11 @@ class TestTraining:
         with pytest.raises(ValidationError):
             BoosterConfig(learning_rate=0.0)
 
+    def test_no_feature_columns_rejected(self):
+        # without a feature every tree is a leaf: the model would predict one class
+        with pytest.raises(ValidationError, match="non-empty samples x features matrix"):
+            train(np.zeros((4, 0)), ["A", "B", "A", "B"])
+
     @pytest.mark.parametrize("name", ["learning_rate", "reg_lambda", "gamma", "min_child_weight"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_setting_rejected(self, name, value):

@@ -78,21 +78,12 @@ class TestSubcommands:
         m = load_matrix(norm / "matrix.tsv", norm / "labels.tsv")
         assert m.values.min() >= 0.0 and m.values.max() <= 1.0
 
-        genes_out = tmp_path / "chosen.genes"
+        sel = tmp_path / "select"
         assert run(
-            "select", "--in", norm, "--rule", "combined", "--threshold", "0.2",
-            "--pair", "A,B", "--out", genes_out,
+            "select", "--in", norm, "--t-combined", "0.2", "--pair", "A,B", "--out", sel,
         ) == 0
-        gs = load_gene_set(genes_out)
+        gs = load_gene_set(sel / "set_refined.genes")
         assert len(gs) > 0
-
-    def test_two_stage_select(self, dataset, tmp_path):
-        out = tmp_path / "two.genes"
-        assert run(
-            "select", "--in", dataset, "--rule", "two-stage",
-            "--t-intersect", "0.15", "--t-pair", "0.2", "--pair", "A,B", "--out", out,
-        ) == 0
-        assert load_gene_set(out).provenance.startswith("intersect@0.15")
 
     def test_corr_outputs(self, dataset, tmp_path):
         heat = tmp_path / "hm.svg"
@@ -126,9 +117,8 @@ class TestSubcommands:
             "0ea110ff8511e9d9e877963e35c82659b35b898ec4b628d57e3afb32010d398c")
 
     def test_train_and_rfe(self, dataset, tmp_path):
-        genes_out = tmp_path / "sel.genes"
-        run("select", "--in", dataset, "--rule", "intersect", "--threshold", "0.2",
-            "--out", genes_out)
+        assert run("select", "--in", dataset, "--t-intersect", "0.2", "--out", tmp_path / "sel") == 0
+        genes_out = tmp_path / "sel" / "set_primary.genes"
         model = tmp_path / "model"
         assert run(
             "train", "--in", dataset, "--genes", genes_out,
@@ -150,9 +140,8 @@ class TestSubcommands:
         assert (rfe_out / "best.genes").exists()
 
     def test_train_sampling_flags_reach_model_config(self, dataset, tmp_path):
-        genes_out = tmp_path / "sel.genes"
-        run("select", "--in", dataset, "--rule", "intersect", "--threshold", "0.2",
-            "--out", genes_out)
+        assert run("select", "--in", dataset, "--t-intersect", "0.2", "--out", tmp_path / "sel") == 0
+        genes_out = tmp_path / "sel" / "set_primary.genes"
         model = tmp_path / "model"
         assert run(
             "train", "--in", dataset, "--genes", genes_out, "--n-estimators", "4",
@@ -278,9 +267,27 @@ class TestErrors:
 
     def test_degenerate_selection_threshold(self, dataset, tmp_path):
         assert run(
-            "select", "--in", dataset, "--rule", "combined", "--threshold", "2.0",
-            "--pair", "A,B", "--out", tmp_path / "x.genes",
+            "select", "--in", dataset, "--t-combined", "2.0", "--pair", "A,B",
+            "--out", tmp_path / "x",
         ) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_select_keeping_no_gene_exits_1(self, dataset, tmp_path, caplog):
+        # like the pipeline's select stage: sweep.csv is written, no gene set
+        out = tmp_path / "select"
+        assert run("select", "--in", dataset, "--t-intersect", "0.95", "--t-combined", "0.95",
+                   "--out", out) == 1
+        assert any(r.getMessage() == "combined selection kept no genes" for r in caplog.records)
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv"]
+
+    def test_train_on_no_gene_exits_1(self, dataset, tmp_path, caplog):
+        genes = tmp_path / "empty.genes"
+        save_gene_set(GeneSet("empty", ()), genes)
+        out = tmp_path / "model"
+        assert run("train", "--in", dataset, "--genes", genes, "--n-estimators", "4",
+                   "--out", out) == 1
+        assert any("non-empty samples x features matrix" in r.getMessage() for r in caplog.records)
+        assert not out.exists()
 
 
 PIPELINE_INI = """\
@@ -402,6 +409,26 @@ def assert_same_files(a, b, names=None):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def giant_genes(d):
+    """The genes of the largest connected component (ties: the one holding the
+    smallest gene ID) of the network in `d`, in graph.graphml node order."""
+    nodes = re.findall(r'<node id="([^"]*)"', (d / "graph.graphml").read_text())
+    root = {g: g for g in nodes}
+
+    def find(g):
+        while root[g] != g:
+            g = root[g]
+        return g
+
+    for line in (d / "edges.tsv").read_text().splitlines()[1:]:
+        u, v = line.split("\t")
+        root[find(u)] = find(v)
+    comps = {}
+    for g in nodes:
+        comps.setdefault(find(g), []).append(g)
+    return min(comps.values(), key=lambda c: (-len(c), min(c)))
+
+
 def stage_seeds(cfg):
     return json.loads((cfg.out / "MANIFEST.json").read_text())["stage_seeds"]
 
@@ -459,6 +486,17 @@ class TestCliMatchesPipeline:
         assert (tmp_path / "all" / "partition.json").exists()
         assert_same_files(tmp_path / "all", cfg.out / "gcn" / "all")
 
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_gcn_site(self, pipeline_run, tmp_path, site):
+        # a site network is built over the genes of the all-sample network's
+        # giant component, listed in that network's node order
+        cfg = pipeline_run
+        genes = tmp_path / "giant.genes"
+        genes.write_text("".join(f"{g}\n" for g in giant_genes(cfg.out / "gcn" / "all")))
+        assert run("gcn", "--in", cfg.out / "normalize", "--genes", genes, "--cohort", site,
+                   "--seed", stage_seed(cfg.seed, "gcn"), "--out", tmp_path / site) == 0
+        assert_same_files(tmp_path / site, cfg.out / "gcn" / site)
+
     def test_folds(self, pipeline_run, tmp_path):
         cfg = pipeline_run
         assert run("folds", "--in", cfg.out / "normalize", "--k", cfg.k,
@@ -501,13 +539,14 @@ class TestCliMatchesPipeline:
                    "--seed", stage_seeds(cfg)["gcn"], "--out", tmp_path / "atlas") == 0
         assert_same_files(tmp_path / "atlas", cfg.out / "atlas")
 
-    def test_select_default_pair(self, pipeline_run, tmp_path):
+    def test_select(self, pipeline_run, tmp_path):
+        # the run sets no [select] key, so the flag defaults give its files
         cfg = pipeline_run
-        out = tmp_path / "set_refined.genes"
-        assert run("select", "--in", cfg.out / "normalize", "--rule", "combined",
-                   "--threshold", cfg.t_combined, "--out", out) == 0
-        assert out.read_bytes() == (cfg.out / "select" / "set_refined.genes").read_bytes()
-        assert "C_A*C_C" in load_gene_set(out).provenance
+        assert cfg.pair is None
+        assert run("select", "--in", cfg.out / "normalize", "--out", tmp_path / "select") == 0
+        assert_same_files(tmp_path / "select", cfg.out / "select")
+        # with no pair, the default one of these labels is the two largest classes
+        assert "C_A*C_C" in load_gene_set(tmp_path / "select" / "set_refined.genes").provenance
 
     def test_config_with_only_required_keys_takes_dataclass_defaults(self, tmp_path):
         ini = tmp_path / "min.ini"
@@ -591,8 +630,7 @@ class TestFactorSites:
 
 class TestOneSitePair:
     def test_select_flag_exits_1(self, dataset, tmp_path, caplog):
-        assert run("select", "--in", dataset, "--rule", "combined", "--pair", "A",
-                   "--out", tmp_path / "x.genes") == 1
+        assert run("select", "--in", dataset, "--pair", "A", "--out", tmp_path / "x") == 1
         assert any("exactly two sites" in r.message for r in caplog.records)
 
     def test_config_pair_fails_select_stage(self, pipeline_config, caplog):
@@ -893,8 +931,7 @@ class TestSiteNames:
                            "--labels", dataset / "labels.tsv", "--keep-sites", value],
             "cohorts": ["atlas", "--in", dataset, "--nested", genes, "--cohorts", value],
             "factors": ["folds", "--in", dataset, "--factors", value],
-            # `any` reads no pair, yet a given one is checked
-            "pair": ["select", "--in", dataset, "--rule", "any", "--pair", value],
+            "pair": ["select", "--in", dataset, "--pair", value],
             "cohort": ["gcn", "--in", dataset, "--genes", genes, "--cohort", value],
         }[name]
         out = tmp_path / "out"
@@ -1037,6 +1074,23 @@ def test_bad_count_fails_before_the_first_stage(pipeline_config, caplog, section
     ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     assert run("pipeline", "--config", ini) == 1
     assert any(f"config [{section}] {key}: must be >= " in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("normalize", "scheme", "rnak", "unknown scheme 'rnak'"),
+    ("normalize", "epsilon", "0.5", "epsilon must lie in (0, 0.5)"),
+    ("select", "sweep", "0.05:1.0:0.05", "threshold must lie in (0, 1), got 1.0"),
+    ("select", "t_intersect", "0", "threshold must lie in (0, 1), got 0.0"),
+    ("select", "t_combined", "1.0", "threshold must lie in (0, 1), got 1.0"),
+])
+def test_bad_value_fails_before_the_first_stage(pipeline_config, caplog, section, key, value, message):
+    tmp_path, write_cfg = pipeline_config
+    ini = write_cfg("run")
+    text = re.sub(rf"^{key} = .*\n", "", ini.read_text(), flags=re.M)
+    ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert run("pipeline", "--config", ini) == 1
+    assert any(f"config [{section}] {key}: {message}" in r.getMessage() for r in caplog.records)
     assert not (tmp_path / "run").exists()
 
 

@@ -12,7 +12,6 @@ from coexpress.masks import (
     save_gene_set,
     select_by_any_mask,
     select_combined,
-    select_pair_opposite,
     select_three_mask_intersect,
     write_sweep_report,
 )
@@ -114,8 +113,8 @@ class TestSelectionRules:
     def test_pair_opposite_requires_resolvable_pair(self):
         mc = MaskCorrelations(("g0",), ("A", "B", "C"), np.array([[0.5, -0.5, 0.1]]))
         with pytest.raises(ValidationError):
-            select_pair_opposite(mc, 0.2, ("LN", "Bone"))
-        kept = select_pair_opposite(mc, 0.2, pair=("A", "B"))
+            select_combined(mc, 0.1, ("LN", "Bone"))
+        kept = select_combined(mc, 0.1, pair=("A", "B"))
         assert kept.gene_ids == ("g0",)
 
     def test_threshold_domain(self):
