@@ -14,8 +14,9 @@ from .errors import CoexpressError, ValidationError
 from .folds import load_plan
 from .masks import load_gene_set
 from .matrix import ExpressionMatrix, check_sites, load_matrix
-from .normalize import VARIANTS, NormalizationScheme
+from .normalize import NormalizationScheme
 from .pipeline import (
+    SETTINGS,
     PipelineConfig,
     _atlas,
     _cohort_network,
@@ -26,11 +27,11 @@ from .pipeline import (
     _model,
     _networks,
     _normalize,
-    _parse_factors,
-    _parse_triplet,
     _rfe,
     _select,
+    check_settings,
     load_config,
+    parse_setting,
     run_pipeline,
 )
 from .synthetic import generate, spec_from_json, write_dataset
@@ -39,30 +40,28 @@ from .atlas import CommunityNetwork, tier_genes
 
 logger = logging.getLogger("coexpress")
 
-_BOOSTER_HELP = {
-    "subsample": "row fraction per tree",
-    "colsample": "feature fraction per tree",
-    "base_score": "initial class probability, in (0, 1)",
-}
-
 
 def _load_bundle(path: str | Path) -> ExpressionMatrix:
     d = Path(path)
     return load_matrix(d / "matrix.tsv", d / "labels.tsv")
 
 
-def _sweep_arg(text: str) -> tuple[float, float, float]:
-    # argparse reports ArgumentTypeError as a usage error (exit 2)
-    try:
-        return _parse_triplet(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _add_settings(p: argparse.ArgumentParser, section: str, *keys: str, **kw) -> None:
+    """Add `--<key>` for each config key [section] <key>, with the key's parser (text that does
+    not parse is a usage error; empty text is the default), default and help; `kw` overrides."""
+    for key in keys:
+        s = SETTINGS[section, key]
+        owner = BoosterConfig if section == "booster" else PipelineConfig
+        default = kw.get("default", getattr(owner, s.field, None))
 
+        def parse(text, key=key, default=default):
+            try:
+                return parse_setting(section, key, text) if text else default
+            except ValidationError as exc:  # argparse reports ArgumentTypeError as a usage error
+                raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _add_booster_flags(p: argparse.ArgumentParser) -> None:
-    for name, default in hyperparameters(BoosterConfig()).items():
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
-                       help=_BOOSTER_HELP.get(name))
+        p.add_argument("--" + key.replace("_", "-"), **{"type": parse, "default": default, "dest": s.field,
+                                                         "metavar": key.upper(), "help": s.help, **kw})
 
 
 def _booster_from_args(args: argparse.Namespace) -> BoosterConfig:
@@ -76,18 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-v", "--verbose", action="store_true")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_settings(seeded, "run", "seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="load, filter, and cleanse a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--keep-sites", type=_csv_list, default=None)
+    _add_settings(p, "input", "keep_sites")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("normalize", parents=[common], help="apply a normalization scheme")
-    p.add_argument("--scheme", choices=VARIANTS, required=True)
-    p.add_argument("--epsilon", type=float, default=NormalizationScheme.epsilon)
+    _add_settings(p, "normalize", "scheme", "epsilon")
     p.add_argument("--in", dest="indir", required=True, help="ingest output directory")
     p.add_argument("--out", required=True)
 
@@ -101,45 +99,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", parents=[common], help="mask-based gene selection")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.select_sweep,
-                   help="t_min:t_max:step of the rule counts in sweep.csv")
-    p.add_argument("--t-intersect", type=float, default=PipelineConfig.t_intersect,
-                   help="set_primary.genes: every |C_site| >= T")
-    p.add_argument("--t-combined", type=float, default=PipelineConfig.t_combined,
-                   help="set_refined.genes: every |C_site| >= T, opposite signs on the pair")
-    p.add_argument("--pair", type=_csv_list, default=None,
-                   help="discriminand pair, e.g. LN,Bone; default LN,Bone, else the two largest classes")
+    _add_settings(p, "select", "sweep", "t_intersect", "t_combined", "pair")
     p.add_argument("--out", required=True,
                    help="directory for sweep.csv, set_primary.genes and set_refined.genes")
 
     p = sub.add_parser("folds", parents=[seeded], help="build the raw and the balanced fold plan")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--k", type=int, default=PipelineConfig.k)
-    p.add_argument("--factors", default="", help="balanced plan's extra copies per site, "
-                   "SITE:N,..., e.g. LN:1,Bone:2,Liver:5; empty derives them")
+    _add_settings(p, "folds", "k", "factors")
     p.add_argument("--out", required=True, help="directory for plan_raw.json and plan_balanced.json")
 
     p = sub.add_parser("train", parents=[seeded], help="train the boosted model on a gene set")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
-    _add_booster_flags(p)
+    _add_settings(p, "booster", *hyperparameters(BoosterConfig()))
     p.add_argument("--out", required=True, help="directory for model.json and features.json")
 
     p = sub.add_parser("rfe", parents=[seeded], help="recursive feature elimination")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True, help="start gene-set file")
     p.add_argument("--plan", required=True, help="fold plan file written by `folds`")
-    p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
-    p.add_argument("--drop", type=int, default=PipelineConfig.drop_per_step)
-    _add_booster_flags(p)
+    _add_settings(p, "rfe", "repeats", "drop_per_step")
+    _add_settings(p, "booster", *hyperparameters(BoosterConfig()))
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gcn", parents=[seeded], help="build a co-expression network")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--genes", required=True)
     p.add_argument("--cohort", default=None, help="site class; omit for all samples")
-    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep,
-                   help="t_min:t_max:step; T:T:1 fixes the threshold at T")
+    _add_settings(p, "gcn", "sweep")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("atlas", parents=[seeded], help="cross-cohort community comparison")
@@ -147,10 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nested", required=True,
                    help="comma-separated nested gene-set files, smallest first; "
                    "the networks are built over the last")
-    p.add_argument("--cohorts", type=_csv_list, default=None,
-                   help="site classes, each over the all-sample network's giant component; "
-                   "default every site")
-    p.add_argument("--sweep", type=_sweep_arg, default=PipelineConfig.gcn_sweep, help="t_min:t_max:step")
+    _add_settings(p, "gcn", "cohorts", "sweep")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a planted synthetic dataset")
@@ -159,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", parents=[common], help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="replaces run.seed")
-    p.add_argument("--out", default=None, help="replaces run.out")
-
+    _add_settings(p, "run", "seed", "out", default=None, help="replaces the config's [run] key")
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # a removed flag must not match the start of a longer one
     return parser
 
 
@@ -193,17 +177,16 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    primary, refined = _select(_load_bundle(args.indir), args.sweep, args.t_intersect,
+    primary, refined = _select(_load_bundle(args.indir), args.select_sweep, args.t_intersect,
                                args.t_combined, args.pair, Path(args.out))
     logger.info("kept %d primary and %d refined genes", len(primary), len(refined))
     return 0
 
 
 def _cmd_folds(args) -> int:
-    factors = _parse_factors(args.factors) if args.factors else None
     m = _load_bundle(args.indir)
-    check_sites(m.labels, factors or (), "factors")
-    _folds(m.labels, args.k, args.seed, factors, Path(args.out))
+    check_sites(m.labels, args.factors or (), "factors")
+    _folds(m.labels, args.k, args.seed, args.factors, Path(args.out))
     return 0
 
 
@@ -216,14 +199,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_rfe(args) -> int:
     best, _ = _rfe(_load_bundle(args.indir), load_gene_set(args.genes), load_plan(args.plan),
-                   _booster_from_args(args), args.drop, args.repeats, Path(args.out))
+                   _booster_from_args(args), args.drop_per_step, args.repeats, Path(args.out))
     logger.info("%s", best.provenance)
     return 0
 
 
 def _cmd_gcn(args) -> int:
     m = _load_bundle(args.indir)
-    g, p, table = _cohort_network(m, load_gene_set(args.genes), args.cohort, args.sweep, args.seed)
+    g, p, table = _cohort_network(m, load_gene_set(args.genes), args.cohort, args.gcn_sweep, args.seed)
     _export_network(Path(args.out), g, p, table)
     logger.info("threshold %.3g: %d edges, %d communities, Q=%.4f",
                 g.threshold, g.n_edges, p.n_communities, p.q)
@@ -237,7 +220,7 @@ def _cmd_atlas(args) -> int:
     # the smallest nested set is the key set; file order defines indices 0..K-1
     key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
     networks = {name: CommunityNetwork(g, p) for name, g, p, _ in
-                _networks(m, nested[-1], args.cohorts, args.sweep, args.seed)}
+                _networks(m, nested[-1], args.cohorts, args.gcn_sweep, args.seed)}
     _atlas(tiers, networks, key_index, Path(args.out))
     return 0
 
@@ -280,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
+        check_settings(vars(args))
         return _COMMANDS[args.command](args)
     except (CoexpressError, OSError) as exc:
         logger.error("%s", exc)

@@ -140,6 +140,8 @@ def default_pair(labels: Sequence[str]) -> tuple[str, str]:
     """The discriminand pair when none is given: LN/Bone when both sites are
     present, else the two largest classes (equal counts order by name)."""
     counts = Counter(labels)
+    if len(counts) < 2:
+        raise ValidationError("need at least 2 distinct site classes")
     if all(s in counts for s in DEFAULT_PAIR):
         return DEFAULT_PAIR
     a, b = sorted(counts, key=lambda s: (-counts[s], s))[:2]

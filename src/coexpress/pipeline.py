@@ -8,7 +8,7 @@ import io
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .matrix import (
     load_matrix,
     write_matrix,
 )
-from .normalize import NormalizationScheme, normalize_matrix
+from .normalize import VARIANTS, NormalizationScheme, normalize_matrix
 from .rfe import MIN_RFE_GENES, export_trace, recursive_eliminate
 from .textio import read_text, write_json, write_text
 
@@ -81,30 +81,7 @@ class PipelineConfig:
         self.matrix = Path(self.matrix)
         self.labels = Path(self.labels)
         self.out = Path(self.out)
-        checks = (
-            ("[normalize] scheme", lambda: NormalizationScheme(self.scheme)),
-            ("[normalize] epsilon", lambda: NormalizationScheme(self.scheme, self.epsilon)),
-            ("[select] sweep", lambda: [check_threshold(t) for t in sweep_thresholds(*self.select_sweep)]),
-            ("[select] t_intersect", lambda: check_threshold(self.t_intersect)),
-            ("[select] t_combined", lambda: check_threshold(self.t_combined)),
-            ("[gcn] sweep", lambda: sweep_thresholds(*self.gcn_sweep)),
-        )
-        for key, check in checks:
-            try:
-                check()
-            except ValidationError as exc:
-                raise ValidationError(f"config {key}: {exc}") from None
-        if self.t_combined < self.t_intersect:
-            raise ValidationError(
-                "t_combined must be >= t_intersect so the selected sets nest"
-            )
-        for key, value, least in (("[folds] k", self.k, 2), ("[rfe] drop_per_step", self.drop_per_step, 1),
-                                  ("[rfe] repeats", self.repeats, 1)):
-            if value < least:
-                raise ValidationError(f"config {key}: must be >= {least}, got {value}")
-        if ALL_SAMPLES in (self.cohorts or ()):
-            raise ValidationError(f"config [gcn] cohorts: {ALL_SAMPLES!r} is not a site; "
-                                  f"the all-sample network is always built")
+        check_settings(vars(self))
 
 
 def _csv_list(text: str) -> tuple[str, ...]:
@@ -113,10 +90,7 @@ def _csv_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_triplet(text: str) -> tuple[float, float, float]:
-    try:
-        lo, hi, step = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise ValidationError(f"expected lo:hi:step, got {text!r}") from None
+    lo, hi, step = (float(x) for x in text.split(":"))
     return (lo, hi, step)
 
 
@@ -126,41 +100,86 @@ def _parse_factors(text: str) -> dict[str, int]:
         site, _, count = item.partition(":")
         site = site.strip()
         if not site or not count.strip().isdecimal():
-            raise ValidationError(f"expected SITE:N,..., got {text!r}")
+            raise ValueError(text)
         items.append((site, int(count)))
     sites = [site for site, _ in items]
     check_sites(sites, sites, "factors")  # each name is a label of its own list: repeats only
     return dict(items)
 
 
-# (section, key) -> (PipelineConfig field, parser); [booster] keys are the BoosterConfig fields
-_CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
-    ("input", "matrix"): ("matrix", Path),
-    ("input", "labels"): ("labels", Path),
-    ("input", "keep_sites"): ("keep_sites", _csv_list),
-    ("normalize", "scheme"): ("scheme", str),
-    ("normalize", "epsilon"): ("epsilon", float),
-    ("select", "sweep"): ("select_sweep", _parse_triplet),
-    ("select", "t_intersect"): ("t_intersect", float),
-    ("select", "t_combined"): ("t_combined", float),
-    ("select", "pair"): ("pair", _csv_list),
-    ("folds", "k"): ("k", int),
-    ("folds", "factors"): ("factors", _parse_factors),
-    ("rfe", "drop_per_step"): ("drop_per_step", int),
-    ("rfe", "repeats"): ("repeats", int),
-    ("gcn", "sweep"): ("gcn_sweep", _parse_triplet),
-    ("gcn", "cohorts"): ("cohorts", _csv_list),
-    ("run", "out"): ("out", Path),
-    ("run", "seed"): ("seed", int),
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValidationError(message)
+
+
+class Setting(NamedTuple):
+    """A config key's field ([booster]: the BoosterConfig field), parser, check (or None) and flag help."""
+
+    field: str
+    parse: Callable[[str], object]
+    check: Callable[[object], object] | None = None
+    help: str | None = None
+
+
+_BOOSTER_HELP = {"subsample": "row fraction per tree", "colsample": "feature fraction per tree",
+                 "base_score": "initial class probability, in (0, 1)"}
+
+# (section, key) -> Setting: the one definition of each setting, read by load_config,
+# PipelineConfig and the subcommand flags that mirror a key (cli.build_parser)
+SETTINGS: dict[tuple[str, str], Setting] = {
+    ("input", "matrix"): Setting("matrix", Path),
+    ("input", "labels"): Setting("labels", Path),
+    ("input", "keep_sites"): Setting("keep_sites", _csv_list),
+    ("normalize", "scheme"): Setting("scheme", str, NormalizationScheme, f"one of {', '.join(VARIANTS)}"),
+    ("normalize", "epsilon"): Setting("epsilon", float, lambda eps: NormalizationScheme("logit", eps)),
+    ("select", "sweep"): Setting("select_sweep", _parse_triplet,
+                                 lambda sweep: [check_threshold(t) for t in sweep_thresholds(*sweep)],
+                                 "t_min:t_max:step of the rule counts in sweep.csv"),
+    ("select", "t_intersect"): Setting("t_intersect", float, check_threshold,
+                                       "set_primary.genes: every |C_site| >= T"),
+    ("select", "t_combined"): Setting("t_combined", float, check_threshold, "set_refined.genes: "
+                                      "every |C_site| >= T, opposite signs on the pair"),
+    ("select", "pair"): Setting("pair", _csv_list, help="discriminand pair, e.g. LN,Bone; "
+                                "default LN,Bone, else the two largest classes"),
+    ("folds", "k"): Setting("k", int, lambda k: _require(k >= 2, f"must be >= 2, got {k}")),
+    ("folds", "factors"): Setting("factors", _parse_factors, help="balanced plan's extra copies per "
+                                  "site, SITE:N,..., e.g. LN:1,Bone:2,Liver:5; empty derives them"),
+    ("rfe", "drop_per_step"): Setting("drop_per_step", int,
+                                      lambda n: _require(n >= 1, f"must be >= 1, got {n}")),
+    ("rfe", "repeats"): Setting("repeats", int, lambda n: _require(n >= 1, f"must be >= 1, got {n}")),
+    ("gcn", "sweep"): Setting("gcn_sweep", _parse_triplet, lambda sweep: sweep_thresholds(*sweep),
+                              "t_min:t_max:step; T:T:1 fixes the threshold at T"),
+    ("gcn", "cohorts"): Setting("cohorts", _csv_list, lambda cs: _require(
+        ALL_SAMPLES not in cs, f"{ALL_SAMPLES!r} is not a site; the all-sample network is always built"),
+        "site classes, each over the all-sample network's giant component; default every site"),
+    ("run", "out"): Setting("out", Path),
+    ("run", "seed"): Setting("seed", int, help="random seed"),
+    **{("booster", name): Setting(name, type(default), help=_BOOSTER_HELP.get(name))
+       for name, default in hyperparameters(BoosterConfig()).items()},
 }
 
 
-def _read_key(section: str, key: str, parse: Callable[[str], object], text: str) -> object:
+def parse_setting(section: str, key: str, text: str) -> object:
+    parse = SETTINGS[section, key].parse
     try:
         return parse(text)
     except ValueError:
-        kind = {int: "a whole number", float: "a number"}.get(parse, parse.__name__)
-        raise ValidationError(f"config [{section}] {key} = {text!r} is not {kind}") from None
+        kind = {int: "a whole number", float: "a number", _parse_triplet: "lo:hi:step",
+                _parse_factors: "SITE:N,... with whole numbers N"}.get(parse, parse.__name__)
+        raise ValidationError(f"[{section}] {key} = {text!r} is not {kind}") from None
+
+
+def check_settings(values: Mapping[str, object]) -> None:
+    """Check each setting whose field `values` holds (and is not None), naming
+    its key, then the one rule across keys: the selected gene sets nest."""
+    for (section, key), setting in SETTINGS.items():
+        if setting.check and values.get(setting.field) is not None:
+            try:
+                setting.check(values[setting.field])
+            except ValidationError as exc:
+                raise ValidationError(f"[{section}] {key}: {exc}") from None
+    if "t_combined" in values and values["t_combined"] < values["t_intersect"]:
+        raise ValidationError("[select] t_combined must be >= t_intersect so the selected sets nest")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -177,24 +196,22 @@ def load_config(path: str | Path) -> PipelineConfig:
         cp.read_file(io.StringIO(read_text(path), newline=None), source=str(path))
     except configparser.Error as exc:
         raise ValidationError(f"config {path} does not parse: {str(exc).splitlines()[0]}") from None
-    keys = {**_CONFIG_KEYS, **{("booster", name): (name, type(default))
-                               for name, default in hyperparameters(BoosterConfig()).items()}}
-    sections = {section for section, _ in keys}
+    sections = {section for section, _ in SETTINGS}
     unknown = ["[DEFAULT]"] if cp.defaults() else []
     for section in cp.sections():
         if section not in sections:
             unknown.append(f"[{section}]")
         else:
             unknown += [f"[{section}] {key}" for key in cp.options(section)
-                        if (section, key) not in keys and key not in cp.defaults()]
+                        if (section, key) not in SETTINGS and key not in cp.defaults()]
     if unknown:
         raise ValidationError(f"config {path} has unknown sections or keys: {', '.join(unknown)}")
 
     kwargs, booster = {}, {}
-    for (section, key), (name, parse) in keys.items():
+    for (section, key), s in SETTINGS.items():
         text = cp.get(section, key, fallback=None)
         if text:
-            (booster if section == "booster" else kwargs)[name] = _read_key(section, key, parse, text)
+            (booster if section == "booster" else kwargs)[s.field] = parse_setting(section, key, text)
     if not {"matrix", "labels", "out"} <= kwargs.keys():
         raise ValidationError("config must provide input.matrix, input.labels, run.out")
     return PipelineConfig(booster=BoosterConfig(**booster), **kwargs)
@@ -269,13 +286,11 @@ def _select(m: ExpressionMatrix, sweep: tuple[float, float, float], t_intersect:
     """The intersect rule's genes at `t_intersect` (set_primary) and the
     combined rule's at `t_combined` over `pair` (None = `default_pair` of the
     labels; set_refined), written into `d` with sweep.csv, each rule's
-    kept-gene count at each threshold of `sweep`. A bad pair, sweep or
-    threshold raises before `d` is made; a combined rule that keeps no gene
-    raises after sweep.csv is written."""
+    kept-gene count at each threshold of `sweep` (settings checked by
+    `check_settings`). A bad pair raises before `d` is made; a combined rule
+    that keeps no gene raises after sweep.csv is written."""
     pair = check_pair(m.labels, pair) if pair else default_pair(m.labels)
     thresholds = sweep_thresholds(*sweep)
-    for t in (*thresholds, t_intersect, t_combined):
-        check_threshold(t)
     mc = mask_correlations(m)
     d.mkdir(parents=True, exist_ok=True)
     write_sweep_report(mc, thresholds, pair, d / "sweep.csv")
@@ -337,13 +352,12 @@ def _networks(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohorts: Sequ
     """Yield (name, graph, partition, sweep table): the all-sample network of
     `genes` as ALL_SAMPLES, then each site of `cohorts` (None = every site
     label, in order of first appearance) over the genes of the all-sample
-    network's giant component. A repeated or unknown site, a site labelled
-    ALL_SAMPLES or a bad sweep raises before any network is built, and so
-    does a failing all-sample network; a site network that fails on the data
-    is skipped with a warning."""
+    network's giant component. A repeated or unknown site or a site labelled
+    ALL_SAMPLES raises before any network is built, and so does a failing
+    all-sample network; a site network that fails on the data is skipped
+    with a warning."""
     check_sites(m.labels, cohorts or (), "cohorts")
     _check_not_reserved(m.labels)
-    sweep_thresholds(*sweep)
     g, p, table = _cohort_network(m, genes, None, sweep, seed)
     yield ALL_SAMPLES, g, p, table
     giant_genes = tuple(giant_component(g).nodes)
@@ -382,8 +396,7 @@ def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
     # the other site lists, checked here so that they fail before the RFE stages run
     check_sites(m.labels, cfg.cohorts or (), "cohorts")
     check_sites(m.labels, cfg.factors or (), "factors")
-    if cfg.pair:
-        check_pair(m.labels, cfg.pair)
+    check_pair(m.labels, cfg.pair or default_pair(m.labels))  # a default pair needs two sites
 
 
 def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
@@ -457,10 +470,10 @@ def _config_echo(cfg: PipelineConfig) -> dict:
     """Every config-file setting but the paths (they would break rerun identity)
     and the seed (the manifest's `root_seed`), with tuples as lists."""
     echo = {"booster": hyperparameters(cfg.booster)}
-    for name, parse in _CONFIG_KEYS.values():
-        if parse is not Path and name != "seed":
-            value = getattr(cfg, name)
-            echo[name] = list(value) if isinstance(value, tuple) else value
+    for (section, _), setting in SETTINGS.items():
+        if section != "booster" and setting.parse is not Path and setting.field != "seed":
+            value = getattr(cfg, setting.field)
+            echo[setting.field] = list(value) if isinstance(value, tuple) else value
     return echo
 
 

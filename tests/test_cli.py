@@ -20,7 +20,7 @@ from coexpress.cli import build_parser, main
 from coexpress.errors import CoexpressError, StageError, ValidationError
 from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
 from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
-from coexpress.pipeline import PipelineConfig, load_config, run_pipeline, stage_seed
+from coexpress.pipeline import SETTINGS, PipelineConfig, load_config, run_pipeline, stage_seed
 from coexpress.rfe import MIN_RFE_GENES
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, spec_to_json, write_dataset
 
@@ -134,7 +134,7 @@ class TestSubcommands:
         rfe_out = tmp_path / "rfe"
         assert run(
             "rfe", "--in", dataset, "--genes", genes_out, "--plan", tmp_path / "folds" / "plan_raw.json",
-            "--drop", "3", "--n-estimators", "8", "--seed", "5", "--out", rfe_out,
+            "--drop-per-step", "3", "--n-estimators", "8", "--seed", "5", "--out", rfe_out,
         ) == 0
         assert (rfe_out / "trace.csv").exists()
         assert (rfe_out / "best.genes").exists()
@@ -175,7 +175,7 @@ class TestSubcommands:
             "gcn", "--in", dataset, "--genes", genes_out, "--cohort", "A",
             "--sweep", "nan:nan:1", "--out", tmp_path / "gcn",
         ) == 1
-        assert any(r.message == "sweep bounds and step must be finite" for r in caplog.records)
+        assert any(r.message == "[gcn] sweep: sweep bounds and step must be finite" for r in caplog.records)
 
     def test_atlas_command(self, dataset, tmp_path):
         blocks = json.loads((dataset / "blocks.json").read_text())
@@ -513,7 +513,7 @@ class TestCliMatchesPipeline:
             start = raw_best
         out = tmp_path / stage
         assert run("rfe", "--in", cfg.out / "normalize", "--genes", start,
-                   "--plan", cfg.out / "folds" / f"{plan}.json", "--drop", cfg.drop_per_step,
+                   "--plan", cfg.out / "folds" / f"{plan}.json", "--drop-per-step", cfg.drop_per_step,
                    "--repeats", cfg.repeats, *booster_flags(cfg.booster),
                    "--seed", stage_seeds(cfg)["booster"], "--out", out) == 0
         # key_gene_indices.json is the balanced stage's own file
@@ -561,13 +561,18 @@ class TestDefaultPair:
     def test_two_largest_classes_then_name(self):
         assert default_pair(["A"] * 2 + ["B"] * 3 + ["C"] * 3) == ("B", "C")
 
+    def test_one_site_raises(self):
+        with pytest.raises(ValidationError, match="need at least 2 distinct site classes"):
+            default_pair(["LN"] * 4)
+
 
 class TestMalformedText:
     @pytest.mark.parametrize("factors", ["A", "A:x", "A:1,:2"])
-    def test_bad_factors_exit_1(self, dataset, tmp_path, caplog, factors):
-        assert run("folds", "--in", dataset, "--factors", factors,
-                   "--out", tmp_path / "plan.json") == 1
-        assert any(repr(factors) in r.message for r in caplog.records)
+    def test_bad_factors_flag_is_usage_error(self, dataset, tmp_path, capsys, factors):
+        with pytest.raises(SystemExit) as exc:
+            run("folds", "--in", dataset, "--factors", factors, "--out", tmp_path / "plan.json")
+        assert exc.value.code == 2
+        assert f"[folds] factors = {factors!r} is not SITE:N,..." in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", ["0.4:0.9", "a:b:c", "0.4:0.9:0.1:0.2"])
     def test_bad_sweep_flag_is_usage_error(self, dataset, tmp_path, sweep):
@@ -604,10 +609,12 @@ class TestFactorSites:
     """A factor naming a site twice, or a site without samples, fails before
     any plan is built."""
 
-    def test_repeated_site_is_named(self, dataset, tmp_path, caplog):
-        assert run("folds", "--in", dataset, "--factors", "A:1,A:2",
-                   "--out", tmp_path / "plan.json") == 1
-        assert any("factors: 'A' is given more than once" in r.getMessage() for r in caplog.records)
+    def test_repeated_site_is_named(self, dataset, tmp_path, capsys):
+        # a SITE:N map cannot hold the repeat: the flag's text does not parse (exit 2)
+        with pytest.raises(SystemExit) as exc:
+            run("folds", "--in", dataset, "--factors", "A:1,A:2", "--out", tmp_path / "plan.json")
+        assert exc.value.code == 2
+        assert "factors: 'A' is given more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["folds"])
     def test_absent_site_exits_1(self, dataset, tmp_path, caplog, command):
@@ -642,6 +649,25 @@ class TestOneSitePair:
         assert any("stage 'ingest' failed" in r.message and "exactly two sites" in r.message
                    for r in caplog.records)
 
+    def test_select_on_one_site_exits_1(self, dataset, tmp_path, caplog):
+        one = tmp_path / "one"
+        assert run("ingest", "--matrix", dataset / "matrix.tsv", "--labels", dataset / "labels.tsv",
+                   "--keep-sites", "A", "--out", one) == 0
+        out = tmp_path / "select"
+        assert run("select", "--in", one, "--out", out) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "need at least 2 distinct site classes"]
+        assert not out.exists()
+
+    def test_config_one_site_stops_at_ingest(self, pipeline_config, caplog):
+        tmp_path, write_cfg = pipeline_config
+        ini = write_cfg("run")
+        ini.write_text(ini.read_text().replace("pair = A,B\n", "").replace("[input]\n", "[input]\nkeep_sites = A\n"))
+        assert run("pipeline", "--config", ini) == 1
+        out = tmp_path / "run"
+        assert (out / ".partial").read_text() == "failed at stage: ingest\nneed at least 2 distinct site classes\n"
+        assert sorted(p.name for p in out.iterdir()) == [".partial", "ingest"]
+
 
 SEEDED = {"folds", "train", "rfe", "gcn", "atlas", "pipeline"}
 
@@ -663,6 +689,8 @@ class TestFlags:
         ("rfe", "--in", "d", "--genes", "g.genes", "--plan", "p.json", "--out", "o", "--k", "10"),
         ("rfe", "--in", "d", "--genes", "g.genes", "--plan", "p.json", "--out", "o",
          "--factors", "A:1"),
+        # renamed --drop-per-step, after its config key
+        ("rfe", "--in", "d", "--genes", "g.genes", "--plan", "p.json", "--out", "o", "--drop", "1"),
     ])
     def test_removed_flag_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -702,6 +730,84 @@ class TestFlags:
 
 
 MINIMAL_INI = "[input]\nmatrix = m.tsv\nlabels = l.tsv\n\n[run]\nout = o\n"
+
+# the subcommands whose flag `--<key>` mirrors each config key; the pipeline's
+# own --seed and --out replace the config's value, so they default to None
+MIRRORS = {
+    ("input", "matrix"): ("ingest",), ("input", "labels"): ("ingest",),
+    ("input", "keep_sites"): ("ingest",),
+    ("normalize", "scheme"): ("normalize",), ("normalize", "epsilon"): ("normalize",),
+    ("select", "sweep"): ("select",), ("select", "t_intersect"): ("select",),
+    ("select", "t_combined"): ("select",), ("select", "pair"): ("select",),
+    ("folds", "k"): ("folds",), ("folds", "factors"): ("folds",),
+    ("rfe", "drop_per_step"): ("rfe",), ("rfe", "repeats"): ("rfe",),
+    ("gcn", "sweep"): ("gcn", "atlas"), ("gcn", "cohorts"): ("atlas",),
+    ("run", "out"): (), ("run", "seed"): ("folds", "train", "rfe", "gcn", "atlas"),
+    **{("booster", name): ("train", "rfe") for name in hyperparameters(BoosterConfig())},
+}
+
+# one value per checked key that parses but is out of range, and its check's message
+BAD_VALUES = {
+    ("normalize", "scheme"): ("rnak", "unknown scheme 'rnak'"),
+    ("normalize", "epsilon"): ("0.5", "epsilon must lie in (0, 0.5)"),
+    ("select", "sweep"): ("0.05:1.0:0.05", "threshold must lie in (0, 1), got 1.0"),
+    ("select", "t_intersect"): ("0", "threshold must lie in (0, 1), got 0.0"),
+    ("select", "t_combined"): ("1.0", "threshold must lie in (0, 1), got 1.0"),
+    ("folds", "k"): ("1", "must be >= 2, got 1"),
+    ("rfe", "drop_per_step"): ("0", "must be >= 1, got 0"),
+    ("rfe", "repeats"): ("0", "must be >= 1, got 0"),
+    ("gcn", "sweep"): ("0.4:0.9:0", "need step > 0 and t_max >= t_min"),
+    ("gcn", "cohorts"): ("all", "'all' is not a site"),
+}
+
+
+class TestSettingsTable:
+    """Each flag that mirrors a config key takes the key's default, and a bad
+    value gives the same error through the flag as through a config file."""
+
+    def _flag_errors(self, dataset, tmp_path, caplog, command, *flags):
+        genes = dataset / "planted_A.genes"
+        inputs = {"normalize": [], "select": [], "folds": [], "gcn": ["--genes", genes],
+                  "rfe": ["--genes", genes, "--plan", tmp_path / "plan.json"],
+                  "atlas": ["--nested", genes]}[command]
+        out = tmp_path / "out"
+        assert run(command, "--in", dataset, *inputs, *flags, "--out", out) == 1
+        assert not out.exists()
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    def _config_errors(self, tmp_path, caplog, text):
+        caplog.clear()
+        ini = tmp_path / "bad.ini"
+        ini.write_text(MINIMAL_INI + text)
+        assert run("pipeline", "--config", ini) == 1
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_every_key_is_listed(self):
+        assert MIRRORS.keys() == SETTINGS.keys()
+        assert BAD_VALUES.keys() == {k for k, setting in SETTINGS.items() if setting.check}
+
+    @pytest.mark.parametrize("section,key", list(SETTINGS), ids="-".join)
+    def test_flag_default_and_bad_value(self, dataset, tmp_path, caplog, section, key):
+        setting = SETTINGS[section, key]
+        default = getattr(BoosterConfig if section == "booster" else PipelineConfig, setting.field, None)
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flag = "--" + key.replace("_", "-")
+        for command in MIRRORS[section, key]:
+            (action,) = [a for a in sub.choices[command]._actions if flag in a.option_strings]
+            assert (action.dest, action.default, action.help) == (setting.field, default, setting.help)
+        if (section, key) not in BAD_VALUES:
+            return
+        value, message = BAD_VALUES[section, key]
+        errors = self._flag_errors(dataset, tmp_path, caplog, MIRRORS[section, key][0], flag, value)
+        assert len(errors) == 1 and errors[0].startswith(f"[{section}] {key}: {message}")
+        assert self._config_errors(tmp_path, caplog, f"\n[{section}]\n{key} = {value}\n") == errors
+
+    def test_select_sets_must_nest(self, dataset, tmp_path, caplog):
+        errors = self._flag_errors(dataset, tmp_path, caplog, "select",
+                                   "--t-intersect", "0.4", "--t-combined", "0.2")
+        assert errors == ["[select] t_combined must be >= t_intersect so the selected sets nest"]
+        text = "\n[select]\nt_intersect = 0.4\nt_combined = 0.2\n"
+        assert self._config_errors(tmp_path, caplog, text) == errors
 
 
 class TestUnknownConfigKeys:
@@ -923,7 +1029,10 @@ CONFIG_SECTION = {"keep_sites": "input", "cohorts": "gcn", "factors": "folds", "
 
 
 class TestSiteNames:
-    @pytest.mark.parametrize("name,value,message", SITE_NAMES)
+    # a factor given twice does not parse into a SITE:N map; through the flag
+    # that is a usage error (TestFactorSites::test_repeated_site_is_named)
+    @pytest.mark.parametrize("name,value,message",
+                             [p for p in SITE_NAMES if p.id != "factors-repeated"])
     def test_flag_exits_1_and_writes_nothing(self, dataset, tmp_path, caplog, name, value, message):
         genes = dataset / "planted_A.genes"
         argv = {
@@ -1025,13 +1134,14 @@ class TestCohortNames:
         monkeypatch.setattr(pipeline, "build_weighted", no_network)
         out = tmp_path / "atlas"
         # `all` is no cohort: the all-sample network is always built
-        for cohorts, name in (("A,Lung", "Lung"), ("all", "all")):
+        for cohorts, message in (
+                ("A,Lung", "cohorts: 'Lung' is not a site label (A, B, C)"),
+                ("all", "[gcn] cohorts: 'all' is not a site; the all-sample network is always built")):
             caplog.clear()
             assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
                        "--cohorts", cohorts, "--out", out) == 1
             assert not out.exists()
-            assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-                f"cohorts: {name!r} is not a site label (A, B, C)"]
+            assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
 
     def test_atlas_genes_not_in_matrix_is_one_error(self, dataset, tmp_path, caplog):
         nope = tmp_path / "nope.genes"
@@ -1050,7 +1160,7 @@ class TestCohortNames:
         assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
                    "--sweep", "0.4:0.9:0", "--out", tmp_path / "atlas") == 1
         assert [r.getMessage() for r in caplog.records if r.levelname != "INFO"] == [
-            "need step > 0 and t_max >= t_min"]
+            "[gcn] sweep: need step > 0 and t_max >= t_min"]
 
 
 @pytest.mark.parametrize("section,sweep", [("gcn", "0.4:0.9:0"), ("select", "0.6:0.05:0.05"),
@@ -1061,7 +1171,7 @@ def test_bad_sweep_fails_before_the_first_stage(pipeline_config, caplog, section
     text = ini.read_text().replace("[gcn]\nsweep = 0.4:0.9:0.02\n", "[gcn]\n")
     ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\nsweep = {sweep}\n"))
     assert run("pipeline", "--config", ini) == 1
-    assert any(f"config [{section}] sweep:" in r.getMessage() for r in caplog.records)
+    assert any(f"[{section}] sweep:" in r.getMessage() for r in caplog.records)
     assert not (tmp_path / "run").exists()
 
 
@@ -1073,7 +1183,7 @@ def test_bad_count_fails_before_the_first_stage(pipeline_config, caplog, section
     text = re.sub(rf"^{key} = .*\n", "", ini.read_text(), flags=re.M)
     ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     assert run("pipeline", "--config", ini) == 1
-    assert any(f"config [{section}] {key}: must be >= " in r.getMessage() for r in caplog.records)
+    assert any(f"[{section}] {key}: must be >= " in r.getMessage() for r in caplog.records)
     assert not (tmp_path / "run").exists()
 
 
@@ -1090,7 +1200,7 @@ def test_bad_value_fails_before_the_first_stage(pipeline_config, caplog, section
     text = re.sub(rf"^{key} = .*\n", "", ini.read_text(), flags=re.M)
     ini.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     assert run("pipeline", "--config", ini) == 1
-    assert any(f"config [{section}] {key}: {message}" in r.getMessage() for r in caplog.records)
+    assert any(f"[{section}] {key}: {message}" in r.getMessage() for r in caplog.records)
     assert not (tmp_path / "run").exists()
 
 

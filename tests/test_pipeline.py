@@ -11,7 +11,7 @@ import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import StageError
-from coexpress.pipeline import _CONFIG_KEYS, PipelineConfig, _config_echo, load_config, run_pipeline
+from coexpress.pipeline import SETTINGS, PipelineConfig, _config_echo, load_config, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
 # sha256 of the MANIFEST `outputs` map (path -> sha256) of the golden run
@@ -101,5 +101,6 @@ class TestConfigEcho:
 
     def test_echo_keys_are_the_config_table_fields(self):
         # every setting read from the config file but the paths and the seed
-        fields = {name for name, parse in _CONFIG_KEYS.values() if parse is not Path} - {"seed"}
+        fields = {s.field for (section, _), s in SETTINGS.items()
+                  if section != "booster" and s.parse is not Path} - {"seed"}
         assert _config_echo(PipelineConfig("m.tsv", "l.tsv", "o")).keys() == fields | {"booster"}
