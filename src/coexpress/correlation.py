@@ -125,6 +125,11 @@ class GroupMeanTable:
     means: np.ndarray
 
 
+def _check_groups(c: CorrelationMatrix, groups: Sequence[str]) -> None:
+    if len(groups) != len(c.ids):
+        raise ValidationError("one class per entity required")
+
+
 def group_mean(c: CorrelationMatrix, groups: Sequence[str]) -> GroupMeanTable:
     """Mean correlation within and between classes.
 
@@ -132,8 +137,7 @@ def group_mean(c: CorrelationMatrix, groups: Sequence[str]) -> GroupMeanTable:
     pairs excluded); between-class cells average all cross pairs. A class
     with fewer than 2 members gets NaN on its diagonal cell.
     """
-    if len(groups) != len(c.ids):
-        raise ValidationError("one class per entity required")
+    _check_groups(c, groups)
     classes = list(dict.fromkeys(groups))
     idx = {cl: np.flatnonzero(np.asarray(groups, dtype=object) == cl) for cl in classes}
     n = len(classes)
@@ -194,6 +198,7 @@ def export_heatmap(
     The SVG is a plain grid of rects on a diverging blue-white-red scale;
     matrices larger than SVG_MAX_CELLS x SVG_MAX_CELLS are exported CSV-only.
     """
+    _check_groups(c, groups)
     order = _heatmap_order(c, groups)
     ids = [c.ids[i] for i in order]
     vals = c.values[np.ix_(order, order)]

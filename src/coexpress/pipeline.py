@@ -6,7 +6,9 @@ import configparser
 import hashlib
 import io
 import logging
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
-from .booster import BoostedEnsemble, BoosterConfig, ensemble_to_json, hyperparameters, train
+from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train
 from .errors import GraphError, StageError, ValidationError
 from .folds import FoldPlan, save_plan, stratified_folds
 from .graph import (
@@ -254,9 +256,8 @@ def _write_bundle(m: ExpressionMatrix, d: Path) -> None:
     write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
 
 
-def _ingest(
-    matrix: str | Path, labels: str | Path, keep_sites: Sequence[str] | None, d: Path
-) -> ExpressionMatrix:
+def _ingest(*, matrix: str | Path, labels: str | Path, keep_sites: Sequence[str] | None,
+            d: Path) -> ExpressionMatrix:
     """Load, keep `keep_sites` (all when empty), cleanse; write the bundle,
     cleansing.json and gene_stats.csv into `d`."""
     m = load_matrix(matrix, labels)
@@ -272,25 +273,27 @@ def _ingest(
         "n_samples": m.n_samples,
     })
     export_stats(gene_stats(m), d / "gene_stats.csv")
+    logger.info("ingested %d genes x %d samples", m.n_genes, m.n_samples)
     return m
 
 
-def _normalize(m: ExpressionMatrix, scheme: NormalizationScheme, d: Path) -> ExpressionMatrix:
-    out = normalize_matrix(m, scheme)
+def _normalize(m: ExpressionMatrix, *, scheme: str, epsilon: float, d: Path) -> ExpressionMatrix:
+    out = normalize_matrix(m, NormalizationScheme(scheme, epsilon))
     _write_bundle(out, d)
+    logger.info("normalized %d genes (%d dropped)", out.n_genes, m.n_genes - out.n_genes)
     return out
 
 
-def _select(m: ExpressionMatrix, sweep: tuple[float, float, float], t_intersect: float,
+def _select(m: ExpressionMatrix, *, select_sweep: tuple[float, float, float], t_intersect: float,
             t_combined: float, pair: Sequence[str] | None, d: Path) -> tuple[GeneSet, GeneSet]:
     """The intersect rule's genes at `t_intersect` (set_primary) and the
     combined rule's at `t_combined` over `pair` (None = `default_pair` of the
     labels; set_refined), written into `d` with sweep.csv, each rule's
-    kept-gene count at each threshold of `sweep` (settings checked by
+    kept-gene count at each threshold of `select_sweep` (settings checked by
     `check_settings`). A bad pair raises before `d` is made; a combined rule
     that keeps no gene raises after sweep.csv is written."""
     pair = check_pair(m.labels, pair) if pair else default_pair(m.labels)
-    thresholds = sweep_thresholds(*sweep)
+    thresholds = sweep_thresholds(*select_sweep)
     mc = mask_correlations(m)
     d.mkdir(parents=True, exist_ok=True)
     write_sweep_report(mc, thresholds, pair, d / "sweep.csv")
@@ -300,43 +303,60 @@ def _select(m: ExpressionMatrix, sweep: tuple[float, float, float], t_intersect:
         raise ValidationError("combined selection kept no genes")
     save_gene_set(primary, d / "set_primary.genes")
     save_gene_set(refined, d / "set_refined.genes")
+    logger.info("kept %d primary and %d refined genes", len(primary), len(refined))
     return primary, refined
 
 
-def _folds(labels: Sequence[str], k: int, seed: int, factors: Mapping[str, int] | None,
+def _folds(m: ExpressionMatrix, *, k: int, factors: Mapping[str, int] | None, seed: int,
            d: Path) -> tuple[FoldPlan, FoldPlan]:
     """The raw plan and the balanced plan (`factors` extra copies per site;
     None derives them), written into `d` as plan_raw.json and plan_balanced.json."""
-    factors = derive_factors(labels) if factors is None else factors
-    raw = stratified_folds(labels, k, seed)
-    balanced = stratified_folds(labels, k, seed, factors)
+    check_sites(m.labels, factors or (), "factors")
+    factors = derive_factors(m.labels) if factors is None else factors
+    raw = stratified_folds(m.labels, k, seed)
+    balanced = stratified_folds(m.labels, k, seed, factors)
     d.mkdir(parents=True, exist_ok=True)
     save_plan(raw, d / "plan_raw.json")
     save_plan(balanced, d / "plan_balanced.json")
     return raw, balanced
 
 
-def _rfe(m: ExpressionMatrix, start: GeneSet, plan: FoldPlan, config: BoosterConfig,
-         drop: int, repeats: int, d: Path) -> tuple[GeneSet, np.ndarray]:
+def _rfe(m: ExpressionMatrix, start: GeneSet, plan: FoldPlan, *, drop_per_step: int, repeats: int,
+         config: BoosterConfig, d: Path) -> tuple[GeneSet, np.ndarray]:
     """Recursive elimination from `start`, its trace written into `d`. Returns
     the best step's genes as the set `set_<d.name>` and their mean CV
     importance, in set order."""
-    trace = recursive_eliminate(m, start, plan, config, drop_per_step=drop, repeats=repeats)
+    trace = recursive_eliminate(m, start, plan, config, drop_per_step=drop_per_step, repeats=repeats)
     step = trace.best
     best = GeneSet(f"set_{d.name}", step.genes.gene_ids, provenance=f"{d.name} best step "
                    f"({len(step.genes)} genes, accuracy {step.report.accuracy:.4f})")
     export_trace(trace, d, best)
+    logger.info("%s", best.provenance)
     return best, step.importance
 
 
-def _model(m: ExpressionMatrix, genes: GeneSet, config: BoosterConfig, d: Path) -> BoostedEnsemble:
+def _rfe_balanced(m: ExpressionMatrix, raw_best: GeneSet, refined: GeneSet, plan: FoldPlan, *,
+                  d: Path, **settings) -> tuple[GeneSet, dict[str, int]]:
+    """`_rfe` on the balanced plan, and the key genes ranked by importance
+    (ties by ID), written into `d` as key_gene_indices.json."""
+    # Chain from the raw run's best set when it is large enough: the key set
+    # is then nested inside it by construction, which the atlas tiers need.
+    start = raw_best if len(raw_best) > MIN_RFE_GENES + 1 else refined
+    key, imp = _rfe(m, start, plan, d=d, **settings)
+    ranked = sorted(range(len(key)), key=lambda i: (-imp[i], key.gene_ids[i]))
+    key_index = {key.gene_ids[i]: rank for rank, i in enumerate(ranked)}
+    write_json(d / "key_gene_indices.json", key_index)
+    return key, key_index
+
+
+def _model(m: ExpressionMatrix, genes: GeneSet, *, config: BoosterConfig, d: Path) -> None:
     """The booster trained on every sample of `m` over the rows of `genes`,
     written into `d` as model.json, with the genes in feature order as features.json."""
     ens = train(m.values[m.gene_index(genes.gene_ids)].T, list(m.labels), config)
     d.mkdir(parents=True, exist_ok=True)
     write_text(d / "model.json", ensemble_to_json(ens))
     write_json(d / "features.json", list(genes.gene_ids))
-    return ens
+    logger.info("trained on %d genes; final training loss %.5f", len(genes), ens.loss_curve[-1])
 
 
 def _cohort_network(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohort: str | None,
@@ -380,90 +400,111 @@ def _export_network(d: Path, g, p, table) -> None:
                                       "communities": p.n_communities, "membership": membership})
 
 
-def _atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
-           key_index: Mapping[str, int], d: Path) -> None:
+def _gcn(m: ExpressionMatrix, genes: GeneSet, *, cohorts: Sequence[str] | None,
+         gcn_sweep: tuple[float, float, float], seed: int, d: Path) -> dict[str, CommunityNetwork]:
+    """Each network of `_networks`, written into `d / <name>`."""
+    networks = {}
+    for name, g, p, table in _networks(m, genes, cohorts, gcn_sweep, seed):
+        _export_network(d / name, g, p, table)
+        networks[name] = CommunityNetwork(g, p)
+    return networks
+
+
+def _write_atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
+                 key_index: Mapping[str, int], d: Path) -> None:
     """Build the atlas of `networks` over the gene tiers (`tier_genes`) and write it into `d`."""
     entries = build_atlas(networks, tiers, key_index, max(tiers.values()) + 1)
     export_atlas(entries, networks, tiers, key_index, d)
+
+
+def _atlas(key_set: GeneSet, raw_best: GeneSet, refined: GeneSet, primary: GeneSet,
+           networks: Mapping[str, CommunityNetwork], key_index: Mapping[str, int], *, d: Path) -> None:
+    """The atlas of `networks` over the tiers of the four nested gene sets, smallest first."""
+    _write_atlas(tier_genes([key_set, raw_best, refined, primary]), networks, key_index, d)
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
+class Step(NamedTuple):
+    """A stage's step. `fn` takes each input positionally, each setting by its
+    field name ([booster] keys as one BoosterConfig `config`, which carries the
+    stage seed; a seeded step without one takes `seed`) and the stage's
+    directory as `d`, and returns its results."""
+
+    fn: Callable[..., object]
+    # run result -> the flag that loads it from a file in the subcommand built
+    # from the step (cli.STEP_COMMANDS; None for a stage without one)
+    inputs: Mapping[str, str | None]
+    settings: tuple[tuple[str, str], ...]  # SETTINGS keys
+    seed: str | None  # stage-seed name
+    results: tuple[str, ...]
+
+
+def _keys(section: str, *keys: str) -> tuple[tuple[str, str], ...]:
+    return tuple((section, key) for key in keys)
+
+
+_BOOSTER = tuple(key for key in SETTINGS if key[0] == "booster")
+_RFE = (*_keys("rfe", "drop_per_step", "repeats"), *_BOOSTER)
+
+# stage name (and its output directory) -> its step, in run order
+STEPS: dict[str, Step] = {
+    "ingest": Step(_ingest, {}, _keys("input", "matrix", "labels", "keep_sites"), None, ("clean",)),
+    "normalize": Step(_normalize, {"clean": "in"}, _keys("normalize", "scheme", "epsilon"), None,
+                      ("norm",)),
+    "select": Step(_select, {"norm": "in"}, _keys("select", "sweep", "t_intersect", "t_combined", "pair"),
+                   None, ("primary", "refined")),
+    "folds": Step(_folds, {"norm": "in"}, _keys("folds", "k", "factors"), "folds",
+                  ("plan_raw", "plan_balanced")),
+    "rfe_raw": Step(_rfe, {"norm": "in", "refined": "genes", "plan_raw": "plan"}, _RFE, "booster",
+                    ("rfe_raw_best", "rfe_raw_importance")),
+    "rfe_balanced": Step(_rfe_balanced, dict.fromkeys(("norm", "rfe_raw_best", "refined", "plan_balanced")),
+                         _RFE, "booster", ("key_set", "key_index")),
+    "model": Step(_model, {"norm": "in", "key_set": "genes"}, _BOOSTER, "booster", ()),
+    "gcn": Step(_gcn, dict.fromkeys(("norm", "primary")), _keys("gcn", "cohorts", "sweep"), "gcn",
+                ("networks",)),
+    "atlas": Step(_atlas, dict.fromkeys(("key_set", "rfe_raw_best", "refined", "primary", "networks",
+                                         "key_index")), (), None, ()),
+}
+
+
+def call_step(step: Step, inputs: Sequence[object], values: Mapping[str, object], seed: int | None,
+              d: Path):
+    """`step.fn` on `inputs`, its settings taken from `values` (field -> value,
+    the booster fields included) and `seed`, writing into `d`."""
+    kwargs, booster = {}, {}
+    for section, key in step.settings:
+        name = SETTINGS[section, key].field
+        (booster if section == "booster" else kwargs)[name] = values[name]
+    if booster:
+        kwargs["config"] = BoosterConfig(seed=seed, **booster)
+    elif step.seed:
+        kwargs["seed"] = seed
+    return step.fn(*inputs, **kwargs, d=d)
+
+
+def _run(name: str, cfg: PipelineConfig, st: dict, out: Path) -> None:
+    """Stage `name`: its step on the run's results `st`, with the settings of `cfg` and its stage seed."""
+    step = STEPS[name]
+    seed = stage_seed(cfg.seed, step.seed) if step.seed else None
+    got = call_step(step, [st[r] for r in step.inputs], {**vars(cfg), **hyperparameters(cfg.booster)},
+                    seed, out / name)
+    st.update(zip(step.results, got if len(step.results) > 1 else (got,)))
+
+
 def _stage_ingest(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    m = st["clean"] = _ingest(cfg.matrix, cfg.labels, cfg.keep_sites, out / "ingest")
+    _run("ingest", cfg, st, out)
+    m = st["clean"]
     # the other site lists, checked here so that they fail before the RFE stages run
     check_sites(m.labels, cfg.cohorts or (), "cohorts")
     check_sites(m.labels, cfg.factors or (), "factors")
     check_pair(m.labels, cfg.pair or default_pair(m.labels))  # a default pair needs two sites
 
 
-def _stage_normalize(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    scheme = NormalizationScheme(cfg.scheme, cfg.epsilon)
-    st["norm"] = _normalize(st.pop("clean"), scheme, out / "normalize")  # no later stage reads it
-
-
-def _stage_select(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["primary"], st["refined"] = _select(st["norm"], cfg.select_sweep, cfg.t_intersect,
-                                           cfg.t_combined, cfg.pair, out / "select")
-
-
-def _stage_folds(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["plan_raw"], st["plan_balanced"] = _folds(
-        st["norm"].labels, cfg.k, stage_seed(cfg.seed, "folds"), cfg.factors, out / "folds")
-
-
-def _booster_cfg(cfg: PipelineConfig) -> BoosterConfig:
-    return replace(cfg.booster, seed=stage_seed(cfg.seed, "booster"))
-
-
-def _stage_rfe_raw(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["rfe_raw_best"], _ = _rfe(st["norm"], st["refined"], st["plan_raw"], _booster_cfg(cfg),
-                                 cfg.drop_per_step, cfg.repeats, out / "rfe_raw")
-
-
-def _stage_rfe_balanced(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    # Chain from the raw run's best set when it is large enough: the key set
-    # is then nested inside it by construction, which the atlas tiers need.
-    start = st["rfe_raw_best"] if len(st["rfe_raw_best"]) > MIN_RFE_GENES + 1 else st["refined"]
-    d = out / "rfe_balanced"
-    key, imp = _rfe(st["norm"], start, st["plan_balanced"], _booster_cfg(cfg),
-                    cfg.drop_per_step, cfg.repeats, d)
-    ranked = sorted(range(len(key)), key=lambda i: (-imp[i], key.gene_ids[i]))
-    st["key_set"] = key
-    st["key_index"] = {key.gene_ids[i]: rank for rank, i in enumerate(ranked)}
-    write_json(d / "key_gene_indices.json", st["key_index"])
-
-
-def _stage_model(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    _model(st["norm"], st["key_set"], _booster_cfg(cfg), out / "model")
-
-
-def _stage_gcn(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    st["networks"] = {}
-    for name, g, p, table in _networks(st["norm"], st["primary"], cfg.cohorts, cfg.gcn_sweep,
-                                       stage_seed(cfg.seed, "gcn")):
-        _export_network(out / "gcn" / name, g, p, table)
-        st["networks"][name] = CommunityNetwork(g, p)
-
-
-def _stage_atlas(cfg: PipelineConfig, st: dict, out: Path) -> None:
-    tiers = tier_genes([st["key_set"], st["rfe_raw_best"], st["refined"], st["primary"]])
-    _atlas(tiers, st["networks"], st["key_index"], out / "atlas")
-
-
-STAGES: tuple[tuple[str, Callable[[PipelineConfig, dict, Path], None]], ...] = (
-    ("ingest", _stage_ingest),
-    ("normalize", _stage_normalize),
-    ("select", _stage_select),
-    ("folds", _stage_folds),
-    ("rfe_raw", _stage_rfe_raw),
-    ("rfe_balanced", _stage_rfe_balanced),
-    ("model", _stage_model),
-    ("gcn", _stage_gcn),
-    ("atlas", _stage_atlas),
-)
+STAGES: tuple[tuple[str, Callable[[PipelineConfig, dict, Path], None]], ...] = tuple(
+    (name, _stage_ingest if name == "ingest" else partial(_run, name)) for name in STEPS)
 
 
 def _config_echo(cfg: PipelineConfig) -> dict:
@@ -490,13 +531,18 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     if next(out.iterdir(), None) is not None:
         raise ValidationError(f"output directory {out} is not empty")
     state: dict = {}
-    for name, fn in STAGES:
+    for i, (name, fn) in enumerate(STAGES):
         logger.info("pipeline stage: %s", name)
+        start = time.perf_counter()
         try:
             fn(cfg, state, out)
         except Exception as exc:
             write_text(out / ".partial", f"failed at stage: {name}\n{exc}\n")
             raise StageError(name, exc) from exc
+        logger.info("pipeline stage %s took %.3f s", name, time.perf_counter() - start)
+        # hand on only what a later stage reads (the cleansed matrix goes after normalize)
+        needed = {r for later, _ in STAGES[i + 1:] for r in STEPS[later].inputs}
+        state = {r: v for r, v in state.items() if r in needed}
 
     outputs = {p.relative_to(out).as_posix(): _sha256(p)
                for p in sorted(out.rglob("*")) if p.is_file()}
@@ -505,7 +551,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         "version": __version__,
         "root_seed": cfg.seed,
         "threads": cfg.threads,
-        "stage_seeds": {name: stage_seed(cfg.seed, name) for name in ("folds", "booster", "gcn")},
+        "stage_seeds": {name: stage_seed(cfg.seed, name)
+                        for name in dict.fromkeys(step.seed for step in STEPS.values() if step.seed)},
         "config": _config_echo(cfg),
         "inputs": {"matrix": _sha256(cfg.matrix), "labels": _sha256(cfg.labels)},
         "outputs": outputs,

@@ -16,11 +16,11 @@ import pytest
 
 import coexpress.pipeline as pipeline
 from coexpress.booster import BoosterConfig, hyperparameters
-from coexpress.cli import build_parser, main
+from coexpress.cli import STEP_COMMANDS, build_parser, main
 from coexpress.errors import CoexpressError, StageError, ValidationError
 from coexpress.masks import GeneSet, default_pair, load_gene_set, save_gene_set
 from coexpress.matrix import ExpressionMatrix, load_matrix, write_matrix
-from coexpress.pipeline import SETTINGS, PipelineConfig, load_config, run_pipeline, stage_seed
+from coexpress.pipeline import SETTINGS, STEPS, PipelineConfig, load_config, run_pipeline, stage_seed
 from coexpress.rfe import MIN_RFE_GENES
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, spec_to_json, write_dataset
 
@@ -810,6 +810,32 @@ class TestSettingsTable:
         assert self._config_errors(tmp_path, caplog, text) == errors
 
 
+class TestStageTable:
+    """Each stage's step declares its inputs, settings and seed once: the run
+    and the subcommands built from the table read that one declaration."""
+
+    def test_inputs_are_earlier_results_and_settings_are_config_keys(self):
+        assert [name for name, _ in pipeline.STAGES] == list(STEPS)
+        made = set()
+        for name, step in STEPS.items():
+            assert set(step.inputs) <= made, name
+            assert set(step.settings) <= SETTINGS.keys(), name
+            made.update(step.results)
+
+    def test_seed_names_are_the_manifest_stage_seeds(self, pipeline_run):
+        assert {step.seed for step in STEPS.values()} - {None} == stage_seeds(pipeline_run).keys()
+
+    @pytest.mark.parametrize("command", list(STEP_COMMANDS))
+    def test_subcommand_flags_are_the_declaration(self, command):
+        step = STEPS[STEP_COMMANDS[command][0]]
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        declared = {"--" + flag for flag in step.inputs.values()}
+        declared |= {"--" + key.replace("_", "-") for _, key in step.settings}
+        declared |= {"--seed"} if step.seed else set()
+        assert options == declared | {"--out", "-v", "--verbose", "-h", "--help"}
+
+
 class TestUnknownConfigKeys:
     @pytest.mark.parametrize("extra,named", [
         ("[booster]\nn_estimator = 5\n", "[booster] n_estimator"),
@@ -942,6 +968,32 @@ class TestGroupMeansCsv:
         assert rows[0] == ["", "L,N", "Bone", "Liver"]
         assert [r[0] for r in rows[1:]] == ["L,N", "Bone", "Liver"]
         assert all(len(r) == 4 for r in rows)
+
+
+    def test_zero_variance_sample_leaves_the_others_under_their_labels(self, tmp_path, caplog):
+        # s2 holds 5 in every gene, so `pairwise` leaves it out of the correlations
+        values = np.array([[1.0, 5, 2, 3, 1, 4], [2, 5, 1, 5, 3, 1], [4, 5, 3, 1, 2, 2]])
+        m = ExpressionMatrix(("g1", "g2", "g3"), tuple(f"s{i}" for i in range(1, 7)),
+                             ("A", "A", "B", "B", "C", "C"), values)
+        d = tmp_path / "data"
+        d.mkdir()
+        write_matrix(m, d / "matrix.tsv", d / "labels.tsv")
+        c, gm = tmp_path / "c.csv", tmp_path / "gm.csv"
+        assert run("corr", "--in", d, "--axis", "samples", "--csv", c, "--group-means", gm) == 0
+        assert any("excluding 1 zero-variance sample(s): s2" in r.getMessage() for r in caplog.records)
+        with open(c, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        ids = ["s1", "s3", "s4", "s5", "s6"]  # grouped by label: A, B, B, C, C
+        assert rows[0] == ["", *ids] and [r[0] for r in rows[1:]] == ids
+        r = {(a, b): float(v) for a, row in zip(ids, rows[1:]) for b, v in zip(ids, row[1:])}
+        with open(gm, newline="", encoding="utf-8") as fh:
+            means = {row[0]: row[1:] for row in csv.reader(fh)}
+        assert means[""] == ["A", "B", "C"]
+        assert means["A"][0] == "nan"  # one A sample is left
+        assert float(means["B"][1]) == r["s3", "s4"]
+        assert float(means["A"][1]) == pytest.approx((r["s1", "s3"] + r["s1", "s4"]) / 2)
+        assert float(means["B"][2]) == pytest.approx(np.mean([r[a, b] for a in ("s3", "s4")
+                                                              for b in ("s5", "s6")]))
 
 
 class TestReservedSiteName:

@@ -185,6 +185,11 @@ class TestExportHeatmap:
         svg = svg_path.read_text()
         assert svg.count("<rect") == 36
 
+    def test_requires_one_class_per_entity(self, tmp_path):
+        with pytest.raises(ValidationError, match="one class per entity required"):
+            export_heatmap(_corr_from(np.eye(3), "abc"), ["p", "q"], csv_path=tmp_path / "hm.csv")
+        assert not (tmp_path / "hm.csv").exists()
+
     def test_oversize_matrix_csv_only(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setattr(correlation, "SVG_MAX_CELLS", 10)
         n = 12

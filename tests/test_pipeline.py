@@ -5,13 +5,15 @@ the all-cohort network, two cohort networks and one skipped cohort, in about a s
 """
 import hashlib
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import StageError
-from coexpress.pipeline import SETTINGS, PipelineConfig, _config_echo, load_config, run_pipeline
+from coexpress.pipeline import SETTINGS, STAGES, PipelineConfig, _config_echo, load_config, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
 # sha256 of the MANIFEST `outputs` map (path -> sha256) of the golden run
@@ -66,6 +68,16 @@ class TestOutputDirectory:
     def test_empty_directory_runs_as_an_absent_one(self, tmp_path):
         (tmp_path / "run").mkdir()
         assert hashlib.sha256(run_golden(tmp_path).read_bytes()).hexdigest() == GOLDEN_MANIFEST
+
+
+class TestStageLog:
+    def test_each_stage_logs_its_wall_time_in_run_order(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="coexpress.pipeline")
+        manifest = run_golden(tmp_path)
+        timed = [re.fullmatch(r"pipeline stage (\w+) took \d+\.\d{3} s", r.getMessage())
+                 for r in caplog.records]
+        assert [t[1] for t in timed if t] == [name for name, _ in STAGES]
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST
 
 
 class TestNullData:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from coexpress.errors import ValidationError
 from coexpress.folds import stratified_folds
 from coexpress.masks import GeneSet
 from coexpress.matrix import ExpressionMatrix
-from coexpress.pipeline import MIN_RFE_GENES, PipelineConfig, _booster_cfg, _rfe
+from coexpress.pipeline import MIN_RFE_GENES, _rfe, stage_seed
 from coexpress.rfe import (
     cross_validate_step,
     export_trace,
@@ -253,12 +254,10 @@ class TestRecursiveEliminate:
     def test_pipeline_rfe_importance_equals_fresh_cv(self, tmp_path, n_start):
         m = self._planted(noise_genes=6)
         plan = stratified_folds(m.labels, 5, seed=14)
-        cfg = PipelineConfig(matrix="m.tsv", labels="l.tsv", out=tmp_path, k=5,
-                             booster=FAST, drop_per_step=2)
+        config = replace(FAST, seed=stage_seed(0, "booster"))
         start = GeneSet("s", m.gene_ids[-n_start:])
-        kept, imp = _rfe(m, start, plan, _booster_cfg(cfg), cfg.drop_per_step, cfg.repeats,
-                         tmp_path / "rfe_x")
-        fresh = cross_validate_step(m, kept, plan, _booster_cfg(cfg), cfg.repeats).importance
+        kept, imp = _rfe(m, start, plan, drop_per_step=2, repeats=1, config=config, d=tmp_path / "rfe_x")
+        fresh = cross_validate_step(m, kept, plan, config, 1).importance
         assert np.array_equal(imp, fresh)
         if n_start == MIN_RFE_GENES:
             assert kept.gene_ids == start.gene_ids

@@ -51,6 +51,9 @@ UNREAD_MEMBERS = {
        for field in ("precision", "recall", "f1")},
     "FoldPlan.assignment": "`plan_to_json` writes the fields through `asdict()`, and the "
                            "class's own `_rows` reads it for `expanded` and `cv_split`",
+    **{f"PipelineConfig.{field}": "`pipeline.call_step` reads each setting of a stage's step by its "
+                                  "`SETTINGS` field name, through `vars(cfg)`"
+       for field in ("select_sweep", "t_intersect", "t_combined")},
 }
 
 
