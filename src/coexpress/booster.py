@@ -37,7 +37,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,32 +63,34 @@ class BoosterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
-        if self.max_depth < 1:
-            raise ValidationError("max_depth must be >= 1")
-        if self.n_estimators < 1:
-            raise ValidationError("n_estimators must be >= 1")
-        if self.reg_lambda < 0:
-            raise ValidationError("reg_lambda must be >= 0")
-        if self.gamma < 0:
-            raise ValidationError("gamma must be >= 0")
-        if self.min_child_weight < 0:
-            raise ValidationError("min_child_weight must be >= 0")
-        if not 0 < self.subsample <= 1 or not 0 < self.colsample <= 1:
-            raise ValidationError("subsample/colsample must lie in (0, 1]")
-        if not 0 < self.base_score < 1:
-            raise ValidationError("base_score must lie in (0, 1)")
+        for name in RULES:
+            check_rule(name, getattr(self, name), f"{name} ")
+
+
+# field -> (rule, the rule in words, flag help), read here and by pipeline.SETTINGS' [booster] keys
+RULES: dict[str, tuple[Callable[[float], bool], str, str]] = {
+    "learning_rate": (lambda v: 0 < v < math.inf, "must be finite and > 0", "leaf-weight shrinkage"),
+    "max_depth": (lambda v: v >= 1, "must be >= 1", "depth limit of each tree"),
+    "n_estimators": (lambda v: v >= 1, "must be >= 1", "boosting rounds, one tree per class each"),
+    "reg_lambda": (lambda v: 0 <= v < math.inf, "must be finite and >= 0", "L2 penalty on leaf weights"),
+    "gamma": (lambda v: 0 <= v < math.inf, "must be finite and >= 0", "least loss reduction a split needs"),
+    "min_child_weight": (lambda v: 0 <= v < math.inf, "must be finite and >= 0", "least child Hessian sum"),
+    "subsample": (lambda v: 0 < v <= 1, "must lie in (0, 1]", "row fraction per tree"),
+    "colsample": (lambda v: 0 < v <= 1, "must lie in (0, 1]", "feature fraction per tree"),
+    "base_score": (lambda v: 0 < v < 1, "must lie in (0, 1)", "initial class probability"),
+}
+
+
+def check_rule(name: str, value: float, prefix: str = "") -> None:
+    """Raise unless `value` keeps `name`'s rule, in the rule's words: "<prefix>must be >= 1, got 0"."""
+    ok, words, _ = RULES[name]
+    if not ok(value):
+        raise ValidationError(f"{prefix}{words}, got {value}")
 
 
 def hyperparameters(config: BoosterConfig) -> dict:
-    """Every field of `config` but `seed`, which callers derive from their own seed."""
-    params = asdict(config)
-    del params["seed"]
-    return params
+    """Every field of `config` that has a rule: all but `seed`, which callers derive from their own seed."""
+    return {name: getattr(config, name) for name in RULES}
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ from .matrix import ExpressionMatrix, load_matrix
 from .pipeline import (
     SETTINGS,
     STEPS,
+    ALL_SAMPLES,
     PipelineConfig,
+    _atlas,
     _cohort_network,
     _csv_list,
     _export_network,
     _networks,
-    _write_atlas,
     call_step,
     check_settings,
     load_config,
@@ -31,7 +32,7 @@ from .pipeline import (
 )
 from .synthetic import generate, spec_from_json, write_dataset
 from .textio import read_text, write_rows
-from .atlas import CommunityNetwork, tier_genes
+from .atlas import CommunityNetwork
 
 logger = logging.getLogger("coexpress")
 
@@ -159,21 +160,17 @@ def _cmd_corr(args) -> int:
 def _cmd_gcn(args) -> int:
     m = _load_bundle(args.indir)
     g, p, table = _cohort_network(m, load_gene_set(args.genes), args.cohort, args.gcn_sweep, args.seed)
-    _export_network(Path(args.out), g, p, table)
-    logger.info("threshold %.3g: %d edges, %d communities, Q=%.4f",
-                g.threshold, g.n_edges, p.n_communities, p.q)
+    _export_network(args.cohort or ALL_SAMPLES, g, p, table, Path(args.out))
     return 0
 
 
 def _cmd_atlas(args) -> int:
-    m = _load_bundle(args.indir)
     nested = [load_gene_set(f) for f in _csv_list(args.nested)]
-    tiers = tier_genes(nested)
-    # the smallest nested set is the key set; file order defines indices 0..K-1
-    key_index = {g: i for i, g in enumerate(nested[0].gene_ids)}
-    networks = {name: CommunityNetwork(g, p) for name, g, p, _ in
-                _networks(m, nested[-1], args.cohorts, args.gcn_sweep, args.seed)}
-    _write_atlas(tiers, networks, key_index, Path(args.out))
+    # key indices follow the smallest set's file order; the networks are built once _atlas accepts the sets
+    key_index = {g: i for key in nested[:1] for i, g in enumerate(key.gene_ids)}
+    networks = ((name, CommunityNetwork(g, p)) for largest in nested[-1:] for name, g, p, _ in
+                _networks(_load_bundle(args.indir), largest, args.cohorts, args.gcn_sweep, args.seed))
+    _atlas(networks, key_index, *nested, d=Path(args.out))
     return 0
 
 

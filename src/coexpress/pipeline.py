@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .atlas import CommunityNetwork, build_atlas, export_atlas, tier_genes
-from .booster import BoosterConfig, ensemble_to_json, hyperparameters, train
+from .booster import RULES, BoosterConfig, check_rule, ensemble_to_json, hyperparameters, train
 from .errors import GraphError, StageError, ValidationError
 from .folds import FoldPlan, save_plan, stratified_folds
 from .graph import (
@@ -123,17 +123,15 @@ class Setting(NamedTuple):
     help: str | None = None
 
 
-_BOOSTER_HELP = {"subsample": "row fraction per tree", "colsample": "feature fraction per tree",
-                 "base_score": "initial class probability, in (0, 1)"}
-
 # (section, key) -> Setting: the one definition of each setting, read by load_config,
 # PipelineConfig and the subcommand flags that mirror a key (cli.build_parser)
 SETTINGS: dict[tuple[str, str], Setting] = {
-    ("input", "matrix"): Setting("matrix", Path),
-    ("input", "labels"): Setting("labels", Path),
-    ("input", "keep_sites"): Setting("keep_sites", _csv_list),
+    ("input", "matrix"): Setting("matrix", Path, help="expression matrix file, genes by samples"),
+    ("input", "labels"): Setting("labels", Path, help="label file, one sample_id<TAB>site per line"),
+    ("input", "keep_sites"): Setting("keep_sites", _csv_list, help="sites to keep, in order; default all"),
     ("normalize", "scheme"): Setting("scheme", str, NormalizationScheme, f"one of {', '.join(VARIANTS)}"),
-    ("normalize", "epsilon"): Setting("epsilon", float, lambda eps: NormalizationScheme("logit", eps)),
+    ("normalize", "epsilon"): Setting("epsilon", float, lambda eps: NormalizationScheme("logit", eps),
+                                      "logit schemes clamp values into [eps, 1 - eps]; in (0, 0.5)"),
     ("select", "sweep"): Setting("select_sweep", _parse_triplet,
                                  lambda sweep: [check_threshold(t) for t in sweep_thresholds(*sweep)],
                                  "t_min:t_max:step of the rule counts in sweep.csv"),
@@ -143,21 +141,23 @@ SETTINGS: dict[tuple[str, str], Setting] = {
                                       "every |C_site| >= T, opposite signs on the pair"),
     ("select", "pair"): Setting("pair", _csv_list, help="discriminand pair, e.g. LN,Bone; "
                                 "default LN,Bone, else the two largest classes"),
-    ("folds", "k"): Setting("k", int, lambda k: _require(k >= 2, f"must be >= 2, got {k}")),
+    ("folds", "k"): Setting("k", int, lambda k: _require(k >= 2, f"must be >= 2, got {k}"), "fold count"),
     ("folds", "factors"): Setting("factors", _parse_factors, help="balanced plan's extra copies per "
                                   "site, SITE:N,..., e.g. LN:1,Bone:2,Liver:5; empty derives them"),
     ("rfe", "drop_per_step"): Setting("drop_per_step", int,
-                                      lambda n: _require(n >= 1, f"must be >= 1, got {n}")),
-    ("rfe", "repeats"): Setting("repeats", int, lambda n: _require(n >= 1, f"must be >= 1, got {n}")),
+                                      lambda n: _require(n >= 1, f"must be >= 1, got {n}"),
+                                      "least important genes dropped per step"),
+    ("rfe", "repeats"): Setting("repeats", int, lambda n: _require(n >= 1, f"must be >= 1, got {n}"),
+                                "cross-validation rounds per step, each on reshuffled folds"),
     ("gcn", "sweep"): Setting("gcn_sweep", _parse_triplet, lambda sweep: sweep_thresholds(*sweep),
                               "t_min:t_max:step; T:T:1 fixes the threshold at T"),
     ("gcn", "cohorts"): Setting("cohorts", _csv_list, lambda cs: _require(
         ALL_SAMPLES not in cs, f"{ALL_SAMPLES!r} is not a site; the all-sample network is always built"),
         "site classes, each over the all-sample network's giant component; default every site"),
-    ("run", "out"): Setting("out", Path),
+    ("run", "out"): Setting("out", Path, help="output directory of the run"),
     ("run", "seed"): Setting("seed", int, help="random seed"),
-    **{("booster", name): Setting(name, type(default), help=_BOOSTER_HELP.get(name))
-       for name, default in hyperparameters(BoosterConfig()).items()},
+    **{("booster", name): Setting(name, type(getattr(BoosterConfig, name)), partial(check_rule, name), help)
+       for name, (_, _, help) in RULES.items()},
 }
 
 
@@ -216,6 +216,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             (booster if section == "booster" else kwargs)[s.field] = parse_setting(section, key, text)
     if not {"matrix", "labels", "out"} <= kwargs.keys():
         raise ValidationError("config must provide input.matrix, input.labels, run.out")
+    check_settings(booster)  # named as the flags' values are; PipelineConfig checks the rest
     return PipelineConfig(booster=BoosterConfig(**booster), **kwargs)
 
 
@@ -390,7 +391,9 @@ def _networks(m: ExpressionMatrix, genes: GeneSet | Sequence[str], cohorts: Sequ
         yield site, g, p, table
 
 
-def _export_network(d: Path, g, p, table) -> None:
+def _export_network(name: str, g, p, table, d: Path) -> None:
+    logger.info("network %s: threshold %.3g, %d edges, %d communities, Q=%.4f",
+                name, g.threshold, g.n_edges, p.n_communities, p.q)
     d.mkdir(parents=True, exist_ok=True)
     membership = {gene: int(p.membership[i]) for i, gene in enumerate(g.nodes)}
     write_sweep(table, d / "sweep.csv")
@@ -405,22 +408,20 @@ def _gcn(m: ExpressionMatrix, genes: GeneSet, *, cohorts: Sequence[str] | None,
     """Each network of `_networks`, written into `d / <name>`."""
     networks = {}
     for name, g, p, table in _networks(m, genes, cohorts, gcn_sweep, seed):
-        _export_network(d / name, g, p, table)
+        _export_network(name, g, p, table, d / name)
         networks[name] = CommunityNetwork(g, p)
     return networks
 
 
-def _write_atlas(tiers: Mapping[str, int], networks: Mapping[str, CommunityNetwork],
-                 key_index: Mapping[str, int], d: Path) -> None:
-    """Build the atlas of `networks` over the gene tiers (`tier_genes`) and write it into `d`."""
+def _atlas(networks, key_index: Mapping[str, int], *sets: GeneSet, d: Path) -> None:
+    """The atlas of `networks` over the tiers of the nested gene `sets`, smallest first. `networks`,
+    a mapping or (name, network) pairs, is read only once every gene of the last set has a tier."""
+    tiers = tier_genes(sets)
+    _require(tiers.keys() >= set(sets[-1].gene_ids),
+             f"gene set {sets[-1].name} does not nest: some of its genes are in no tier")
+    networks = dict(networks)
     entries = build_atlas(networks, tiers, key_index, max(tiers.values()) + 1)
     export_atlas(entries, networks, tiers, key_index, d)
-
-
-def _atlas(key_set: GeneSet, raw_best: GeneSet, refined: GeneSet, primary: GeneSet,
-           networks: Mapping[str, CommunityNetwork], key_index: Mapping[str, int], *, d: Path) -> None:
-    """The atlas of `networks` over the tiers of the four nested gene sets, smallest first."""
-    _write_atlas(tier_genes([key_set, raw_best, refined, primary]), networks, key_index, d)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +466,8 @@ STEPS: dict[str, Step] = {
     "model": Step(_model, {"norm": "in", "key_set": "genes"}, _BOOSTER, "booster", ()),
     "gcn": Step(_gcn, dict.fromkeys(("norm", "primary")), _keys("gcn", "cohorts", "sweep"), "gcn",
                 ("networks",)),
-    "atlas": Step(_atlas, dict.fromkeys(("key_set", "rfe_raw_best", "refined", "primary", "networks",
-                                         "key_index")), (), None, ()),
+    "atlas": Step(_atlas, dict.fromkeys(("networks", "key_index", "key_set", "rfe_raw_best", "refined",
+                                         "primary")), (), None, ()),
 }
 
 

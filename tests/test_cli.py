@@ -758,7 +758,21 @@ BAD_VALUES = {
     ("rfe", "repeats"): ("0", "must be >= 1, got 0"),
     ("gcn", "sweep"): ("0.4:0.9:0", "need step > 0 and t_max >= t_min"),
     ("gcn", "cohorts"): ("all", "'all' is not a site"),
+    ("booster", "learning_rate"): ("0", "must be finite and > 0, got 0.0"),
+    ("booster", "max_depth"): ("0", "must be >= 1, got 0"),
+    ("booster", "n_estimators"): ("0", "must be >= 1, got 0"),
+    ("booster", "reg_lambda"): ("-1", "must be finite and >= 0, got -1.0"),
+    ("booster", "gamma"): ("inf", "must be finite and >= 0, got inf"),
+    ("booster", "min_child_weight"): ("-0.5", "must be finite and >= 0, got -0.5"),
+    ("booster", "subsample"): ("0", "must lie in (0, 1], got 0.0"),
+    ("booster", "colsample"): ("1.5", "must lie in (0, 1], got 1.5"),
+    ("booster", "base_score"): ("1", "must lie in (0, 1), got 1.0"),
 }
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 class TestSettingsTable:
@@ -768,7 +782,7 @@ class TestSettingsTable:
     def _flag_errors(self, dataset, tmp_path, caplog, command, *flags):
         genes = dataset / "planted_A.genes"
         inputs = {"normalize": [], "select": [], "folds": [], "gcn": ["--genes", genes],
-                  "rfe": ["--genes", genes, "--plan", tmp_path / "plan.json"],
+                  "train": ["--genes", genes], "rfe": ["--genes", genes, "--plan", tmp_path / "plan.json"],
                   "atlas": ["--nested", genes]}[command]
         out = tmp_path / "out"
         assert run(command, "--in", dataset, *inputs, *flags, "--out", out) == 1
@@ -785,15 +799,15 @@ class TestSettingsTable:
     def test_every_key_is_listed(self):
         assert MIRRORS.keys() == SETTINGS.keys()
         assert BAD_VALUES.keys() == {k for k, setting in SETTINGS.items() if setting.check}
+        assert [k for k, setting in SETTINGS.items() if not setting.help] == []
 
     @pytest.mark.parametrize("section,key", list(SETTINGS), ids="-".join)
     def test_flag_default_and_bad_value(self, dataset, tmp_path, caplog, section, key):
         setting = SETTINGS[section, key]
         default = getattr(BoosterConfig if section == "booster" else PipelineConfig, setting.field, None)
-        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         flag = "--" + key.replace("_", "-")
         for command in MIRRORS[section, key]:
-            (action,) = [a for a in sub.choices[command]._actions if flag in a.option_strings]
+            (action,) = [a for a in _subcommands()[command]._actions if flag in a.option_strings]
             assert (action.dest, action.default, action.help) == (setting.field, default, setting.help)
         if (section, key) not in BAD_VALUES:
             return
@@ -801,6 +815,22 @@ class TestSettingsTable:
         errors = self._flag_errors(dataset, tmp_path, caplog, MIRRORS[section, key][0], flag, value)
         assert len(errors) == 1 and errors[0].startswith(f"[{section}] {key}: {message}")
         assert self._config_errors(tmp_path, caplog, f"\n[{section}]\n{key} = {value}\n") == errors
+
+    def test_bad_booster_flag_fails_before_an_input_is_read(self, dataset, tmp_path, caplog):
+        # the --plan file does not exist either: the flag's check comes first
+        assert not (tmp_path / "plan.json").exists()
+        errors = self._flag_errors(dataset, tmp_path, caplog, "rfe", "--max-depth", "0")
+        assert errors == ["[booster] max_depth: must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("command", list(_subcommands()))
+    def test_help_shows_each_flag_help(self, capsys, command):
+        # argparse %-formats each help text when -h runs, so a stray % would crash it
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "-h"])
+        assert exc.value.code == 0
+        shown = "".join(capsys.readouterr().out.split())  # line wrapping aside
+        helps = [a.help for a in _subcommands()[command]._actions if a.help]
+        assert len(helps) > 1 and [h for h in helps if "".join(h.split()) not in shown] == []
 
     def test_select_sets_must_nest(self, dataset, tmp_path, caplog):
         errors = self._flag_errors(dataset, tmp_path, caplog, "select",
@@ -948,7 +978,8 @@ class TestNonFiniteFlags:
         model = tmp_path / "model.json"
         assert run("train", "--in", dataset, "--genes", genes, "--learning-rate", "nan",
                    "--out", model) == 1
-        assert any("learning_rate must be finite" in r.message for r in caplog.records)
+        assert any(r.getMessage() == "[booster] learning_rate: must be finite and > 0, got nan"
+                   for r in caplog.records)
         assert not model.exists()
 
 
@@ -1208,6 +1239,28 @@ class TestCohortNames:
             "need at least 1 gene set"]
         assert not (tmp_path / "atlas").exists()
 
+    def test_atlas_last_set_not_nesting_exits_1_before_any_network(self, tmp_path, caplog, monkeypatch):
+        spec = SynthSpec(samples_per_class={"LN": 12, "Bone": 10, "Liver": 8}, background_genes=40,
+                         planted_per_class=4)
+        write_dataset(*generate(spec), tmp_path / "data")
+        assert run("ingest", "--matrix", tmp_path / "data" / "matrix.tsv", "--labels",
+                   tmp_path / "data" / "labels.tsv", "--out", tmp_path / "ingest") == 0
+        assert run("normalize", "--in", tmp_path / "ingest", "--out", tmp_path / "norm") == 0
+        (tmp_path / "a.genes").write_text("PL_LN_000\nPL_LN_001\nBG0001\n")
+        # b lacks a's PL_LN_001 and BG0001: it is dropped from the tiers, and the networks are over b
+        b = ("PL_LN_000", "PL_LN_002", "PL_Bone_000", "PL_Bone_001", "BG0002", "BG0003")
+        (tmp_path / "b.genes").write_text("".join(f"{g}\n" for g in b))
+        built, build_weighted = [], pipeline.build_weighted
+        monkeypatch.setattr(pipeline, "build_weighted",
+                            lambda *a, **k: built.append(a) or build_weighted(*a, **k))
+        caplog.clear()
+        out = tmp_path / "atlas"
+        assert run("atlas", "--in", tmp_path / "norm", "--nested",
+                   f"{tmp_path / 'a.genes'},{tmp_path / 'b.genes'}", "--out", out) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "gene set b does not nest: some of its genes are in no tier"]
+        assert built == [] and not out.exists()
+
     def test_atlas_bad_sweep_is_one_error_not_skipped_cohorts(self, dataset, tmp_path, caplog):
         assert run("atlas", "--in", dataset, "--nested", dataset / "planted_A.genes",
                    "--sweep", "0.4:0.9:0", "--out", tmp_path / "atlas") == 1
@@ -1245,6 +1298,7 @@ def test_bad_count_fails_before_the_first_stage(pipeline_config, caplog, section
     ("select", "sweep", "0.05:1.0:0.05", "threshold must lie in (0, 1), got 1.0"),
     ("select", "t_intersect", "0", "threshold must lie in (0, 1), got 0.0"),
     ("select", "t_combined", "1.0", "threshold must lie in (0, 1), got 1.0"),
+    ("booster", "max_depth", "0", "must be >= 1, got 0"),
 ])
 def test_bad_value_fails_before_the_first_stage(pipeline_config, caplog, section, key, value, message):
     tmp_path, write_cfg = pipeline_config

@@ -13,6 +13,7 @@ import pytest
 
 from coexpress.booster import BoosterConfig
 from coexpress.errors import StageError
+from coexpress.matrix import load_matrix
 from coexpress.pipeline import SETTINGS, STAGES, PipelineConfig, _config_echo, load_config, run_pipeline
 from coexpress.synthetic import BlockSpec, SynthSpec, generate, write_dataset
 
@@ -77,6 +78,19 @@ class TestStageLog:
         timed = [re.fullmatch(r"pipeline stage (\w+) took \d+\.\d{3} s", r.getMessage())
                  for r in caplog.records]
         assert [t[1] for t in timed if t] == [name for name, _ in STAGES]
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST
+
+
+    def test_gcn_logs_each_network_it_writes(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="coexpress.pipeline")
+        manifest = run_golden(tmp_path)
+        line = r"network (\S+): threshold 0\.\d+, \d+ edges, \d+ communities, Q=-?\d\.\d{4}"
+        logged = [m[1] for r in caplog.records if (m := re.fullmatch(line, r.getMessage()))]
+        written = {p.name for p in (tmp_path / "run" / "gcn").iterdir()}
+        # the all-sample network, then each site written, in order of first appearance
+        sites = load_matrix(tmp_path / "data" / "matrix.tsv", tmp_path / "data" / "labels.tsv").labels
+        assert logged == ["all", *(s for s in dict.fromkeys(sites) if s in written)]
+        assert len(written) == 3 and set(logged) == written
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST
 
 
